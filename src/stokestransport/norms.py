@@ -24,6 +24,7 @@ norms over the support at every Sobolev index used here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,9 +139,6 @@ def h1_norm(f) -> float:
 # dual norm: screened Poisson solve, factorization cached per grid
 # ---------------------------------------------------------------------------
 
-_HNEG1_CACHE: dict = {}
-
-
 def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
     """1D -d2/dx2 on cell centers; Dirichlet walls via linear ghosts."""
     h2 = h * h
@@ -156,19 +154,15 @@ def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
     return A.tocsr()
 
 
+@functools.lru_cache(maxsize=4)
 def _screened_solver(grid: GridSpec, domain: DomainSpec):
-    key = (grid, domain)
-    lu = _HNEG1_CACHE.get(key)
-    if lu is None:
-        Ax = _lap1d(grid.nx, grid.hx, domain.periodic)
-        Az = _lap1d(grid.nz, grid.hz, False)
-        Ix = scipy.sparse.identity(grid.nx, format="csr")
-        Iz = scipy.sparse.identity(grid.nz, format="csr")
-        A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-             + scipy.sparse.identity(grid.nx * grid.nz, format="csr")).tocsc()
-        lu = scipy.sparse.linalg.splu(A)
-        _HNEG1_CACHE[key] = lu
-    return lu
+    Ax = _lap1d(grid.nx, grid.hx, domain.periodic)
+    Az = _lap1d(grid.nz, grid.hz, False)
+    Ix = scipy.sparse.identity(grid.nx, format="csr")
+    Iz = scipy.sparse.identity(grid.nz, format="csr")
+    A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
+         + scipy.sparse.identity(grid.nx * grid.nz, format="csr")).tocsc()
+    return scipy.sparse.linalg.splu(A)
 
 
 def hneg1_norm(rho: ScalarField) -> float:
@@ -301,23 +295,16 @@ class NormReport:
         return ",".join(parts)
 
 
-_WINDOW_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _windowed_solver(grid: GridSpec, ncols: int):
     """Screened solve on an ncols-wide column block, Dirichlet all around."""
-    key = (grid, ncols)
-    lu = _WINDOW_CACHE.get(key)
-    if lu is None:
-        Ax = _lap1d(ncols, grid.hx, False)
-        Az = _lap1d(grid.nz, grid.hz, False)
-        Ix = scipy.sparse.identity(ncols, format="csr")
-        Iz = scipy.sparse.identity(grid.nz, format="csr")
-        A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-             + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
-        lu = scipy.sparse.linalg.splu(A)
-        _WINDOW_CACHE[key] = lu
-    return lu
+    Ax = _lap1d(ncols, grid.hx, False)
+    Az = _lap1d(grid.nz, grid.hz, False)
+    Ix = scipy.sparse.identity(ncols, format="csr")
+    Iz = scipy.sparse.identity(grid.nz, format="csr")
+    A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
+         + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
+    return scipy.sparse.linalg.splu(A)
 
 
 def _windowed_hneg1(f: ScalarField, part: Partition, k: int, margin: float) -> float:

@@ -31,6 +31,7 @@ from .domain import (
     GridSpec,
     ScalarField,
     expected_shape,
+    make_grid,
 )
 
 __all__ = ["write_field", "read_field", "write_raster", "read_raster", "FLOWMAP_TAG"]
@@ -45,8 +46,7 @@ _STAGGER_FROM_CODE = {v: k for k, v in _STAGGER_CODES.items()}
 FLOWMAP_TAG = 3
 
 
-def _payload_shape(kind: DomainKind, stagger_code: int, nx: int, nz: int):
-    domain = DomainSpec(kind, 8.0 if kind is DomainKind.STRIP else 1.0)
+def _payload_shape(domain: DomainSpec, stagger_code: int, nx: int, nz: int):
     if stagger_code == FLOWMAP_TAG:
         return (nx, nz, 2)
     return expected_shape(GridSpec(nx, nz, 1.0, 1.0), domain, _STAGGER_FROM_CODE[stagger_code])
@@ -54,7 +54,7 @@ def _payload_shape(kind: DomainKind, stagger_code: int, nx: int, nz: int):
 
 def write_raster(path, domain: DomainSpec, nx: int, nz: int, stagger_code: int, values: np.ndarray):
     values = np.ascontiguousarray(values, dtype="<f8")
-    want = _payload_shape(domain.kind, stagger_code, nx, nz)
+    want = _payload_shape(domain, stagger_code, nx, nz)
     if values.shape != want:
         raise ValueError(f"payload shape {values.shape} does not match header (want {want})")
     header = _HEADER.pack(MAGIC, _KIND_CODES[domain.kind], stagger_code, nx, nz, domain.x_extent)
@@ -74,15 +74,14 @@ def read_raster(path):
         raise ValueError(f"{path}: unknown domain kind code {kind_code}")
     if stagger_code not in (0, 1, 2, FLOWMAP_TAG):
         raise ValueError(f"{path}: unknown staggering code {stagger_code}")
-    kind = _KIND_FROM_CODE[kind_code]
-    shape = _payload_shape(kind, stagger_code, nx, nz)
+    domain = DomainSpec(_KIND_FROM_CODE[kind_code], x_extent)
+    grid = make_grid(domain, nx, nz)
+    shape = _payload_shape(domain, stagger_code, nx, nz)
     count = int(np.prod(shape))
     body = raw[_HEADER.size:]
     if len(body) != 8 * count:
         raise ValueError(f"{path}: payload has {len(body)} bytes, header implies {8 * count}")
     values = np.frombuffer(body, dtype="<f8").reshape(shape).astype(np.float64)
-    domain = DomainSpec(kind, x_extent)
-    grid = GridSpec(nx, nz, x_extent / nx, 1.0 / nz)
     return domain, grid, stagger_code, values
 
 

@@ -17,8 +17,14 @@ the wall-adjacent rows of the operator are mildly nonsymmetric, which the
 sparse direct factorization does not mind.
 
 Rectangle mode assembles the full saddle-point system (velocity Laplacian,
-pressure gradient / divergence couplings, and one extra row/column pinning
-the mean of p to zero) and factorizes it once per grid.  Strip mode applies
+pressure gradient / divergence couplings) and factorizes it once per grid.
+Pressure is fixed only up to a constant, so the continuity row of cell
+(0, 0) is replaced by the single-entry row p[0, 0] = 0.  No constraint is
+lost: under no-slip the continuity rows sum to zero (the divergence
+telescopes to the wall fluxes, which vanish), so cell (0, 0)'s divergence
+is implied by all the others.  The mean is removed after the solve.  One
+pinned cell keeps the matrix sparse, where a mean-pressure row and column
+would couple every cell.  Strip mode applies
 an FFT in x; each wavenumber yields a small banded saddle system in z.  The
 zero wavenumber is rank-deficient exactly along the parabolic profile and
 is closed by prescribing the volume flux; its pressure gains a linear slope
@@ -29,6 +35,7 @@ slope 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,23 +211,20 @@ def check_compatibility(g: ScalarField) -> float:
 # rectangle: one sparse saddle-point factorization per grid
 # ---------------------------------------------------------------------------
 
-_RECT_CACHE: dict = {}
-
-
 def _rect_ids(grid: GridSpec):
     nx, nz = grid.nx, grid.nz
     nu1 = (nx - 1) * nz
     nu2 = nx * (nz - 1)
     ncells = nx * nz
-    return nu1, nu2, ncells, nu1 + nu2 + ncells
+    return nu1, nu2, ncells
 
 
 def _assemble_rect(grid: GridSpec):
     nx, nz = grid.nx, grid.nz
     hx, hz = grid.hx, grid.hz
     hx2, hz2 = hx * hx, hz * hz
-    nu1, nu2, ncells, ilam = _rect_ids(grid)
-    n = ilam + 1
+    nu1, nu2, ncells = _rect_ids(grid)
+    n = nu1 + nu2 + ncells
 
     rows, cols, vals = [], [], []
 
@@ -266,8 +270,9 @@ def _assemble_rect(grid: GridSpec):
     put(rid, nu1 + nu2 + I * nz + J, np.full(rid.size, 1.0 / hz))
     put(rid, nu1 + nu2 + I * nz + J - 1, np.full(rid.size, -1.0 / hz))
 
-    # continuity at cells, plus the mean-pressure multiplier column
+    # continuity at cells (1, 0) onward; cell (0, 0) carries the pin p = 0
     I, J = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
+    I, J = I.ravel()[1:], J.ravel()[1:]
     rid = nu1 + nu2 + I * nz + J
     m = I + 1 <= nx - 1
     put(rid[m], I[m] * nz + J[m], np.full(m.sum(), 1.0 / hx))
@@ -277,8 +282,7 @@ def _assemble_rect(grid: GridSpec):
     put(rid[m], nu1 + I[m] * (nz - 1) + J[m], np.full(m.sum(), 1.0 / hz))
     m = J >= 1
     put(rid[m], nu1 + I[m] * (nz - 1) + (J[m] - 1), np.full(m.sum(), -1.0 / hz))
-    put(rid, np.full(rid.size, ilam), np.full(rid.size, 1.0))
-    put(np.full(ncells, ilam), rid, np.full(ncells, 1.0))
+    put(nu1 + nu2, nu1 + nu2, 1.0)
 
     A = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -287,12 +291,11 @@ def _assemble_rect(grid: GridSpec):
     return scipy.sparse.linalg.splu(A)
 
 
+@functools.lru_cache(maxsize=4)
 def _rect_solver(grid: GridSpec):
-    lu = _RECT_CACHE.get(grid)
-    if lu is None:
-        lu = _assemble_rect(grid)
-        _RECT_CACHE[grid] = lu
-    return lu
+    """(factorization, L+U nonzeros) of the rectangle system, per grid."""
+    lu = _assemble_rect(grid)
+    return lu, lu.L.nnz + lu.U.nnz
 
 
 def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -302,15 +305,15 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
         raise ValueError("solve_stokes_bounded expects a rectangle forcing")
     grid, dom = f.grid, f.domain
     nx, nz = grid.nx, grid.nz
-    nu1, nu2, ncells, ilam = _rect_ids(grid)
+    nu1, nu2, ncells = _rect_ids(grid)
     rhs = np.concatenate([
         f.f1[1:-1, :].ravel(),
         f.f2[:, 1:-1].ravel(),
         np.zeros(ncells),
-        [0.0],
     ])
     try:
-        sol = _rect_solver(grid).solve(rhs)
+        lu, lu_nnz = _rect_solver(grid)
+        sol = lu.solve(rhs)
     except RuntimeError as exc:  # singular factorization
         raise StokesSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
@@ -320,15 +323,15 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     a1[1:-1, :] = sol[:nu1].reshape(nx - 1, nz)
     a2 = np.zeros((nx, nz + 1))
     a2[:, 1:-1] = sol[nu1:nu1 + nu2].reshape(nx, nz - 1)
-    pv = sol[nu1 + nu2:nu1 + nu2 + ncells].reshape(nx, nz)
+    pv = sol[nu1 + nu2:].reshape(nx, nz)
     pv = pv - pv.mean()
     u = VelocityField.from_arrays(grid, dom, a1, a2, enforce_walls=False)
     p = ScalarField(grid, dom, pv, CENTER)
     res = momentum_residual(u, p, f)
     _check_solution(res, u, f, config)
     return StokesSolution(u=u, p=p, residual_norm=res, flux=None,
-                          stats={"solver": "sparse-lu", "iterations": 1,
-                                 "unknowns": ilam + 1})
+                          stats={"solver": "sparse-lu", "lu_nnz": lu_nnz,
+                                 "unknowns": nu1 + nu2 + ncells})
 
 
 def _check_solution(res, u, f, config):
@@ -347,14 +350,8 @@ def _check_solution(res, u, f, config):
 # strip: FFT in x, small banded saddle systems per wavenumber
 # ---------------------------------------------------------------------------
 
-_STRIP_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _strip_factor(grid: GridSpec):
-    key = grid
-    got = _STRIP_CACHE.get(key)
-    if got is not None:
-        return got
     nx, nz = grid.nx, grid.nz
     hx, hz = grid.hx, grid.hz
     hz2 = hz * hz
@@ -421,9 +418,7 @@ def _strip_factor(grid: GridSpec):
                                     shape=(n, n)).tocsc()
         factors.append(scipy.sparse.linalg.splu(A))
 
-    got = {"m0": m0_lu, "modes": factors}
-    _STRIP_CACHE[key] = got
-    return got
+    return {"m0": m0_lu, "modes": factors}
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -478,8 +473,7 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     fluxes = flux_profile(u)
     return StokesSolution(u=u, p=p, residual_norm=res, flux=float(fluxes[0]),
                           pressure_slope=slope,
-                          stats={"solver": "fft-lu", "iterations": 1,
-                                 "modes": nmode})
+                          stats={"solver": "fft-lu", "modes": nmode})
 
 
 def solve_buoyancy(rho: ScalarField, config: StokesConfig | None = None) -> StokesSolution:

@@ -3,7 +3,9 @@ import pytest
 
 from stokestransport.domain import CENTER, XFACE, ZFACE, ScalarField
 from stokestransport.snapshots import (
+    _HEADER,
     FLOWMAP_TAG,
+    MAGIC,
     read_field,
     read_raster,
     write_field,
@@ -73,3 +75,12 @@ def test_wrong_payload_shape_rejected(strip, tmp_path):
     with pytest.raises(ValueError, match="shape"):
         write_raster(tmp_path / "f.stf", dom, grid.nx, grid.nz, 0,
                      np.zeros((grid.nx + 1, grid.nz)))
+
+
+@pytest.mark.parametrize("nx, nz", [(0, 16), (16, 0), (16, 1)])
+def test_header_below_minimum_grid_rejected(nx, nz, tmp_path):
+    # the payload length matches the header, so only the grid check can fail
+    p = tmp_path / "small.stf"
+    p.write_bytes(_HEADER.pack(MAGIC, 0, 0, nx, nz, 1.0) + bytes(8 * nx * nz))
+    with pytest.raises(ValueError, match="grid must have"):
+        read_raster(p)

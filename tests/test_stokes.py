@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from _manufactured import manufactured_case, velocity_error_l2
+from stokestransport import norms, stokes
 from stokestransport.domain import (
     XFACE,
+    ZFACE,
     DomainKind,
     DomainSpec,
     Forcing,
     ScalarField,
+    divergence,
     expected_shape,
     make_grid,
     max_divergence,
@@ -151,6 +154,51 @@ class TestManufactured:
         assert recomputed == pytest.approx(sol.residual_norm, rel=1e-9, abs=1e-13)
         text = solver_stats_text(sol)
         assert "residual" in text and "=" in text
+
+
+class TestPinnedPressure:
+    @pytest.mark.parametrize("x_extent", [1.0, 1.5])
+    def test_pinned_cell_is_divergence_free(self, x_extent):
+        # cell (0, 0) carries the pin instead of its continuity row; the
+        # telescoping wall fluxes must still make its divergence vanish
+        dom = DomainSpec(DomainKind.RECTANGLE, x_extent)
+        grid = make_grid(dom, 24, 16)
+        rng = np.random.default_rng(3)
+        f = Forcing(grid, dom,
+                    rng.standard_normal(expected_shape(grid, dom, XFACE)),
+                    rng.standard_normal(expected_shape(grid, dom, ZFACE)))
+        sol = solve_stokes_bounded(f)
+        assert abs(divergence(sol.u)[0, 0]) <= 1e-12
+        assert abs(sol.p.values.mean()) <= 1e-13
+
+    def test_factor_fill_is_bounded(self):
+        # a dense mean-pressure border would give about 6.3 M at 64^2
+        dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
+        grid = make_grid(dom, 64, 64)
+        rho = make_density("stratified_perturbed", grid, dom)
+        sol = solve_buoyancy(rho)
+        assert sol.stats["lu_nnz"] < 2_500_000
+        assert sol.stats["unknowns"] == 63 * 64 + 64 * 63 + 64 * 64
+        assert f"lu_nnz={sol.stats['lu_nnz']}" in solver_stats_text(sol)
+
+
+@pytest.mark.parametrize("cached", [stokes._rect_solver, stokes._strip_factor,
+                                    norms._screened_solver, norms._windowed_solver])
+def test_factor_cache_keeps_four_grids(cached):
+    if cached is stokes._strip_factor:
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+    else:
+        dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
+    extra = {norms._screened_solver: (dom,), norms._windowed_solver: (8,)}.get(cached, ())
+    keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
+    cached.cache_clear()
+    for key in keys:
+        cached(*key)
+    assert cached.cache_info().currsize == 4
+    cached(*keys[-1])
+    assert cached.cache_info().hits == 1
+    cached(*keys[0])  # the oldest grid was evicted
+    assert cached.cache_info().misses == 6
 
 
 class TestValidation:
