@@ -1,10 +1,8 @@
-"""Compare the numba and numpy transport-kernel backends.
+"""Time the transport kernels on full center-seed flow maps.
 
-Integrates the full center-seed flow map for a buoyancy-driven velocity
-field at a few grid sizes, once per backend, and reports wall time plus
-throughput.  The two backends evaluate textually identical arithmetic,
-so the displacement fields are also compared bitwise; any nonzero gap
-is printed loudly.
+Integrates the flow map of every cell center for a buoyancy-driven velocity
+field at a few grid sizes and reports the best wall time over the repeats
+and the throughput in millions of seed-steps per second.
 
 Run:  python3 benchmarks/bench_kernels.py [--sizes 64,128,256] [--repeats 3]
 """
@@ -16,7 +14,6 @@ import time
 
 import numpy as np
 
-from stokestransport import _kernels
 from stokestransport.domain import DomainKind, DomainSpec, make_grid
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import solve_buoyancy
@@ -30,15 +27,14 @@ def _case(nx: int, nz: int):
     return solve_buoyancy(rho).u
 
 
-def _run(u, dt: float, repeats: int):
+def _best_time(u, dt: float, repeats: int) -> float:
     cfg = TransportConfig(dt=dt)
     best = float("inf")
-    fm = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fm = integrate_flow(u, 1.0, 0.0, cfg)
+        integrate_flow(u, 1.0, 0.0, cfg)
         best = min(best, time.perf_counter() - t0)
-    return best, fm.displacement
+    return best
 
 
 def main() -> int:
@@ -50,34 +46,17 @@ def main() -> int:
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    backends = _kernels.available_backends()
-    if "numba" not in backends:
-        print("numba backend unavailable; timing numpy only")
-
-    header = f"{'grid':>12} {'backend':>8} {'best [s]':>10} {'Mseed-steps/s':>14}"
+    header = f"{'grid':>12} {'best [s]':>10} {'Mseed-steps/s':>14}"
     print(header)
     print("-" * len(header))
-    worst_gap = 0.0
     for nx in sizes:
         nz = max(8, nx // 4)
         u = _case(nx, nz)
         nsteps = int(np.ceil(1.0 / args.dt))
-        results = {}
-        for name in backends:
-            _kernels.set_backend(name)
-            _run(u, args.dt, 1)  # warm the JIT / cache before timing
-            sec, disp = _run(u, args.dt, args.repeats)
-            rate = nx * nz * nsteps / sec / 1e6
-            results[name] = disp
-            print(f"{nx:>6}x{nz:<5} {name:>8} {sec:>10.4f} {rate:>14.1f}")
-        if len(results) == 2:
-            gap = float(np.max(np.abs(results["numba"] - results["numpy"])))
-            worst_gap = max(worst_gap, gap)
-    if "numba" in backends:
-        print(f"\nmax |numba - numpy| over all displacements: {worst_gap:.3e}")
-        if worst_gap != 0.0:
-            print("WARNING: backends disagree beyond bit level")
-    _kernels.set_backend("numba" if "numba" in backends else "numpy")
+        _best_time(u, args.dt, 1)  # fill caches before timing
+        sec = _best_time(u, args.dt, args.repeats)
+        rate = nx * nz * nsteps / sec / 1e6
+        print(f"{nx:>6}x{nz:<5} {sec:>10.4f} {rate:>14.2f}")
     return 0
 
 

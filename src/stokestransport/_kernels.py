@@ -1,14 +1,19 @@
 """Hot transport kernels: bilinear MAC sampling and RK4 seed stepping.
 
-Two interchangeable backends live here.  The numba backend JIT-compiles the
-per-seed scalar loops; the numpy backend vectorizes the same arithmetic over
-whole point arrays.  Expressions are kept textually identical so the two
-paths agree to the last bit.  Set ``ST_NUMBA=0`` to force the numpy path
-(handy for debugging, and the fallback where numba is unavailable);
-``set_backend("numpy"|"numba")`` switches at runtime, which is what the
-benchmark uses.
+One vectorized numpy implementation, evaluated over whole point arrays.
+Every query first locates its points once: x is wrapped into the period
+(strip) or clamped (rectangle), z is clamped, and both are scaled to cell
+units.  Each staggered field then gathers its four corners through flat
+indices into the C-ordered array.  An RK4 stage samples u1 and u2 at the
+same points, so it locates them once for both components, and
+``sample_center`` blends every channel of an ``(nx, nz, k)`` array from a
+single set of weights.  Blends and sums run in place where an operand is a
+fresh temporary, but every floating-point operation is the one the plain
+expressions in the comments and docstrings name, in the same order, so
+results match the original arithmetic (kept in
+``tests/_reference_kernels.py``) bit for bit.
 
-Sampling conventions (shared by both backends):
+Sampling conventions:
 
 * strip mode wraps x into [0, L) *before* any index arithmetic, so samples
   at x and x + L are bit-identical whenever x + L is exactly representable;
@@ -23,413 +28,162 @@ Sampling conventions (shared by both backends):
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 __all__ = [
     "backend_name",
-    "available_backends",
-    "set_backend",
     "sample_u1",
     "sample_u2",
     "sample_center",
     "rk4_step",
 ]
 
-_WANT_NUMBA = os.environ.get("ST_NUMBA", "1").strip().lower() not in ("0", "false", "no", "off")
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    if _WANT_NUMBA:
-        warnings.warn("numba unavailable; transport kernels fall back to numpy")
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _np_clip01(a):
-    return np.minimum(np.maximum(a, 0.0), 1.0)
-
-
-def _np_sample_u1(u1, px, pz, hx, hz, periodic, Lx):
-    nf, nz = u1.shape
-    pz = _np_clip01(pz)
-    if periodic:
-        px = px - Lx * np.floor(px / Lx)
-        fx = px / hx
-        i0 = np.floor(fx).astype(np.int64)
-        tx = fx - i0
-        ia = i0 % nf
-        ib = (i0 + 1) % nf
-    else:
-        px = np.minimum(np.maximum(px, 0.0), Lx)
-        fx = px / hx
-        i0 = np.minimum(np.maximum(np.floor(fx).astype(np.int64), 0), nf - 2)
-        tx = np.minimum(np.maximum(fx - i0, 0.0), 1.0)
-        ia = i0
-        ib = i0 + 1
-    fz = pz / hz - 0.5
-    j0 = np.minimum(np.maximum(np.floor(fz).astype(np.int64), 0), nz - 2)
-    tz = np.minimum(np.maximum(fz - j0, 0.0), 1.0)
-    ra = (1.0 - tx) * u1[ia, j0] + tx * u1[ib, j0]
-    rb = (1.0 - tx) * u1[ia, j0 + 1] + tx * u1[ib, j0 + 1]
-    mid = (1.0 - tz) * ra + tz * rb
-    r_bot = (1.0 - tx) * u1[ia, 0] + tx * u1[ib, 0]
-    r_top = (1.0 - tx) * u1[ia, nz - 1] + tx * u1[ib, nz - 1]
-    bot = (pz / (0.5 * hz)) * r_bot
-    top = ((1.0 - pz) / (0.5 * hz)) * r_top
-    return np.where(fz <= 0.0, bot, np.where(fz >= nz - 1, top, mid))
-
-
-def _np_sample_u2(u2, px, pz, hx, hz, periodic, Lx):
-    nx, nzp = u2.shape
-    pz = _np_clip01(pz)
-    fz = pz / hz
-    j0 = np.minimum(np.maximum(np.floor(fz).astype(np.int64), 0), nzp - 2)
-    tz = np.minimum(np.maximum(fz - j0, 0.0), 1.0)
-    if periodic:
-        px = px - Lx * np.floor(px / Lx)
-        fx = px / hx - 0.5
-        i0 = np.floor(fx).astype(np.int64)
-        tx = fx - i0
-        ia = i0 % nx
-        ib = (i0 + 1) % nx
-        ca = (1.0 - tz) * u2[ia, j0] + tz * u2[ia, j0 + 1]
-        cb = (1.0 - tz) * u2[ib, j0] + tz * u2[ib, j0 + 1]
-        return (1.0 - tx) * ca + tx * cb
-    px = np.minimum(np.maximum(px, 0.0), Lx)
-    fx = px / hx - 0.5
-    i0 = np.minimum(np.maximum(np.floor(fx).astype(np.int64), 0), nx - 2)
-    tx = np.minimum(np.maximum(fx - i0, 0.0), 1.0)
-    ca = (1.0 - tz) * u2[i0, j0] + tz * u2[i0, j0 + 1]
-    cb = (1.0 - tz) * u2[i0 + 1, j0] + tz * u2[i0 + 1, j0 + 1]
-    mid = (1.0 - tx) * ca + tx * cb
-    c_left = (1.0 - tz) * u2[0, j0] + tz * u2[0, j0 + 1]
-    c_right = (1.0 - tz) * u2[nx - 1, j0] + tz * u2[nx - 1, j0 + 1]
-    left = (px / (0.5 * hx)) * c_left
-    right = ((Lx - px) / (0.5 * hx)) * c_right
-    return np.where(fx <= 0.0, left, np.where(fx >= nx - 1, right, mid))
-
-
-def _np_sample_center(c, px, pz, hx, hz, periodic, Lx):
-    nx, nz = c.shape
-    pz = _np_clip01(pz)
-    fz = np.minimum(np.maximum(pz / hz - 0.5, 0.0), nz - 1.0)
-    j0 = np.minimum(np.floor(fz).astype(np.int64), nz - 2)
-    tz = fz - j0
-    if periodic:
-        px = px - Lx * np.floor(px / Lx)
-        fx = px / hx - 0.5
-        i0 = np.floor(fx).astype(np.int64)
-        tx = fx - i0
-        ia = i0 % nx
-        ib = (i0 + 1) % nx
-    else:
-        px = np.minimum(np.maximum(px, 0.0), Lx)
-        fx = np.minimum(np.maximum(px / hx - 0.5, 0.0), nx - 1.0)
-        i0 = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
-        tx = fx - i0
-        ia = i0
-        ib = i0 + 1
-    v00 = c[ia, j0]
-    v01 = c[ia, j0 + 1]
-    v10 = c[ib, j0]
-    v11 = c[ib, j0 + 1]
-    ca = (1.0 - tz) * v00 + tz * v01
-    cb = (1.0 - tz) * v10 + tz * v11
-    res = (1.0 - tx) * ca + tx * cb
-    # rounding can push the blend past the corner hull by an ulp; scalar
-    # data carries an exact range-preservation contract, so clamp
-    lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
-    hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
-    return np.minimum(np.maximum(res, lo), hi)
-
-
-def _np_rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
-    k1x = _np_sample_u1(u1a, px, pz, hx, hz, periodic, Lx)
-    k1z = _np_sample_u2(u2a, px, pz, hx, hz, periodic, Lx)
-    x1 = px + 0.5 * h * k1x
-    z1 = _np_clip01(pz + 0.5 * h * k1z)
-    k2x = _np_sample_u1(u1b, x1, z1, hx, hz, periodic, Lx)
-    k2z = _np_sample_u2(u2b, x1, z1, hx, hz, periodic, Lx)
-    x2 = px + 0.5 * h * k2x
-    z2 = _np_clip01(pz + 0.5 * h * k2z)
-    k3x = _np_sample_u1(u1b, x2, z2, hx, hz, periodic, Lx)
-    k3z = _np_sample_u2(u2b, x2, z2, hx, hz, periodic, Lx)
-    x3 = px + h * k3x
-    z3 = _np_clip01(pz + h * k3z)
-    k4x = _np_sample_u1(u1c, x3, z3, hx, hz, periodic, Lx)
-    k4z = _np_sample_u2(u2c, x3, z3, hx, hz, periodic, Lx)
-    qx = px + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    qz = _np_clip01(pz + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
-    if not periodic:
-        qx = np.minimum(np.maximum(qx, 0.0), Lx)
-    px[:] = qx
-    pz[:] = qz
-
-
-class _NumpyBackend:
-    name = "numpy"
-    sample_u1 = staticmethod(_np_sample_u1)
-    sample_u2 = staticmethod(_np_sample_u2)
-    sample_center = staticmethod(_np_sample_center)
-    rk4_step = staticmethod(_np_rk4_step)
-
-
-# ---------------------------------------------------------------------------
-# numba backend: the same arithmetic as scalar loops
-# ---------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=True, inline="always")
-    def _nb_point_u1(u1, x, z, hx, hz, periodic, Lx):
-        nf, nz = u1.shape
-        if z < 0.0:
-            z = 0.0
-        elif z > 1.0:
-            z = 1.0
-        if periodic:
-            x = x - Lx * np.floor(x / Lx)
-            fx = x / hx
-            i0 = int(np.floor(fx))
-            tx = fx - i0
-            ia = i0 % nf
-            ib = (i0 + 1) % nf
-        else:
-            if x < 0.0:
-                x = 0.0
-            elif x > Lx:
-                x = Lx
-            fx = x / hx
-            i0 = int(np.floor(fx))
-            if i0 < 0:
-                i0 = 0
-            elif i0 > nf - 2:
-                i0 = nf - 2
-            tx = fx - i0
-            if tx < 0.0:
-                tx = 0.0
-            elif tx > 1.0:
-                tx = 1.0
-            ia = i0
-            ib = i0 + 1
-        fz = z / hz - 0.5
-        if fz <= 0.0:
-            r = (1.0 - tx) * u1[ia, 0] + tx * u1[ib, 0]
-            return (z / (0.5 * hz)) * r
-        if fz >= nz - 1:
-            r = (1.0 - tx) * u1[ia, nz - 1] + tx * u1[ib, nz - 1]
-            return ((1.0 - z) / (0.5 * hz)) * r
-        j0 = int(fz)
-        tz = fz - j0
-        ra = (1.0 - tx) * u1[ia, j0] + tx * u1[ib, j0]
-        rb = (1.0 - tx) * u1[ia, j0 + 1] + tx * u1[ib, j0 + 1]
-        return (1.0 - tz) * ra + tz * rb
-
-    @numba.njit(cache=True, inline="always")
-    def _nb_point_u2(u2, x, z, hx, hz, periodic, Lx):
-        nx, nzp = u2.shape
-        if z < 0.0:
-            z = 0.0
-        elif z > 1.0:
-            z = 1.0
-        fz = z / hz
-        j0 = int(np.floor(fz))
-        if j0 < 0:
-            j0 = 0
-        elif j0 > nzp - 2:
-            j0 = nzp - 2
-        tz = fz - j0
-        if tz < 0.0:
-            tz = 0.0
-        elif tz > 1.0:
-            tz = 1.0
-        if periodic:
-            x = x - Lx * np.floor(x / Lx)
-            fx = x / hx - 0.5
-            i0 = int(np.floor(fx))
-            tx = fx - i0
-            ia = i0 % nx
-            ib = (i0 + 1) % nx
-            ca = (1.0 - tz) * u2[ia, j0] + tz * u2[ia, j0 + 1]
-            cb = (1.0 - tz) * u2[ib, j0] + tz * u2[ib, j0 + 1]
-            return (1.0 - tx) * ca + tx * cb
-        if x < 0.0:
-            x = 0.0
-        elif x > Lx:
-            x = Lx
-        fx = x / hx - 0.5
-        if fx <= 0.0:
-            c = (1.0 - tz) * u2[0, j0] + tz * u2[0, j0 + 1]
-            return (x / (0.5 * hx)) * c
-        if fx >= nx - 1:
-            c = (1.0 - tz) * u2[nx - 1, j0] + tz * u2[nx - 1, j0 + 1]
-            return ((Lx - x) / (0.5 * hx)) * c
-        i0 = int(fx)
-        tx = fx - i0
-        ca = (1.0 - tz) * u2[i0, j0] + tz * u2[i0, j0 + 1]
-        cb = (1.0 - tz) * u2[i0 + 1, j0] + tz * u2[i0 + 1, j0 + 1]
-        return (1.0 - tx) * ca + tx * cb
-
-    @numba.njit(cache=True, inline="always")
-    def _nb_point_center(c, x, z, hx, hz, periodic, Lx):
-        nx, nz = c.shape
-        if z < 0.0:
-            z = 0.0
-        elif z > 1.0:
-            z = 1.0
-        fz = z / hz - 0.5
-        if fz < 0.0:
-            fz = 0.0
-        elif fz > nz - 1.0:
-            fz = nz - 1.0
-        j0 = int(fz)
-        if j0 > nz - 2:
-            j0 = nz - 2
-        tz = fz - j0
-        if periodic:
-            x = x - Lx * np.floor(x / Lx)
-            fx = x / hx - 0.5
-            i0 = int(np.floor(fx))
-            tx = fx - i0
-            ia = i0 % nx
-            ib = (i0 + 1) % nx
-        else:
-            if x < 0.0:
-                x = 0.0
-            elif x > Lx:
-                x = Lx
-            fx = x / hx - 0.5
-            if fx < 0.0:
-                fx = 0.0
-            elif fx > nx - 1.0:
-                fx = nx - 1.0
-            i0 = int(fx)
-            if i0 > nx - 2:
-                i0 = nx - 2
-            tx = fx - i0
-            ia = i0
-            ib = i0 + 1
-        v00 = c[ia, j0]
-        v01 = c[ia, j0 + 1]
-        v10 = c[ib, j0]
-        v11 = c[ib, j0 + 1]
-        ca = (1.0 - tz) * v00 + tz * v01
-        cb = (1.0 - tz) * v10 + tz * v11
-        res = (1.0 - tx) * ca + tx * cb
-        # same hull clamp as the vectorized path; keeps range preservation
-        # exact and the two backends bitwise identical
-        lo = min(min(v00, v01), min(v10, v11))
-        hi = max(max(v00, v01), max(v10, v11))
-        return min(max(res, lo), hi)
-
-    @numba.njit(cache=True)
-    def _nb_sample_u1(u1, px, pz, hx, hz, periodic, Lx):
-        out = np.empty(px.size)
-        for n in range(px.size):
-            out[n] = _nb_point_u1(u1, px[n], pz[n], hx, hz, periodic, Lx)
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_sample_u2(u2, px, pz, hx, hz, periodic, Lx):
-        out = np.empty(px.size)
-        for n in range(px.size):
-            out[n] = _nb_point_u2(u2, px[n], pz[n], hx, hz, periodic, Lx)
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_sample_center(c, px, pz, hx, hz, periodic, Lx):
-        out = np.empty(px.size)
-        for n in range(px.size):
-            out[n] = _nb_point_center(c, px[n], pz[n], hx, hz, periodic, Lx)
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
-        for n in range(px.size):
-            x0 = px[n]
-            z0 = pz[n]
-            k1x = _nb_point_u1(u1a, x0, z0, hx, hz, periodic, Lx)
-            k1z = _nb_point_u2(u2a, x0, z0, hx, hz, periodic, Lx)
-            x1 = x0 + 0.5 * h * k1x
-            z1 = z0 + 0.5 * h * k1z
-            if z1 < 0.0:
-                z1 = 0.0
-            elif z1 > 1.0:
-                z1 = 1.0
-            k2x = _nb_point_u1(u1b, x1, z1, hx, hz, periodic, Lx)
-            k2z = _nb_point_u2(u2b, x1, z1, hx, hz, periodic, Lx)
-            x2 = x0 + 0.5 * h * k2x
-            z2 = z0 + 0.5 * h * k2z
-            if z2 < 0.0:
-                z2 = 0.0
-            elif z2 > 1.0:
-                z2 = 1.0
-            k3x = _nb_point_u1(u1b, x2, z2, hx, hz, periodic, Lx)
-            k3z = _nb_point_u2(u2b, x2, z2, hx, hz, periodic, Lx)
-            x3 = x0 + h * k3x
-            z3 = z0 + h * k3z
-            if z3 < 0.0:
-                z3 = 0.0
-            elif z3 > 1.0:
-                z3 = 1.0
-            k4x = _nb_point_u1(u1c, x3, z3, hx, hz, periodic, Lx)
-            k4z = _nb_point_u2(u2c, x3, z3, hx, hz, periodic, Lx)
-            qx = x0 + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            qz = z0 + (h / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            if qz < 0.0:
-                qz = 0.0
-            elif qz > 1.0:
-                qz = 1.0
-            if not periodic:
-                if qx < 0.0:
-                    qx = 0.0
-                elif qx > Lx:
-                    qx = Lx
-            px[n] = qx
-            pz[n] = qz
-
-    class _NumbaBackend:
-        name = "numba"
-        sample_u1 = staticmethod(_nb_sample_u1)
-        sample_u2 = staticmethod(_nb_sample_u2)
-        sample_center = staticmethod(_nb_sample_center)
-        rk4_step = staticmethod(_nb_rk4_step)
-
-else:
-    _NumbaBackend = None
-
-
-_BACKENDS = {"numpy": _NumpyBackend}
-if _NumbaBackend is not None:
-    _BACKENDS["numba"] = _NumbaBackend
-
-_active = _BACKENDS["numba" if (_WANT_NUMBA and "numba" in _BACKENDS) else "numpy"]
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
 
 def backend_name() -> str:
-    return _active.name
+    """Name of the kernel implementation; benchmark runs record it."""
+    return "numpy"
 
 
-def set_backend(name: str) -> str:
-    """Select the kernel backend ('numpy' or 'numba'); returns the old name."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    old = _active.name
-    _active = _BACKENDS[name]
-    return old
+def _clamp(a, lo, hi):
+    """np.minimum(np.maximum(a, lo), hi), computed in place in a."""
+    np.maximum(a, lo, out=a)
+    return np.minimum(a, hi, out=a)
+
+
+def _clip01(a):
+    out = np.maximum(a, 0.0)
+    return np.minimum(out, 1.0, out=out)
+
+
+def _locate(px, z, hx, hz, periodic, Lx):
+    """Wrap or clamp x and scale both coordinates to cell units.
+
+    z must already lie in [0, 1].  Returns (x, x / hx, z / hz).
+    """
+    if periodic:
+        x = px / Lx
+        np.floor(x, out=x)
+        x *= Lx
+        np.subtract(px, x, out=x)
+    else:
+        x = np.maximum(px, 0.0)
+        np.minimum(x, Lx, out=x)
+    return x, x / hx, z / hz
+
+
+def _cell_index(fi, fj, n, nz, periodic):
+    """Flat indices of cells (i, j), (i, j+1), (i+1, j), (i+1, j+1) in a
+    C-ordered (n, nz) array, from the integral float indices of (i, j).
+
+    On the strip the wrapped abscissa can round onto either end of the
+    period, so a row index lies in [-1, n]; one compare-and-add per side
+    wraps it, which is cheaper than an integer ``%``.
+    """
+    a = fi * nz
+    a += fj
+    a = a.astype(np.intp)
+    if periodic:
+        size = n * nz
+        np.add(a, size, out=a, where=a < 0)
+        np.subtract(a, size, out=a, where=a >= size)
+    b = a + nz
+    if periodic:
+        np.subtract(b, size, out=b, where=b >= size)
+    return a, a + 1, b, b + 1
+
+
+def _gather(c, index):
+    """Values of c at flat indices; ``mode="clip"`` keeps non-finite
+    points in bounds, and their NaN weights still yield NaN."""
+    flat = np.ascontiguousarray(c).ravel()
+    return [flat.take(i, mode="clip") for i in index]
+
+
+def _blend(t, a, b):
+    """(1 - t) * a + t * b, overwriting a and b."""
+    a *= 1.0 - t
+    b *= t
+    a += b
+    return a
+
+
+def _u1_at(u1, z, q, w, hz, periodic):
+    nf, nz = u1.shape
+    fz = w - 0.5
+    fj = _clamp(np.floor(fz), 0.0, nz - 2)
+    tz = _clamp(fz - fj, 0.0, 1.0)
+    fi = np.floor(q)
+    if periodic:
+        tx = q - fi
+    else:
+        _clamp(fi, 0.0, nf - 2)
+        tx = _clamp(q - fi, 0.0, 1.0)
+    v00, v01, v10, v11 = _gather(u1, _cell_index(fi, fj, nf, nz, periodic))
+    # inside a wall half-cell the lower corner row is the wall row, so ra
+    # (bottom) or rb (top) is the row blended against the no-slip zero
+    top = np.flatnonzero(fz >= nz - 1)
+    bot = np.flatnonzero(fz <= 0.0)
+    ra = _blend(tx, v00, v10)
+    rb = _blend(tx, v01, v11)
+    r_top = rb[top]
+    r_bot = ra[bot]
+    out = _blend(tz, ra, rb)
+    out[top] = ((1.0 - z[top]) / (0.5 * hz)) * r_top
+    out[bot] = (z[bot] / (0.5 * hz)) * r_bot
+    return out
+
+
+def _u2_at(u2, x, q, w, hx, periodic, Lx):
+    nx, nzp = u2.shape
+    fj = _clamp(np.floor(w), 0.0, nzp - 2)
+    tz = _clamp(w - fj, 0.0, 1.0)
+    fx = q - 0.5
+    fi = np.floor(fx)
+    if periodic:
+        tx = fx - fi
+    else:
+        _clamp(fi, 0.0, nx - 2)
+        tx = _clamp(fx - fi, 0.0, 1.0)
+    v00, v01, v10, v11 = _gather(u2, _cell_index(fi, fj, nx, nzp, periodic))
+    ca = _blend(tz, v00, v01)
+    cb = _blend(tz, v10, v11)
+    if periodic:
+        return _blend(tx, ca, cb)
+    # the rectangle's x-walls: same blend against zero as u1 on z-walls
+    right = np.flatnonzero(fx >= nx - 1)
+    left = np.flatnonzero(fx <= 0.0)
+    c_right = cb[right]
+    c_left = ca[left]
+    out = _blend(tx, ca, cb)
+    out[right] = ((Lx - x[right]) / (0.5 * hx)) * c_right
+    out[left] = (x[left] / (0.5 * hx)) * c_left
+    return out
+
+
+def _center_at(c, q, w, periodic):
+    nx, nz = c.shape[:2]
+    fz = _clamp(w - 0.5, 0.0, nz - 1.0)
+    fj = np.minimum(np.floor(fz), nz - 2)
+    tz = fz - fj
+    if periodic:
+        fx = q - 0.5
+        fi = np.floor(fx)
+    else:
+        fx = _clamp(q - 0.5, 0.0, nx - 1.0)
+        fi = np.minimum(np.floor(fx), nx - 2)
+    tx = fx - fi
+    index = _cell_index(fi, fj, nx, nz, periodic)
+    channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
+    out = np.empty((len(channels), q.size))
+    for k, ch in enumerate(channels):
+        v00, v01, v10, v11 = _gather(ch, index)
+        # rounding can push the blend past the corner hull by an ulp; scalar
+        # data carries an exact range-preservation contract, so clamp
+        lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
+        hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
+        res = _blend(tx, _blend(tz, v00, v01), _blend(tz, v10, v11))
+        np.minimum(np.maximum(res, lo), hi, out=out[k])
+    return out
 
 
 def _as_points(px, pz):
@@ -442,19 +196,64 @@ def _as_points(px, pz):
 
 def sample_u1(u1, px, pz, hx, hz, periodic, Lx):
     px, pz = _as_points(px, pz)
-    return _active.sample_u1(u1, px.ravel(), pz.ravel(), hx, hz, periodic, Lx).reshape(px.shape)
+    z = _clip01(pz.ravel())
+    _, q, w = _locate(px.ravel(), z, hx, hz, periodic, Lx)
+    return _u1_at(u1, z, q, w, hz, periodic).reshape(px.shape)
 
 
 def sample_u2(u2, px, pz, hx, hz, periodic, Lx):
     px, pz = _as_points(px, pz)
-    return _active.sample_u2(u2, px.ravel(), pz.ravel(), hx, hz, periodic, Lx).reshape(px.shape)
+    x, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
+    return _u2_at(u2, x, q, w, hx, periodic, Lx).reshape(px.shape)
 
 
 def sample_center(c, px, pz, hx, hz, periodic, Lx):
+    """Cell-centered data at points; an (nx, nz, k) array samples every
+    channel from one set of weights and returns shape px.shape + (k,)."""
     px, pz = _as_points(px, pz)
-    return _active.sample_center(c, px.ravel(), pz.ravel(), hx, hz, periodic, Lx).reshape(px.shape)
+    _, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
+    out = _center_at(c, q, w, periodic)
+    if c.ndim == 2:
+        return out[0].reshape(px.shape)
+    return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
 
 
 def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
     """Advance all seed positions by one RK4 step of size h, in place."""
-    _active.rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx)
+
+    def velocity(u1, u2, x, z):
+        xs, q, w = _locate(x, z, hx, hz, periodic, Lx)
+        return (_u1_at(u1, z, q, w, hz, periodic),
+                _u2_at(u2, xs, q, w, hx, periodic, Lx))
+
+    # q = p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), the sum accumulated left
+    # to right as the stages finish
+    k1x, k1z = velocity(u1a, u2a, px, _clip01(pz))
+    x1 = px + 0.5 * h * k1x
+    z1 = _clip01(pz + 0.5 * h * k1z)
+    k2x, k2z = velocity(u1b, u2b, x1, z1)
+    x2 = px + 0.5 * h * k2x
+    z2 = _clip01(pz + 0.5 * h * k2z)
+    k2x *= 2.0
+    k2z *= 2.0
+    sx = k1x + k2x
+    sz = k1z + k2z
+    del k1x, k1z, k2x, k2z, x1, z1
+    k3x, k3z = velocity(u1b, u2b, x2, z2)
+    x3 = px + h * k3x
+    z3 = _clip01(pz + h * k3z)
+    k3x *= 2.0
+    k3z *= 2.0
+    sx += k3x
+    sz += k3z
+    del k3x, k3z, x2, z2
+    k4x, k4z = velocity(u1c, u2c, x3, z3)
+    sx += k4x
+    sz += k4z
+    sx *= h / 6.0
+    sz *= h / 6.0
+    px += sx
+    pz += sz
+    _clamp(pz, 0.0, 1.0)
+    if not periodic:
+        _clamp(px, 0.0, Lx)

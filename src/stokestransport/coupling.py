@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -92,7 +92,6 @@ class PicardTrace:
     converged: bool
     iterations: int
     times: np.ndarray
-    iterates: tuple = field(repr=False, default=())
 
 
 def _potential_energy(rho: ScalarField) -> float:
@@ -131,8 +130,7 @@ def _diff_norm(a: ScalarField, b: ScalarField, partition: Partition | None,
 def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
                  tol: float = 1e-8, max_picard: int = 25,
                  stokes_config: StokesConfig | None = None,
-                 transport_config: TransportConfig | None = None,
-                 keep_iterates: bool = False):
+                 transport_config: TransportConfig | None = None):
     """Alternate Stokes and transport solves on [0, T] to a fixed point.
 
     Returns (states, trace): the final self-consistent time series and the
@@ -156,7 +154,6 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     ratio_max = 0.0
     speed_max = 0.0
     diffs: list[float] = []
-    iterates = []
     converged = False
 
     for _ in range(max_picard):
@@ -176,8 +173,6 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         delta = max(_diff_norm(a, b, partition, margin)
                     for a, b in zip(new_series, rho_series))
         diffs.append(delta)
-        if keep_iterates:
-            iterates.append((tuple(rho_series), tuple(us)))
         rho_series = new_series
         if delta < tol:
             converged = True
@@ -198,7 +193,6 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         converged=converged,
         iterations=len(diffs),
         times=times,
-        iterates=tuple(iterates),
     )
     final_sols = [solve_buoyancy(r, stokes_config) for r in rho_series]
     states = [_make_state(t, r, s)

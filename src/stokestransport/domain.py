@@ -263,15 +263,6 @@ class Forcing:
         object.__setattr__(self, "f1", f1)
         object.__setattr__(self, "f2", f2)
 
-    @classmethod
-    def zero(cls, grid, domain):
-        return cls(
-            grid,
-            domain,
-            np.zeros(expected_shape(grid, domain, XFACE)),
-            np.zeros(expected_shape(grid, domain, ZFACE)),
-        )
-
 
 def divergence(u: VelocityField) -> np.ndarray:
     """Discrete divergence at cell centers; exact zeros telescope to the walls."""

@@ -275,6 +275,15 @@ class Partition:
         return s
 
 
+def _windowed_plain(f: ScalarField, part: Partition, k: int) -> ScalarField:
+    """Restriction of f to the enlarged window support, no cutoff applied."""
+    vals = np.zeros_like(f.values)
+    cpu = part.cells_per_unit
+    idx = (np.arange(3 * cpu) + (k - 1) * cpu) % f.grid.nx
+    vals[idx, :] = f.values[idx, :]
+    return f.with_values(vals)
+
+
 @dataclass(frozen=True)
 class NormReport:
     name: str

@@ -82,15 +82,12 @@ class StokesSolveError(RuntimeError):
 @dataclass(frozen=True)
 class StokesConfig:
     linear_solver_tolerance: float = 1e-10
-    max_iterations: int = 500
     flux_target: float = 0.0
 
     def __post_init__(self):
         t = self.linear_solver_tolerance
         if not (0.0 < t < 1e-4):
             raise ValueError(f"linear_solver_tolerance must lie in (0, 1e-4), got {t}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if not np.isfinite(self.flux_target):
             raise ValueError("flux_target must be finite")
 

@@ -99,10 +99,9 @@ class FlowMap:
 
     def _sampled_disp(self, px, pz):
         g, dom = self.grid, self.domain
-        args = (px, pz, g.hx, g.hz, dom.periodic, dom.x_extent)
-        dx = _kernels.sample_center(self.displacement[:, :, 0], *args)
-        dz = _kernels.sample_center(self.displacement[:, :, 1], *args)
-        return dx, dz
+        d = _kernels.sample_center(self.displacement, px, pz, g.hx, g.hz,
+                                   dom.periodic, dom.x_extent)
+        return d[..., 0], d[..., 1]
 
     def evaluate(self, px, pz):
         """Map arbitrary points; results stay in the closed domain."""

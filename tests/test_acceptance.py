@@ -11,7 +11,6 @@ import pytest
 from _flows import composition_orders
 from _manufactured import manufactured_case, velocity_error_l2
 
-from stokestransport.cli import _windowed_plain
 from stokestransport.coupling import (
     contraction_window,
     energy_ledger_check,
@@ -32,6 +31,7 @@ from stokestransport.domain import (
 from stokestransport.norms import (
     C_CHI,
     Partition,
+    _windowed_plain,
     grad_inf_norm,
     h1_norm,
     hneg1_norm,

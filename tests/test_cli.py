@@ -1,6 +1,11 @@
 import configparser
 import csv
 import io
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +112,26 @@ class TestConfigErrors:
     def test_missing_out_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[stokes]\nnx = 32\n")
         assert cli.main(["stokes", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("times", [
+        "t_final = 0.1\ndt = 0.2\n",
+        "t_final = -1\n",
+        "t_final = inf\n",
+        "dt = nan\n",
+    ], ids=["dt_above_t_final", "negative_t_final", "infinite_t_final",
+            "nan_dt"])
+    def test_bad_simulate_times_exit_2(self, tmp_path, capsys, monkeypatch,
+                                       times):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("time_march reached with a bad config")
+
+        monkeypatch.setattr(cli, "time_march", no_solve)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "[simulate]\nnx = 32\nnz = 16\n" + times)
+        rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -231,3 +256,37 @@ class TestResolvedManifest:
         assert sec["nx"] == "32"
         assert sec["scenario"] == "stratified_perturbed"
         assert "dt" in sec and "domain" in sec
+
+
+# Runs one simulation to warm up, then prints the minor page faults of a
+# second, identical one.
+_REPEAT_FAULTS = """
+import resource, sys
+from stokestransport import cli
+
+def faults(out):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["simulate", "--config", sys.argv[1], "--out", out]) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(sys.argv[2])
+print(faults(sys.argv[3]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap thresholds are set through glibc's mallopt")
+def test_repeat_run_reuses_freed_heap(tmp_path):
+    # in a fresh process, so no earlier test has moved glibc's thresholds;
+    # with the defaults this second run takes 15-20 k minor faults
+    cfg = write_cfg(
+        tmp_path,
+        "[simulate]\nscenario = stratified_perturbed\nnx = 128\nnz = 128\n"
+        "t_final = 0.1\ndt = 0.01\nsnapshot_every = 5\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run(
+        [sys.executable, "-c", _REPEAT_FAULTS, cfg, str(tmp_path / "a"),
+         str(tmp_path / "b")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert int(r.stdout.split()[-1]) < 2000
