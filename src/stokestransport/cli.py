@@ -275,8 +275,8 @@ def _cmd_transport(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
     T = _as_float(cfg, "t_final")
     dt = _as_float(cfg, "dt")
-    if not (T > 0 and dt > 0):
-        raise ConfigError("t_final and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
+        raise ConfigError(f"t_final and dt must be positive and finite, got {T}, {dt}")
     rho0 = _build_density(cfg, grid, dom)
     u = _velocity_for(cfg, grid, dom)
     tcfg = TransportConfig(dt=dt)
@@ -322,14 +322,16 @@ def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
 
 def _cmd_picard(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
+    T = _as_float(cfg, "t_final")
+    nodes = _as_int(cfg, "n_time_nodes")
+    max_picard = _as_int(cfg, "max_picard")
+    if not (0.0 < T < math.inf):
+        raise ConfigError(f"t_final must be positive and finite, got {T}")
+    if nodes < 2 or max_picard < 1:
+        raise ConfigError("need n_time_nodes >= 2 and max_picard >= 1")
     rho0 = _build_density(cfg, grid, dom)
-    states, trace = picard_solve(
-        rho0,
-        T=_as_float(cfg, "t_final"),
-        n_time_nodes=_as_int(cfg, "n_time_nodes"),
-        tol=_as_float(cfg, "tol"),
-        max_picard=_as_int(cfg, "max_picard"),
-    )
+    states, trace = picard_solve(rho0, T=T, n_time_nodes=nodes,
+                                 tol=_as_float(cfg, "tol"), max_picard=max_picard)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["N,delta,ratio"]
     for i, d in enumerate(trace.diffs):
@@ -343,8 +345,17 @@ def _cmd_picard(cfg: dict, out: Path) -> list[str]:
             f"contraction_estimate = {_fmt(trace.contraction_estimate)}"]
 
 
+def _partition(grid, dom) -> Partition:
+    try:
+        return Partition(grid, dom)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_stability(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
+    if dom.periodic:
+        _partition(grid, dom)  # the strip measures differences in unit windows
     rho1 = _build_density(cfg, grid, dom, key="scenario")
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
     rep = stability_experiment(rho1, rho2, T=_as_float(cfg, "t_final"),
@@ -368,6 +379,9 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
         seed = _as_int(cfg, "seed")
     if want_uloc and not dom.periodic:
         raise ConfigError("uloc norms need domain = strip")
+    if sweep_n and not dom.periodic:
+        raise ConfigError("sweep_fields needs domain = strip")
+    part = _partition(grid, dom) if want_uloc or sweep_n else None
 
     rows = []
     rows.append(f"l1,{_fmt(lq_norm(field, 1))}")
@@ -377,7 +391,6 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
     rows.append(f"hneg1,{_fmt(hneg1_norm(field))}")
     summary = [f"l2 = {_fmt(lq_norm(field, 2))}"]
     if want_uloc:
-        part = Partition(grid, dom)
         for m in (-1, 0, 1):
             rows.append(uloc_norm(field, m, part).to_csv_row())
         web = window_energy_bound(field, 1, part)
@@ -385,9 +398,6 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
         summary.append(f"uloc_l2 = {_fmt(uloc_norm(field, 0, part).value)}")
     sweep_worst = None
     if sweep_n:
-        if not dom.periodic:
-            raise ConfigError("sweep_fields needs domain = strip")
-        part = Partition(grid, dom)
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(sweep_n):

@@ -229,6 +229,20 @@ def w1inf_norm(u: VelocityField) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _periodic_cutoff(coords, k, L: float) -> np.ndarray:
+    """Window k's cutoff at coords, its profile translated modulo the period L."""
+    return cutoff_profile(np.mod(coords - k + 0.5 * L, L) - 0.5 * L)
+
+
+@functools.lru_cache(maxsize=4)
+def _chi_table(grid: GridSpec, domain: DomainSpec) -> np.ndarray:
+    """Cell-center cutoffs of every window, one row per window (read-only)."""
+    k = np.arange(int(domain.x_extent))[:, None]
+    chi = _periodic_cutoff(x_centers(grid), k, domain.x_extent)
+    chi.flags.writeable = False
+    return chi
+
+
 @dataclass(frozen=True)
 class Partition:
     """Unit-window partition of the strip with overlap-2 cutoffs.
@@ -257,16 +271,11 @@ class Partition:
     def cells_per_unit(self) -> int:
         return self.grid.nx // self.period
 
-    def _chi(self, coords: np.ndarray, k: int) -> np.ndarray:
-        L = float(self.domain.x_extent)
-        d = np.mod(coords - k + 0.5 * L, L) - 0.5 * L
-        return cutoff_profile(d)
-
     def chi_center(self, k: int) -> np.ndarray:
-        return self._chi(x_centers(self.grid), k)
+        return _periodic_cutoff(x_centers(self.grid), k, self.domain.x_extent)
 
     def chi_face(self, k: int) -> np.ndarray:
-        return self._chi(x_faces(self.grid, self.domain), k)
+        return _periodic_cutoff(x_faces(self.grid, self.domain), k, self.domain.x_extent)
 
     def chi_sum(self) -> np.ndarray:
         s = np.zeros(self.grid.nx)
@@ -316,26 +325,30 @@ def _windowed_solver(grid: GridSpec, ncols: int):
     return scipy.sparse.linalg.splu(A)
 
 
-def _windowed_hneg1(f: ScalarField, part: Partition, k: int, margin: float) -> float:
-    """Dual norm of chi_k * f via a solve restricted to the window support.
+def _window_dual_norms(f: ScalarField, part: Partition, margin: float) -> np.ndarray:
+    """Dual norm of chi_k * f for every window k, one right-hand-side column each.
 
-    The screening term gives the resolvent an O(1) decay length, so the
-    Dirichlet truncation error falls off exponentially in ``margin``.
+    Each solve is restricted to window k's support widened by ``margin``
+    (in x-units), Dirichlet all around.  The screening term gives the
+    resolvent an O(1) decay length, so the truncation error falls off
+    exponentially in ``margin``.  Once the widened support covers the
+    period, the periodic solve over the whole strip is used instead.
     """
     g = f.grid
     cpu = part.cells_per_unit
     mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
     ncols = 3 * cpu + 2 * mcells
-    vals = f.values * part.chi_center(k)[:, None]
+    chi = _chi_table(g, f.domain)
     if ncols >= g.nx:
-        return hneg1_norm(f.with_values(vals))
-    idx = (np.arange(ncols) + (k - 1) * cpu - mcells) % g.nx
-    sub = vals[idx, :]
-    lu = _windowed_solver(g, ncols)
-    b = sub.ravel()
+        b = f.values * chi[:, :, None]
+        lu = _screened_solver(g, f.domain)
+    else:
+        idx = (np.arange(ncols) + (np.arange(part.period)[:, None] - 1) * cpu - mcells) % g.nx
+        b = f.values[idx] * np.take_along_axis(chi, idx, axis=1)[:, :, None]
+        lu = _windowed_solver(g, ncols)
+    b = b.reshape(part.period, -1).T
     w = lu.solve(b)
-    val = g.hx * g.hz * float(b @ w)
-    return math.sqrt(max(val, 0.0))
+    return np.sqrt(np.maximum(g.hx * g.hz * np.einsum("ij,ij->j", b, w), 0.0))
 
 
 def _window_scalar(f: ScalarField, part: Partition, k: int) -> ScalarField:
@@ -346,8 +359,9 @@ def _window_scalar(f: ScalarField, part: Partition, k: int) -> ScalarField:
 def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormReport:
     """Sup over unit windows of the windowed (m, 2)-norm, m in {-1, 0, 1}.
 
-    margin widens the restricted dual-norm solve beyond the window support
-    (in x-units); it has no effect for m = 0, 1.
+    For m = -1 all windows are solved at once, as the columns of one
+    right-hand side.  margin widens that restricted dual-norm solve beyond
+    the window support (in x-units); it has no effect for m = 0, 1.
     """
     if m not in (-1, 0, 1):
         raise ValueError("m must be -1, 0, or 1")
@@ -364,9 +378,11 @@ def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormRepor
     if (partition.grid, partition.domain) != (f.grid, dom):
         raise ValueError("partition was built for a different grid")
 
-    L = partition.period
-    per = np.empty(L)
-    for k in range(L):
+    if m == -1:
+        per = _window_dual_norms(f, partition, margin)
+        return NormReport(name="uloc_hneg1", value=float(per.max()), per_window=per)
+    per = np.empty(partition.period)
+    for k in range(partition.period):
         if isinstance(f, VelocityField):
             w1 = _window_scalar(f.u1, partition, k)
             w2 = _window_scalar(f.u2, partition, k)
@@ -376,13 +392,8 @@ def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormRepor
                 per[k] = math.sqrt(h1_norm(w1) ** 2 + h1_norm(w2) ** 2)
         else:
             wf = _window_scalar(f, partition, k)
-            if m == 0:
-                per[k] = lq_norm(wf, 2)
-            elif m == 1:
-                per[k] = h1_norm(wf)
-            else:
-                per[k] = _windowed_hneg1(f, partition, k, margin)
-    name = {-1: "uloc_hneg1", 0: "uloc_l2", 1: "uloc_h1"}[m]
+            per[k] = lq_norm(wf, 2) if m == 0 else h1_norm(wf)
+    name = {0: "uloc_l2", 1: "uloc_h1"}[m]
     return NormReport(name=name, value=float(per.max()), per_window=per)
 
 

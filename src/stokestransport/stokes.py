@@ -24,13 +24,17 @@ lost: under no-slip the continuity rows sum to zero (the divergence
 telescopes to the wall fluxes, which vanish), so cell (0, 0)'s divergence
 is implied by all the others.  The mean is removed after the solve.  One
 pinned cell keeps the matrix sparse, where a mean-pressure row and column
-would couple every cell.  Strip mode applies
-an FFT in x; each wavenumber yields a small banded saddle system in z.  The
-zero wavenumber is rank-deficient exactly along the parabolic profile and
-is closed by prescribing the volume flux; its pressure gains a linear slope
-in x, stored separately from the periodic pressure samples (constant f1
-with zero flux is balanced by pressure alone: f = e_x gives u = 0 and
-slope 1).
+would couple every cell.
+
+Strip mode applies an FFT in x; each wavenumber yields a small banded
+saddle system in z.  All nonzero wavenumbers share one sparsity pattern, so
+their blocks are stacked on the diagonal of one matrix and factorized by a
+single pivoted sparse LU; row pivots stay inside a block, so no mode fills
+into another, and one solve covers every mode.  The zero wavenumber is
+rank-deficient exactly along the parabolic profile and is closed by
+prescribing the volume flux; its pressure gains a linear slope in x, stored
+separately from the periodic pressure samples (constant f1 with zero flux
+is balanced by pressure alone: f = e_x gives u = 0 and slope 1).
 """
 
 from __future__ import annotations
@@ -344,7 +348,7 @@ def _check_solution(res, u, f, config):
 
 
 # ---------------------------------------------------------------------------
-# strip: FFT in x, small banded saddle systems per wavenumber
+# strip: FFT in x, one block-diagonal LU over the nonzero wavenumbers
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
@@ -354,15 +358,9 @@ def _strip_factor(grid: GridSpec):
     hz2 = hz * hz
 
     # z-Laplacian of u1 with quadratic wall ghosts, as a dense (nz, nz) block
-    L1 = np.zeros((nz, nz))
-    for j in range(nz):
-        if j in (0, nz - 1):
-            L1[j, j] = _GHOST_NEAR / hz2
-            L1[j, 1 if j == 0 else nz - 2] = -_GHOST_FAR / hz2
-        else:
-            L1[j, j] = 2.0 / hz2
-            L1[j, j - 1] = -1.0 / hz2
-            L1[j, j + 1] = -1.0 / hz2
+    L1 = (2.0 * np.eye(nz) - np.eye(nz, k=1) - np.eye(nz, k=-1)) / hz2
+    L1[[0, -1], [0, -1]] = _GHOST_NEAR / hz2
+    L1[[0, -1], [1, -2]] = -_GHOST_FAR / hz2
 
     # zero mode: unknowns (u1 profile, pressure slope); closed by the flux row
     m0 = np.zeros((nz + 1, nz + 1))
@@ -371,51 +369,31 @@ def _strip_factor(grid: GridSpec):
     m0[nz, :nz] = hz
     m0_lu = scipy.linalg.lu_factor(m0)
 
-    nmode = nx // 2 + 1
+    # Nonzero modes share one pattern in z.  Each part is (rows, cols, kind,
+    # base) with kind 0 base, 1 kap2 + base, 2 d (cells -> x-faces), 3 ddiv
+    # (x-faces -> cells); u2[j] is the z-face j, an unknown for j >= 1.
+    j = np.arange(nz)
+    u1, u2, pc = j, nz - 1 + j, 2 * nz - 1 + j
+    parts = [  # x-momentum, z-momentum, then continuity rows
+        (u1, u1, 1, np.diag(L1)), (u1[1:], u1[:-1], 0, np.diag(L1, -1)),
+        (u1[:-1], u1[1:], 0, np.diag(L1, 1)), (u1, pc, 2, 0.0),
+        (u2[1:], u2[1:], 1, 2.0 / hz2), (u2[2:], u2[1:-1], 0, -1.0 / hz2),
+        (u2[1:-1], u2[2:], 0, -1.0 / hz2), (u2[1:], pc[1:], 0, 1.0 / hz),
+        (u2[1:], pc[:-1], 0, -1.0 / hz), (pc, u1, 3, 0.0),
+        (pc[:-1], u2[1:], 0, 1.0 / hz), (pc[1:], u2[1:], 0, -1.0 / hz),
+    ]
+    rows, cols, kind, base = (np.concatenate(a) for a in zip(*(
+        (r, c, np.full(r.size, k), np.broadcast_to(b, r.shape)) for r, c, k, b in parts)))
+    theta = 2.0 * np.pi * np.arange(1, nx // 2 + 1) / nx
+    coef = np.stack([np.zeros_like(theta), (2.0 - 2.0 * np.cos(theta)) / (hx * hx),
+                     (1.0 - np.exp(-1j * theta)) / hx, (np.exp(1j * theta) - 1.0) / hx], axis=1)
     n = 3 * nz - 1
-    factors = [None]
-    for m in range(1, nmode):
-        theta = 2.0 * np.pi * m / nx
-        kap2 = (2.0 - 2.0 * np.cos(theta)) / (hx * hx)
-        d = (1.0 - np.exp(-1j * theta)) / hx          # cells -> x-faces
-        ddiv = (np.exp(1j * theta) - 1.0) / hx        # x-faces -> cells
-        rows, cols, vals = [], [], []
-
-        def put(r, c, v):
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-        iu1 = lambda j: j
-        iu2 = lambda j: nz + (j - 1)
-        ip = lambda j: 2 * nz - 1 + j
-        for j in range(nz):
-            put(iu1(j), iu1(j), kap2 + L1[j, j])
-            if j > 0:
-                put(iu1(j), iu1(j - 1), L1[j, j - 1])
-            if j < nz - 1:
-                put(iu1(j), iu1(j + 1), L1[j, j + 1])
-            put(iu1(j), ip(j), d)
-        for j in range(1, nz):
-            put(iu2(j), iu2(j), kap2 + 2.0 / hz2)
-            if j - 1 >= 1:
-                put(iu2(j), iu2(j - 1), -1.0 / hz2)
-            if j + 1 <= nz - 1:
-                put(iu2(j), iu2(j + 1), -1.0 / hz2)
-            put(iu2(j), ip(j), 1.0 / hz)
-            put(iu2(j), ip(j - 1), -1.0 / hz)
-        for j in range(nz):
-            put(ip(j), iu1(j), ddiv)
-            if j + 1 <= nz - 1:
-                put(ip(j), iu2(j + 1), 1.0 / hz)
-            if j >= 1:
-                put(ip(j), iu2(j), -1.0 / hz)
-        A = scipy.sparse.coo_matrix((np.array(vals, dtype=complex),
-                                     (np.array(rows), np.array(cols))),
-                                    shape=(n, n)).tocsc()
-        factors.append(scipy.sparse.linalg.splu(A))
-
-    return {"m0": m0_lu, "modes": factors}
+    off = n * np.arange(theta.size)[:, None]
+    A = scipy.sparse.coo_matrix(((base + coef[:, kind]).ravel(),
+                                 ((rows + off).ravel(), (cols + off).ravel())),
+                                shape=(n * theta.size,) * 2).tocsc()
+    lu = scipy.sparse.linalg.splu(A)
+    return {"m0": m0_lu, "modes": lu, "lu_nnz": lu.L.nnz + lu.U.nnz}
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -444,16 +422,13 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     slope = float(sol0[nz]) / nx
     phat[0, 1:] = hz * np.cumsum(f2hat[0].real)
 
-    n = 3 * nz - 1
-    for m in range(1, nmode):
-        rhs = np.empty(n, dtype=complex)
-        rhs[:nz] = f1hat[m]
-        rhs[nz:2 * nz - 1] = f2hat[m]
-        rhs[2 * nz - 1:] = 0.0
-        sol = fac["modes"][m].solve(rhs)
-        u1hat[m, :] = sol[:nz]
-        u2hat[m, :] = sol[nz:2 * nz - 1]
-        phat[m, :] = sol[2 * nz - 1:]
+    rhs = np.zeros((nmode - 1, 3 * nz - 1), dtype=complex)
+    rhs[:, :nz] = f1hat[1:]
+    rhs[:, nz:2 * nz - 1] = f2hat[1:]
+    sol = fac["modes"].solve(rhs.ravel()).reshape(rhs.shape)
+    u1hat[1:] = sol[:, :nz]
+    u2hat[1:] = sol[:, nz:2 * nz - 1]
+    phat[1:] = sol[:, 2 * nz - 1:]
 
     a1 = np.fft.irfft(u1hat, n=nx, axis=0)
     a2 = np.zeros((nx, nz + 1))
@@ -470,7 +445,8 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     fluxes = flux_profile(u)
     return StokesSolution(u=u, p=p, residual_norm=res, flux=float(fluxes[0]),
                           pressure_slope=slope,
-                          stats={"solver": "fft-lu", "modes": nmode})
+                          stats={"solver": "fft-lu", "modes": nmode,
+                                 "lu_nnz": fac["lu_nnz"]})
 
 
 def solve_buoyancy(rho: ScalarField, config: StokesConfig | None = None) -> StokesSolution:

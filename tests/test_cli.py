@@ -134,6 +134,26 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("cmd, body", [
+        ("transport", "nx = 32\nnz = 16\nt_final = inf\n"),
+        ("transport", "nx = 32\nnz = 16\ndt = inf\n"),
+        ("picard", "nx = 32\nnz = 16\nn_time_nodes = 1\n"),
+        ("stability", "nx = 60\nnz = 16\n"),
+        ("norms", "domain = strip\nx_extent = 8\nnx = 60\nnz = 16\nuloc = 1\n"),
+    ], ids=["transport_infinite_t_final", "transport_infinite_dt",
+            "picard_one_time_node", "stability_nx_off_period",
+            "norms_uloc_nx_off_period"])
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                   cmd, body):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + body)
+        rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert list(out.iterdir()) == []
+        assert "config error" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_stratified_series_velocity(self, tmp_path):
         out = tmp_path / "sim"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
+from stokestransport import norms
 from stokestransport.domain import (
     DomainKind,
     DomainSpec,
@@ -304,6 +305,43 @@ class TestUloc:
         wide = uloc_norm(f, -1, part, margin=1.0).value
         # wider support means a less constrained dual problem
         assert wide >= base * (1 - 1e-12)
+
+
+def _windowed_hneg1(f, part, k, margin):
+    """Dual norm of chi_k * f via a solve restricted to the window support.
+
+    The screening term gives the resolvent an O(1) decay length, so the
+    Dirichlet truncation error falls off exponentially in ``margin``.
+    """
+    g = f.grid
+    cpu = part.cells_per_unit
+    mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
+    ncols = 3 * cpu + 2 * mcells
+    vals = f.values * part.chi_center(k)[:, None]
+    if ncols >= g.nx:
+        return hneg1_norm(f.with_values(vals))
+    idx = (np.arange(ncols) + (k - 1) * cpu - mcells) % g.nx
+    sub = vals[idx, :]
+    lu = norms._windowed_solver(g, ncols)
+    b = sub.ravel()
+    w = lu.solve(b)
+    val = g.hx * g.hz * float(b @ w)
+    return math.sqrt(max(val, 0.0))
+
+
+@pytest.mark.parametrize("period, nx, nz", [(32, 512, 16), (8, 64, 16)])
+@pytest.mark.parametrize("margin", [0.0, 0.2, "period"])
+def test_batched_dual_windows_match_one_solve_per_window(period, nx, nz, margin):
+    # margin = period widens every window past the strip: the periodic solve
+    dom = DomainSpec(DomainKind.STRIP, float(period))
+    grid = make_grid(dom, nx, nz)
+    part = Partition(grid, dom)
+    margin = float(period) if margin == "period" else margin
+    f = random_center_field(grid, dom, np.random.default_rng(nx))
+    rep = uloc_norm(f, -1, part, margin=margin)
+    want = [_windowed_hneg1(f, part, k, margin) for k in range(period)]
+    np.testing.assert_allclose(rep.per_window, want, rtol=1e-13, atol=0.0)
+    assert rep.value == max(rep.per_window)
 
 
 class TestNormReport:

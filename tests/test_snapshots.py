@@ -1,11 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stokestransport.domain import CENTER, XFACE, ZFACE, ScalarField
+from stokestransport.domain import (
+    CENTER,
+    XFACE,
+    ZFACE,
+    DomainKind,
+    DomainSpec,
+    ScalarField,
+    expected_shape,
+)
 from stokestransport.snapshots import (
     _HEADER,
     FLOWMAP_TAG,
     MAGIC,
+    _payload_shape,
     read_field,
     read_raster,
     write_field,
@@ -84,3 +97,47 @@ def test_header_below_minimum_grid_rejected(nx, nz, tmp_path):
     p.write_bytes(_HEADER.pack(MAGIC, 0, 0, nx, nz, 1.0) + bytes(8 * nx * nz))
     with pytest.raises(ValueError, match="grid must have"):
         read_raster(p)
+
+
+
+_U32 = st.integers(0, 2 ** 32 - 1)
+_EXTENTS = st.one_of(st.sampled_from([8.5, math.nan, math.inf, -math.inf, -8.0, 0.0]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+_PARTS = ("kind", "stagger", "nx", "nz", "x_extent", "payload")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_snapshot_is_a_field_or_a_value_error(data, tmp_path_factory):
+    # a valid header and payload, then any subset of the six parts replaced
+    # by arbitrary values: u32 codes and sizes, any double for the extent
+    kind = data.draw(st.sampled_from([0, 1]))
+    stagger = data.draw(st.sampled_from([0, 1, 2, FLOWMAP_TAG]))
+    nx, nz = data.draw(st.integers(8, 12)), data.draw(st.integers(8, 12))
+    x_extent = data.draw(st.sampled_from([8.0, 16.0]) if kind else st.floats(0.25, 4.0))
+    dom = DomainSpec(DomainKind.STRIP if kind else DomainKind.RECTANGLE, x_extent)
+    size = 8 * math.prod(_payload_shape(dom, stagger, nx, nz))
+    broken = data.draw(st.sets(st.sampled_from(_PARTS)))
+    kind = data.draw(_U32) if "kind" in broken else kind
+    stagger = data.draw(_U32) if "stagger" in broken else stagger
+    nx = data.draw(_U32) if "nx" in broken else nx
+    nz = data.draw(_U32) if "nz" in broken else nz
+    x_extent = data.draw(_EXTENTS) if "x_extent" in broken else x_extent
+    payload = data.draw(st.binary(max_size=2 * size + 16) if "payload" in broken
+                        else st.binary(min_size=size, max_size=size))
+    path = tmp_path_factory.mktemp("fuzz") / "f.stf"
+    path.write_bytes(_HEADER.pack(MAGIC, kind, stagger, nx, nz, x_extent) + payload)
+    try:
+        domain, grid, code, values = read_raster(path)
+    except ValueError:
+        pass
+    else:
+        assert (grid.nx, grid.nz, code) == (nx, nz, stagger)
+        assert values.nbytes == len(payload)
+    try:
+        f = read_field(path)
+    except ValueError:
+        pass
+    else:
+        assert f.values.shape == expected_shape(f.grid, f.domain, f.staggering)
+        assert np.array_equal(f.values.ravel(), np.frombuffer(payload, "<f8"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _reference_stokes as ref
 from _manufactured import manufactured_case, velocity_error_l2
 from stokestransport import norms, stokes
 from stokestransport.domain import (
@@ -182,14 +183,46 @@ class TestPinnedPressure:
         assert f"lu_nnz={sol.stats['lu_nnz']}" in solver_stats_text(sol)
 
 
+class TestBatchedModes:
+    """The block-diagonal mode factor against one splu per mode."""
+
+    @pytest.mark.parametrize("period, nx, nz", [(8, 16, 8), (8, 128, 128),
+                                                 (32, 512, 16)])
+    def test_bitwise_equal_to_per_mode_solves(self, period, nx, nz):
+        dom = DomainSpec(DomainKind.STRIP, float(period))
+        grid = make_grid(dom, nx, nz)
+        rng = np.random.default_rng(nx + nz)
+        f2 = rng.standard_normal(expected_shape(grid, dom, ZFACE))
+        f2[:, [0, -1]] = 0.0
+        f = Forcing(grid, dom, rng.standard_normal(expected_shape(grid, dom, XFACE)), f2)
+        config = StokesConfig(flux_target=0.37)
+        got = solve_stokes_strip(f, config)
+        want = ref.solve_stokes_strip(f, config)
+        assert np.array_equal(got.u.u1.values, want.u.u1.values)
+        assert np.array_equal(got.u.u2.values, want.u.u2.values)
+        assert np.array_equal(got.p.values, want.p.values)
+        assert got.pressure_slope == want.pressure_slope
+
+    def test_factor_fill_is_the_sum_of_the_modes(self):
+        # row pivots never cross a block, so no mode fills into another
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+        grid = make_grid(dom, 128, 128)
+        sol = solve_buoyancy(make_density("stratified_perturbed", grid, dom))
+        per_mode = sum(lu.L.nnz + lu.U.nnz for lu in ref._strip_factor(grid)["modes"][1:])
+        assert sol.stats["lu_nnz"] == per_mode
+        assert f"lu_nnz={per_mode}" in solver_stats_text(sol)
+
+
 @pytest.mark.parametrize("cached", [stokes._rect_solver, stokes._strip_factor,
-                                    norms._screened_solver, norms._windowed_solver])
+                                    norms._screened_solver, norms._windowed_solver,
+                                    norms._chi_table])
 def test_factor_cache_keeps_four_grids(cached):
-    if cached is stokes._strip_factor:
+    if cached in (stokes._strip_factor, norms._chi_table):
         dom = DomainSpec(DomainKind.STRIP, 8.0)
     else:
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
-    extra = {norms._screened_solver: (dom,), norms._windowed_solver: (8,)}.get(cached, ())
+    extra = {norms._screened_solver: (dom,), norms._windowed_solver: (8,),
+             norms._chi_table: (dom,)}.get(cached, ())
     keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
     cached.cache_clear()
     for key in keys:
