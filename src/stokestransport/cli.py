@@ -325,13 +325,16 @@ def _cmd_picard(cfg: dict, out: Path) -> list[str]:
     T = _as_float(cfg, "t_final")
     nodes = _as_int(cfg, "n_time_nodes")
     max_picard = _as_int(cfg, "max_picard")
+    tol = _as_float(cfg, "tol")
     if not (0.0 < T < math.inf):
         raise ConfigError(f"t_final must be positive and finite, got {T}")
     if nodes < 2 or max_picard < 1:
         raise ConfigError("need n_time_nodes >= 2 and max_picard >= 1")
+    if not (0.0 < tol < math.inf):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     rho0 = _build_density(cfg, grid, dom)
     states, trace = picard_solve(rho0, T=T, n_time_nodes=nodes,
-                                 tol=_as_float(cfg, "tol"), max_picard=max_picard)
+                                 tol=tol, max_picard=max_picard)
     out.mkdir(parents=True, exist_ok=True)
     rows = ["N,delta,ratio"]
     for i, d in enumerate(trace.diffs):
@@ -356,10 +359,15 @@ def _cmd_stability(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
     if dom.periodic:
         _partition(grid, dom)  # the strip measures differences in unit windows
+    T = _as_float(cfg, "t_final")
+    dt = _as_float(cfg, "dt")
+    if not (0.0 < T < math.inf):
+        raise ConfigError(f"t_final must be positive and finite, got {T}")
+    if not (0.0 < dt <= T):
+        raise ConfigError(f"need 0 < dt <= t_final, got dt = {dt}")
     rho1 = _build_density(cfg, grid, dom, key="scenario")
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
-    rep = stability_experiment(rho1, rho2, T=_as_float(cfg, "t_final"),
-                               dt=_as_float(cfg, "dt"))
+    rep = stability_experiment(rho1, rho2, T=T, dt=dt)
     out.mkdir(parents=True, exist_ok=True)
     col = "abs_diff" if rep.absolute else "G"
     rows = [f"t,{col}"]
@@ -377,6 +385,8 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
     sweep_n = _as_int(cfg, "sweep_fields")
     if seed is None:
         seed = _as_int(cfg, "seed")
+    if sweep_n < 0:
+        raise ConfigError(f"sweep_fields must be >= 0, got {sweep_n}")
     if want_uloc and not dom.periodic:
         raise ConfigError("uloc norms need domain = strip")
     if sweep_n and not dom.periodic:

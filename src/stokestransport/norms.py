@@ -32,6 +32,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import _mac
 from .domain import (
     CENTER,
     XFACE,
@@ -139,30 +140,19 @@ def h1_norm(f) -> float:
 # dual norm: screened Poisson solve, factorization cached per grid
 # ---------------------------------------------------------------------------
 
-def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
-    """1D -d2/dx2 on cell centers; Dirichlet walls via linear ghosts."""
-    h2 = h * h
-    main = np.full(n, 2.0 / h2)
-    off = np.full(n - 1, -1.0 / h2)
-    A = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
-    if periodic:
-        A[0, n - 1] = -1.0 / h2
-        A[n - 1, 0] = -1.0 / h2
-    else:
-        A[0, 0] = 3.0 / h2
-        A[n - 1, n - 1] = 3.0 / h2
-    return A.tocsr()
+def _screened_matrix(grid: GridSpec, ncols: int, periodic: bool) -> scipy.sparse.csc_matrix:
+    """(-lap + 1) on ncols cell columns of the grid; Dirichlet walls via linear ghosts."""
+    Ax = _mac.center_laplacian(ncols, grid.hx, "periodic" if periodic else "linear")
+    Az = _mac.center_laplacian(grid.nz, grid.hz, "linear")
+    Ix = scipy.sparse.identity(ncols, format="csr")
+    Iz = scipy.sparse.identity(grid.nz, format="csr")
+    return (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
+            + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
 
 
 @functools.lru_cache(maxsize=4)
 def _screened_solver(grid: GridSpec, domain: DomainSpec):
-    Ax = _lap1d(grid.nx, grid.hx, domain.periodic)
-    Az = _lap1d(grid.nz, grid.hz, False)
-    Ix = scipy.sparse.identity(grid.nx, format="csr")
-    Iz = scipy.sparse.identity(grid.nz, format="csr")
-    A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-         + scipy.sparse.identity(grid.nx * grid.nz, format="csr")).tocsc()
-    return scipy.sparse.linalg.splu(A)
+    return scipy.sparse.linalg.splu(_screened_matrix(grid, grid.nx, domain.periodic))
 
 
 def hneg1_norm(rho: ScalarField) -> float:
@@ -316,13 +306,7 @@ class NormReport:
 @functools.lru_cache(maxsize=4)
 def _windowed_solver(grid: GridSpec, ncols: int):
     """Screened solve on an ncols-wide column block, Dirichlet all around."""
-    Ax = _lap1d(ncols, grid.hx, False)
-    Az = _lap1d(grid.nz, grid.hz, False)
-    Ix = scipy.sparse.identity(ncols, format="csr")
-    Iz = scipy.sparse.identity(grid.nz, format="csr")
-    A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-         + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
-    return scipy.sparse.linalg.splu(A)
+    return scipy.sparse.linalg.splu(_screened_matrix(grid, ncols, False))
 
 
 def _window_dual_norms(f: ScalarField, part: Partition, margin: float) -> np.ndarray:

@@ -1,20 +1,7 @@
 """Steady Stokes solvers on the MAC grid.
 
-Discretization notes
---------------------
-
-Momentum  -lap(u) + grad(p) = f  is collocated on interior velocity faces,
-continuity on cell centers.  The five-point Laplacian acts per component;
-where a tangential component meets a wall (u1 at z = 0, 1; u2 at x = 0, Lx
-in rectangle mode) the ghost value is eliminated with the quadratic
-interpolant through the wall (value 0) and the first two interior samples:
-
-    ghost = 8/3 * wall - 2 * first + 1/3 * second
-
-That stencil reproduces quadratics exactly, which is what makes the
-parabolic channel profile an exact discrete solution; the price is that
-the wall-adjacent rows of the operator are mildly nonsymmetric, which the
-sparse direct factorization does not mind.
+Every operator is built from the 1D factors in ``_mac``, whose docstring
+holds the discretization notes.
 
 Rectangle mode assembles the full saddle-point system (velocity Laplacian,
 pressure gradient / divergence couplings) and factorizes it once per grid.
@@ -47,6 +34,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import _mac
 from .domain import (
     CENTER,
     DomainSpec,
@@ -118,63 +106,6 @@ def buoyancy_forcing(rho: ScalarField) -> Forcing:
     return Forcing(g, dom, f1, f2)
 
 
-# ---------------------------------------------------------------------------
-# discrete operators (shared by the solvers and the residual check)
-# ---------------------------------------------------------------------------
-
-_GHOST_NEAR = 4.0      # diagonal weight of a wall-adjacent tangential row, / h^2
-_GHOST_FAR = 4.0 / 3.0  # neighbor weight of that row, / h^2
-
-
-def _laplacian_u1(a1: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
-    hx2, hz2 = grid.hx ** 2, grid.hz ** 2
-    out = np.zeros_like(a1)
-    if domain.periodic:
-        xpart = (np.roll(a1, -1, axis=0) - 2.0 * a1 + np.roll(a1, 1, axis=0)) / hx2
-        inner = a1
-        sl = slice(None)
-    else:
-        xpart = (a1[2:, :] - 2.0 * a1[1:-1, :] + a1[:-2, :]) / hx2
-        inner = a1[1:-1, :]
-        sl = slice(1, -1)
-    zpart = np.empty_like(inner)
-    zpart[:, 1:-1] = (inner[:, 2:] - 2.0 * inner[:, 1:-1] + inner[:, :-2]) / hz2
-    zpart[:, 0] = (_GHOST_FAR * inner[:, 1] - _GHOST_NEAR * inner[:, 0]) / hz2
-    zpart[:, -1] = (_GHOST_FAR * inner[:, -2] - _GHOST_NEAR * inner[:, -1]) / hz2
-    out[sl, :] = xpart + zpart
-    return out
-
-
-def _laplacian_u2(a2: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
-    hx2, hz2 = grid.hx ** 2, grid.hz ** 2
-    out = np.zeros_like(a2)
-    inner = a2[:, 1:-1]
-    zpart = (a2[:, 2:] - 2.0 * inner + a2[:, :-2]) / hz2
-    xpart = np.empty_like(inner)
-    if domain.periodic:
-        xpart[:, :] = (np.roll(inner, -1, axis=0) - 2.0 * inner + np.roll(inner, 1, axis=0)) / hx2
-    else:
-        xpart[1:-1, :] = (inner[2:, :] - 2.0 * inner[1:-1, :] + inner[:-2, :]) / hx2
-        xpart[0, :] = (_GHOST_FAR * inner[1, :] - _GHOST_NEAR * inner[0, :]) / hx2
-        xpart[-1, :] = (_GHOST_FAR * inner[-2, :] - _GHOST_NEAR * inner[-1, :]) / hx2
-    out[:, 1:-1] = zpart + xpart
-    return out
-
-
-def _grad_p_x(p: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
-    if domain.periodic:
-        return (p - np.roll(p, 1, axis=0)) / grid.hx
-    out = np.zeros((grid.nx + 1, grid.nz))
-    out[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hx
-    return out
-
-
-def _grad_p_z(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    out = np.zeros((grid.nx, grid.nz + 1))
-    out[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hz
-    return out
-
-
 def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None,
                       pressure_slope: float = 0.0) -> float:
     """Max-norm of -lap(u) + grad(p) - f over interior velocity faces.
@@ -182,18 +113,15 @@ def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None
     ``pressure_slope`` adds the x-slope of a strip pressure whose periodic
     samples live in ``p``; it contributes a constant to the x-momentum rows.
     """
-    g, dom = u.grid, u.domain
-    a1, a2 = u.u1.values, u.u2.values
-    r1 = -_laplacian_u1(a1, g, dom) + _grad_p_x(p.values, g, dom) + pressure_slope
-    r2 = -_laplacian_u2(a2, g, dom) + _grad_p_z(p.values, g)
+    X, Z = _mac.axes(u.grid, u.domain.periodic)
+    inner = slice(None) if u.domain.periodic else slice(1, -1)
+    a1, a2, pv = u.u1.values[inner], u.u2.values[:, 1:-1], p.values
+    r1 = X.faces @ a1 + (Z.centers @ a1.T).T + X.grad @ pv + pressure_slope
+    r2 = X.centers @ a2 + (Z.faces @ a2.T).T + (Z.grad @ pv.T).T
     if f is not None:
-        r1 = r1 - f.f1
-        r2 = r2 - f.f2
-    r1_int = r1 if dom.periodic else r1[1:-1, :]
-    r2_int = r2[:, 1:-1]
-    m1 = float(np.max(np.abs(r1_int))) if r1_int.size else 0.0
-    m2 = float(np.max(np.abs(r2_int))) if r2_int.size else 0.0
-    return max(m1, m2)
+        r1 -= f.f1[inner]
+        r2 -= f.f2[:, 1:-1]
+    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
 
 
 def flux_profile(u: VelocityField) -> np.ndarray:
@@ -220,82 +148,24 @@ def _rect_ids(grid: GridSpec):
     return nu1, nu2, ncells
 
 
-def _assemble_rect(grid: GridSpec):
+def _rect_matrix(grid: GridSpec) -> scipy.sparse.csc_matrix:
+    """The saddle matrix; cell (0, 0)'s continuity row is the pin p = 0."""
+    X, Z = _mac.axes(grid, False)
     nx, nz = grid.nx, grid.nz
-    hx, hz = grid.hx, grid.hz
-    hx2, hz2 = hx * hx, hz * hz
-    nu1, nu2, ncells = _rect_ids(grid)
-    n = nu1 + nu2 + ncells
-
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(np.asarray(r).ravel())
-        cols.append(np.asarray(c).ravel())
-        vals.append(np.asarray(v).ravel())
-
-    # x-momentum at interior x-faces i=1..nx-1
-    I, J = np.meshgrid(np.arange(1, nx), np.arange(nz), indexing="ij")
-    rid = (I - 1) * nz + J
-    diag_z = np.where((J == 0) | (J == nz - 1), _GHOST_NEAR / hz2, 2.0 / hz2)
-    put(rid, rid, 2.0 / hx2 + diag_z)
-    m = I - 1 >= 1
-    put(rid[m], (I[m] - 2) * nz + J[m], np.full(m.sum(), -1.0 / hx2))
-    m = I + 1 <= nx - 1
-    put(rid[m], I[m] * nz + J[m], np.full(m.sum(), -1.0 / hx2))
-    m = J - 1 >= 0
-    cdn = np.where(J == nz - 1, _GHOST_FAR / hz2, 1.0 / hz2)
-    put(rid[m], (I[m] - 1) * nz + J[m] - 1, -cdn[m])
-    m = J + 1 <= nz - 1
-    cup = np.where(J == 0, _GHOST_FAR / hz2, 1.0 / hz2)
-    put(rid[m], (I[m] - 1) * nz + J[m] + 1, -cup[m])
-    pid = nu1 + nu2 + I * nz + J
-    put(rid, pid, np.full(rid.size, 1.0 / hx))
-    put(rid, nu1 + nu2 + (I - 1) * nz + J, np.full(rid.size, -1.0 / hx))
-
-    # z-momentum at interior z-faces j=1..nz-1
-    I, J = np.meshgrid(np.arange(nx), np.arange(1, nz), indexing="ij")
-    rid = nu1 + I * (nz - 1) + (J - 1)
-    diag_x = np.where((I == 0) | (I == nx - 1), _GHOST_NEAR / hx2, 2.0 / hx2)
-    put(rid, rid, 2.0 / hz2 + diag_x)
-    m = J - 1 >= 1
-    put(rid[m], nu1 + I[m] * (nz - 1) + (J[m] - 2), np.full(m.sum(), -1.0 / hz2))
-    m = J + 1 <= nz - 1
-    put(rid[m], nu1 + I[m] * (nz - 1) + J[m], np.full(m.sum(), -1.0 / hz2))
-    m = I - 1 >= 0
-    cdn = np.where(I == nx - 1, _GHOST_FAR / hx2, 1.0 / hx2)
-    put(rid[m], nu1 + (I[m] - 1) * (nz - 1) + (J[m] - 1), -cdn[m])
-    m = I + 1 <= nx - 1
-    cup = np.where(I == 0, _GHOST_FAR / hx2, 1.0 / hx2)
-    put(rid[m], nu1 + (I[m] + 1) * (nz - 1) + (J[m] - 1), -cup[m])
-    put(rid, nu1 + nu2 + I * nz + J, np.full(rid.size, 1.0 / hz))
-    put(rid, nu1 + nu2 + I * nz + J - 1, np.full(rid.size, -1.0 / hz))
-
-    # continuity at cells (1, 0) onward; cell (0, 0) carries the pin p = 0
-    I, J = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
-    I, J = I.ravel()[1:], J.ravel()[1:]
-    rid = nu1 + nu2 + I * nz + J
-    m = I + 1 <= nx - 1
-    put(rid[m], I[m] * nz + J[m], np.full(m.sum(), 1.0 / hx))
-    m = I >= 1
-    put(rid[m], (I[m] - 1) * nz + J[m], np.full(m.sum(), -1.0 / hx))
-    m = J + 1 <= nz - 1
-    put(rid[m], nu1 + I[m] * (nz - 1) + J[m], np.full(m.sum(), 1.0 / hz))
-    m = J >= 1
-    put(rid[m], nu1 + I[m] * (nz - 1) + (J[m] - 1), np.full(m.sum(), -1.0 / hz))
-    put(nu1 + nu2, nu1 + nu2, 1.0)
-
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
-    return scipy.sparse.linalg.splu(A)
+    kron, eye = scipy.sparse.kron, scipy.sparse.identity
+    a1 = kron(X.faces, eye(nz)) + kron(eye(nx - 1), Z.centers)
+    a2 = kron(X.centers, eye(nz - 1)) + kron(eye(nx), Z.faces)
+    g1 = kron(X.grad, eye(nz), format="csr")
+    g2 = kron(eye(nx), Z.grad, format="csr")
+    pin = scipy.sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, nx * nz))
+    return scipy.sparse.bmat([[a1, None, g1], [None, a2, g2], [None, None, pin],
+                              [-g1.T[1:], -g2.T[1:], None]], format="csc")
 
 
 @functools.lru_cache(maxsize=4)
 def _rect_solver(grid: GridSpec):
     """(factorization, L+U nonzeros) of the rectangle system, per grid."""
-    lu = _assemble_rect(grid)
+    lu = scipy.sparse.linalg.splu(_rect_matrix(grid))
     return lu, lu.L.nnz + lu.U.nnz
 
 
@@ -336,7 +206,9 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
 
 
 def _check_solution(res, u, f, config):
-    scale = max(1.0, float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))))
+    # the flux-driven profile and its pressure slope are O(flux_target)
+    scale = max(1.0, float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))),
+                abs(config.flux_target))
     tol = 10.0 * config.linear_solver_tolerance * scale
     if res > tol:
         raise StokesSolveError(
@@ -355,35 +227,27 @@ def _check_solution(res, u, f, config):
 def _strip_factor(grid: GridSpec):
     nx, nz = grid.nx, grid.nz
     hx, hz = grid.hx, grid.hz
-    hz2 = hz * hz
-
-    # z-Laplacian of u1 with quadratic wall ghosts, as a dense (nz, nz) block
-    L1 = (2.0 * np.eye(nz) - np.eye(nz, k=1) - np.eye(nz, k=-1)) / hz2
-    L1[[0, -1], [0, -1]] = _GHOST_NEAR / hz2
-    L1[[0, -1], [1, -2]] = -_GHOST_FAR / hz2
+    _, Z = _mac.axes(grid, True)
 
     # zero mode: unknowns (u1 profile, pressure slope); closed by the flux row
     m0 = np.zeros((nz + 1, nz + 1))
-    m0[:nz, :nz] = L1
+    m0[:nz, :nz] = Z.centers.toarray()
     m0[:nz, nz] = 1.0
     m0[nz, :nz] = hz
     m0_lu = scipy.linalg.lu_factor(m0)
 
-    # Nonzero modes share one pattern in z.  Each part is (rows, cols, kind,
-    # base) with kind 0 base, 1 kap2 + base, 2 d (cells -> x-faces), 3 ddiv
-    # (x-faces -> cells); u2[j] is the z-face j, an unknown for j >= 1.
+    # Nonzero modes share one z pattern over the unknowns (u1, u2 on faces
+    # 1..nz-1, p): B from the z factors, then the u1-p couplings, which are
+    # diagonal in z.  Each entry is base + coef[kind]: kind 1 adds kap2 on
+    # B's diagonal (the velocity rows), 2 is d (cells -> x-faces), 3 ddiv.
+    B = scipy.sparse.bmat([[Z.centers, None, None], [None, Z.faces, Z.grad],
+                           [None, -Z.grad.T, None]], format="coo")
     j = np.arange(nz)
-    u1, u2, pc = j, nz - 1 + j, 2 * nz - 1 + j
-    parts = [  # x-momentum, z-momentum, then continuity rows
-        (u1, u1, 1, np.diag(L1)), (u1[1:], u1[:-1], 0, np.diag(L1, -1)),
-        (u1[:-1], u1[1:], 0, np.diag(L1, 1)), (u1, pc, 2, 0.0),
-        (u2[1:], u2[1:], 1, 2.0 / hz2), (u2[2:], u2[1:-1], 0, -1.0 / hz2),
-        (u2[1:-1], u2[2:], 0, -1.0 / hz2), (u2[1:], pc[1:], 0, 1.0 / hz),
-        (u2[1:], pc[:-1], 0, -1.0 / hz), (pc, u1, 3, 0.0),
-        (pc[:-1], u2[1:], 0, 1.0 / hz), (pc[1:], u2[1:], 0, -1.0 / hz),
-    ]
-    rows, cols, kind, base = (np.concatenate(a) for a in zip(*(
-        (r, c, np.full(r.size, k), np.broadcast_to(b, r.shape)) for r, c, k, b in parts)))
+    pc = 2 * nz - 1 + j
+    rows = np.concatenate([B.row, j, pc])
+    cols = np.concatenate([B.col, pc, j])
+    kind = np.concatenate([(B.row == B.col).astype(int), np.full(nz, 2), np.full(nz, 3)])
+    base = np.concatenate([B.data, np.zeros(2 * nz)])
     theta = 2.0 * np.pi * np.arange(1, nx // 2 + 1) / nx
     coef = np.stack([np.zeros_like(theta), (2.0 - 2.0 * np.cos(theta)) / (hx * hx),
                      (1.0 - np.exp(-1j * theta)) / hx, (np.exp(1j * theta) - 1.0) / hx], axis=1)

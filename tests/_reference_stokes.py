@@ -1,8 +1,15 @@
-"""The strip Stokes solve as it was before the nonzero modes were batched.
+"""The Stokes operators and the strip solve as they were before the MAC factors.
 
-One ``splu`` object per nonzero Fourier mode, each solved in a Python loop;
-kept verbatim (apart from the imports it needs) as the oracle that
-``tests/test_stokes.py`` compares the block-diagonal factor against.
+Kept verbatim (apart from the imports they need) as oracles:
+
+* the hand-written residual stencils and their ``momentum_residual``,
+  which ``tests/test_stokes.py`` compares the factor-based residual with;
+* ``_assemble_rect``, the COO index arithmetic of the rectangle saddle
+  matrix, which now returns the matrix instead of its factorization so the
+  Kronecker composition can be compared with it entry for entry;
+* the per-mode ``_strip_factor`` and ``solve_stokes_strip`` from before the
+  nonzero modes were batched: one ``splu`` object per nonzero Fourier mode,
+  each solved in a Python loop.
 """
 
 from __future__ import annotations
@@ -14,18 +21,184 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from stokestransport.domain import CENTER, Forcing, GridSpec, ScalarField, VelocityField
+from stokestransport.domain import (
+    CENTER,
+    DomainSpec,
+    Forcing,
+    GridSpec,
+    ScalarField,
+    VelocityField,
+)
 from stokestransport.stokes import (
-    _GHOST_FAR,
-    _GHOST_NEAR,
     StokesConfig,
     StokesSolution,
     StokesSolveError,
     _check_solution,
     flux_profile,
-    momentum_residual,
 )
 
+
+# ---------------------------------------------------------------------------
+# residual stencils and the rectangle's COO assembly
+# ---------------------------------------------------------------------------
+
+_GHOST_NEAR = 4.0      # diagonal weight of a wall-adjacent tangential row, / h^2
+_GHOST_FAR = 4.0 / 3.0  # neighbor weight of that row, / h^2
+
+
+def _laplacian_u1(a1: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
+    hx2, hz2 = grid.hx ** 2, grid.hz ** 2
+    out = np.zeros_like(a1)
+    if domain.periodic:
+        xpart = (np.roll(a1, -1, axis=0) - 2.0 * a1 + np.roll(a1, 1, axis=0)) / hx2
+        inner = a1
+        sl = slice(None)
+    else:
+        xpart = (a1[2:, :] - 2.0 * a1[1:-1, :] + a1[:-2, :]) / hx2
+        inner = a1[1:-1, :]
+        sl = slice(1, -1)
+    zpart = np.empty_like(inner)
+    zpart[:, 1:-1] = (inner[:, 2:] - 2.0 * inner[:, 1:-1] + inner[:, :-2]) / hz2
+    zpart[:, 0] = (_GHOST_FAR * inner[:, 1] - _GHOST_NEAR * inner[:, 0]) / hz2
+    zpart[:, -1] = (_GHOST_FAR * inner[:, -2] - _GHOST_NEAR * inner[:, -1]) / hz2
+    out[sl, :] = xpart + zpart
+    return out
+
+
+def _laplacian_u2(a2: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
+    hx2, hz2 = grid.hx ** 2, grid.hz ** 2
+    out = np.zeros_like(a2)
+    inner = a2[:, 1:-1]
+    zpart = (a2[:, 2:] - 2.0 * inner + a2[:, :-2]) / hz2
+    xpart = np.empty_like(inner)
+    if domain.periodic:
+        xpart[:, :] = (np.roll(inner, -1, axis=0) - 2.0 * inner + np.roll(inner, 1, axis=0)) / hx2
+    else:
+        xpart[1:-1, :] = (inner[2:, :] - 2.0 * inner[1:-1, :] + inner[:-2, :]) / hx2
+        xpart[0, :] = (_GHOST_FAR * inner[1, :] - _GHOST_NEAR * inner[0, :]) / hx2
+        xpart[-1, :] = (_GHOST_FAR * inner[-2, :] - _GHOST_NEAR * inner[-1, :]) / hx2
+    out[:, 1:-1] = zpart + xpart
+    return out
+
+
+def _grad_p_x(p: np.ndarray, grid: GridSpec, domain: DomainSpec) -> np.ndarray:
+    if domain.periodic:
+        return (p - np.roll(p, 1, axis=0)) / grid.hx
+    out = np.zeros((grid.nx + 1, grid.nz))
+    out[1:-1, :] = (p[1:, :] - p[:-1, :]) / grid.hx
+    return out
+
+
+def _grad_p_z(p: np.ndarray, grid: GridSpec) -> np.ndarray:
+    out = np.zeros((grid.nx, grid.nz + 1))
+    out[:, 1:-1] = (p[:, 1:] - p[:, :-1]) / grid.hz
+    return out
+
+
+def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None,
+                      pressure_slope: float = 0.0) -> float:
+    """Max-norm of -lap(u) + grad(p) - f over interior velocity faces.
+
+    ``pressure_slope`` adds the x-slope of a strip pressure whose periodic
+    samples live in ``p``; it contributes a constant to the x-momentum rows.
+    """
+    g, dom = u.grid, u.domain
+    a1, a2 = u.u1.values, u.u2.values
+    r1 = -_laplacian_u1(a1, g, dom) + _grad_p_x(p.values, g, dom) + pressure_slope
+    r2 = -_laplacian_u2(a2, g, dom) + _grad_p_z(p.values, g)
+    if f is not None:
+        r1 = r1 - f.f1
+        r2 = r2 - f.f2
+    r1_int = r1 if dom.periodic else r1[1:-1, :]
+    r2_int = r2[:, 1:-1]
+    m1 = float(np.max(np.abs(r1_int))) if r1_int.size else 0.0
+    m2 = float(np.max(np.abs(r2_int))) if r2_int.size else 0.0
+    return max(m1, m2)
+
+
+def _rect_ids(grid: GridSpec):
+    nx, nz = grid.nx, grid.nz
+    nu1 = (nx - 1) * nz
+    nu2 = nx * (nz - 1)
+    ncells = nx * nz
+    return nu1, nu2, ncells
+
+
+def _assemble_rect(grid: GridSpec):
+    nx, nz = grid.nx, grid.nz
+    hx, hz = grid.hx, grid.hz
+    hx2, hz2 = hx * hx, hz * hz
+    nu1, nu2, ncells = _rect_ids(grid)
+    n = nu1 + nu2 + ncells
+
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        rows.append(np.asarray(r).ravel())
+        cols.append(np.asarray(c).ravel())
+        vals.append(np.asarray(v).ravel())
+
+    # x-momentum at interior x-faces i=1..nx-1
+    I, J = np.meshgrid(np.arange(1, nx), np.arange(nz), indexing="ij")
+    rid = (I - 1) * nz + J
+    diag_z = np.where((J == 0) | (J == nz - 1), _GHOST_NEAR / hz2, 2.0 / hz2)
+    put(rid, rid, 2.0 / hx2 + diag_z)
+    m = I - 1 >= 1
+    put(rid[m], (I[m] - 2) * nz + J[m], np.full(m.sum(), -1.0 / hx2))
+    m = I + 1 <= nx - 1
+    put(rid[m], I[m] * nz + J[m], np.full(m.sum(), -1.0 / hx2))
+    m = J - 1 >= 0
+    cdn = np.where(J == nz - 1, _GHOST_FAR / hz2, 1.0 / hz2)
+    put(rid[m], (I[m] - 1) * nz + J[m] - 1, -cdn[m])
+    m = J + 1 <= nz - 1
+    cup = np.where(J == 0, _GHOST_FAR / hz2, 1.0 / hz2)
+    put(rid[m], (I[m] - 1) * nz + J[m] + 1, -cup[m])
+    pid = nu1 + nu2 + I * nz + J
+    put(rid, pid, np.full(rid.size, 1.0 / hx))
+    put(rid, nu1 + nu2 + (I - 1) * nz + J, np.full(rid.size, -1.0 / hx))
+
+    # z-momentum at interior z-faces j=1..nz-1
+    I, J = np.meshgrid(np.arange(nx), np.arange(1, nz), indexing="ij")
+    rid = nu1 + I * (nz - 1) + (J - 1)
+    diag_x = np.where((I == 0) | (I == nx - 1), _GHOST_NEAR / hx2, 2.0 / hx2)
+    put(rid, rid, 2.0 / hz2 + diag_x)
+    m = J - 1 >= 1
+    put(rid[m], nu1 + I[m] * (nz - 1) + (J[m] - 2), np.full(m.sum(), -1.0 / hz2))
+    m = J + 1 <= nz - 1
+    put(rid[m], nu1 + I[m] * (nz - 1) + J[m], np.full(m.sum(), -1.0 / hz2))
+    m = I - 1 >= 0
+    cdn = np.where(I == nx - 1, _GHOST_FAR / hx2, 1.0 / hx2)
+    put(rid[m], nu1 + (I[m] - 1) * (nz - 1) + (J[m] - 1), -cdn[m])
+    m = I + 1 <= nx - 1
+    cup = np.where(I == 0, _GHOST_FAR / hx2, 1.0 / hx2)
+    put(rid[m], nu1 + (I[m] + 1) * (nz - 1) + (J[m] - 1), -cup[m])
+    put(rid, nu1 + nu2 + I * nz + J, np.full(rid.size, 1.0 / hz))
+    put(rid, nu1 + nu2 + I * nz + J - 1, np.full(rid.size, -1.0 / hz))
+
+    # continuity at cells (1, 0) onward; cell (0, 0) carries the pin p = 0
+    I, J = np.meshgrid(np.arange(nx), np.arange(nz), indexing="ij")
+    I, J = I.ravel()[1:], J.ravel()[1:]
+    rid = nu1 + nu2 + I * nz + J
+    m = I + 1 <= nx - 1
+    put(rid[m], I[m] * nz + J[m], np.full(m.sum(), 1.0 / hx))
+    m = I >= 1
+    put(rid[m], (I[m] - 1) * nz + J[m], np.full(m.sum(), -1.0 / hx))
+    m = J + 1 <= nz - 1
+    put(rid[m], nu1 + I[m] * (nz - 1) + J[m], np.full(m.sum(), 1.0 / hz))
+    m = J >= 1
+    put(rid[m], nu1 + I[m] * (nz - 1) + (J[m] - 1), np.full(m.sum(), -1.0 / hz))
+    put(nu1 + nu2, nu1 + nu2, 1.0)
+
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsc()
+    return A
+
+
+# ---------------------------------------------------------------------------
+# strip: one splu per nonzero Fourier mode
+# ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
 def _strip_factor(grid: GridSpec):

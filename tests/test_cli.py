@@ -82,6 +82,15 @@ class TestStokesCommand:
                      "summary.txt", "resolved.ini"):
             assert (out / name).exists()
 
+    def test_large_flux_passes_the_residual_gate(self, tmp_path):
+        # the residual of a flux-driven solve grows with the flux
+        out = tmp_path / "flux"
+        cfg = write_cfg(tmp_path, "[stokes]\nproblem = buoyancy\nflux = 1e5\n")
+        rc = cli.main(["stokes", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out / "flux.csv")
+        assert float(rows[1][1]) == pytest.approx(1e5, rel=1e-12)
+
     def test_buoyancy_problem(self, tmp_path):
         out = tmp_path / "buoy"
         cfg = write_cfg(
@@ -140,9 +149,15 @@ class TestConfigErrors:
         ("picard", "nx = 32\nnz = 16\nn_time_nodes = 1\n"),
         ("stability", "nx = 60\nnz = 16\n"),
         ("norms", "domain = strip\nx_extent = 8\nnx = 60\nnz = 16\nuloc = 1\n"),
+        ("stability", "nx = 32\nnz = 16\nt_final = inf\n"),
+        ("stability", "nx = 32\nnz = 16\ndt = 0\n"),
+        ("picard", "nx = 32\nnz = 16\ntol = nan\n"),
+        ("norms", "domain = strip\nx_extent = 8\nnx = 32\nnz = 16\n"
+                  "sweep_fields = -1\n"),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
-            "norms_uloc_nx_off_period"])
+            "norms_uloc_nx_off_period", "stability_infinite_t_final",
+            "stability_zero_dt", "picard_nan_tol", "norms_negative_sweep"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body):
         out = tmp_path / "o"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -342,6 +343,44 @@ def test_batched_dual_windows_match_one_solve_per_window(period, nx, nz, margin)
     want = [_windowed_hneg1(f, part, k, margin) for k in range(period)]
     np.testing.assert_allclose(rep.per_window, want, rtol=1e-13, atol=0.0)
     assert rep.value == max(rep.per_window)
+
+
+def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
+    """1D -d2/dx2 on cell centers; Dirichlet walls via linear ghosts."""
+    h2 = h * h
+    main = np.full(n, 2.0 / h2)
+    off = np.full(n - 1, -1.0 / h2)
+    A = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="lil")
+    if periodic:
+        A[0, n - 1] = -1.0 / h2
+        A[n - 1, 0] = -1.0 / h2
+    else:
+        A[0, 0] = 3.0 / h2
+        A[n - 1, n - 1] = 3.0 / h2
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("kind, period, nx, nz, ncols", [
+    (DomainKind.STRIP, 8, 64, 16, None), (DomainKind.STRIP, 32, 512, 16, None),
+    (DomainKind.RECTANGLE, 1, 32, 32, None), (DomainKind.STRIP, 32, 512, 16, 48),
+    (DomainKind.STRIP, 8, 64, 16, 30),
+], ids=["strip_64x16", "strip_512x16", "rect_32x32", "window_48", "window_30"])
+def test_screened_matrix_equals_lap1d_kron(kind, period, nx, nz, ncols):
+    # the solvers' old body, on the old lil-built 1D operators; the same CSC
+    # arrays give SuperLU the same input and so the same factor
+    dom = DomainSpec(kind, float(period))
+    grid = make_grid(dom, nx, nz)
+    periodic = dom.periodic and ncols is None
+    ncols = ncols or nx
+    Ax = _lap1d(ncols, grid.hx, periodic)
+    Az = _lap1d(grid.nz, grid.hz, False)
+    Ix = scipy.sparse.identity(ncols, format="csr")
+    Iz = scipy.sparse.identity(grid.nz, format="csr")
+    want = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
+            + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
+    got = norms._screened_matrix(grid, ncols, periodic)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestNormReport:

@@ -3,7 +3,7 @@ import pytest
 
 import _reference_stokes as ref
 from _manufactured import manufactured_case, velocity_error_l2
-from stokestransport import norms, stokes
+from stokestransport import _mac, norms, stokes
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -11,6 +11,7 @@ from stokestransport.domain import (
     DomainSpec,
     Forcing,
     ScalarField,
+    VelocityField,
     divergence,
     expected_shape,
     make_grid,
@@ -19,6 +20,7 @@ from stokestransport.domain import (
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import (
     StokesConfig,
+    StokesSolveError,
     buoyancy_forcing,
     check_compatibility,
     flux_profile,
@@ -213,16 +215,73 @@ class TestBatchedModes:
         assert f"lu_nnz={per_mode}" in solver_stats_text(sol)
 
 
+class TestMacOperator:
+    """The Kronecker-composed operators against the hand-written ones."""
+
+    @pytest.mark.parametrize("x_extent, nx, nz", [(1.5, 24, 16), (1.0, 64, 64)])
+    def test_rect_matrix_equals_coo_assembly(self, x_extent, nx, nz):
+        # the same CSC arrays give SuperLU the same input, so the same factor
+        grid = make_grid(DomainSpec(DomainKind.RECTANGLE, x_extent), nx, nz)
+        got, want = stokes._rect_matrix(grid), ref._assemble_rect(grid)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("kind, x_extent, nx, nz", [
+        (DomainKind.STRIP, 8.0, 16, 8), (DomainKind.STRIP, 8.0, 128, 128),
+        (DomainKind.STRIP, 32.0, 512, 16), (DomainKind.RECTANGLE, 1.5, 24, 16),
+        (DomainKind.RECTANGLE, 1.0, 64, 64),
+    ])
+    def test_residual_matches_stencils(self, kind, x_extent, nx, nz):
+        # random fields are far from a solution, so every term contributes
+        dom = DomainSpec(kind, x_extent)
+        grid = make_grid(dom, nx, nz)
+        rng = np.random.default_rng(nx * nz)
+
+        def faces():
+            return (rng.standard_normal(expected_shape(grid, dom, XFACE)),
+                    rng.standard_normal(expected_shape(grid, dom, ZFACE)))
+
+        u = VelocityField.from_arrays(grid, dom, *faces())
+        p = ScalarField(grid, dom, rng.standard_normal((nx, nz)))
+        f = Forcing(grid, dom, *faces())
+        for force in (f, None):
+            got = momentum_residual(u, p, force, pressure_slope=0.37)
+            want = ref.momentum_residual(u, p, force, pressure_slope=0.37)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestResidualGate:
+    def test_large_flux_target_passes(self, strip):
+        # the flux-driven profile and its pressure slope are O(flux_target)
+        dom, grid = strip
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        sol = solve_stokes_strip(f, StokesConfig(flux_target=1e5))
+        assert float(flux_profile(sol.u)[0]) == pytest.approx(1e5, rel=1e-12)
+
+    def test_perturbed_unit_scale_solution_is_rejected(self, strip):
+        # one face off by 1e-11 moves its rows by about 6e-9, above the 1e-9 gate
+        dom, grid = strip
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        config = StokesConfig(flux_target=1.0)
+        sol = solve_stokes_strip(f, config)
+        a1 = sol.u.u1.values.copy()
+        a1[5, 7] += 1e-11
+        u = VelocityField.from_arrays(grid, dom, a1, sol.u.u2.values, enforce_walls=False)
+        res = momentum_residual(u, sol.p, f, pressure_slope=sol.pressure_slope)
+        with pytest.raises(StokesSolveError, match="momentum residual"):
+            stokes._check_solution(res, u, f, config)
+
+
 @pytest.mark.parametrize("cached", [stokes._rect_solver, stokes._strip_factor,
                                     norms._screened_solver, norms._windowed_solver,
-                                    norms._chi_table])
+                                    norms._chi_table, _mac.axes])
 def test_factor_cache_keeps_four_grids(cached):
     if cached in (stokes._strip_factor, norms._chi_table):
         dom = DomainSpec(DomainKind.STRIP, 8.0)
     else:
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
     extra = {norms._screened_solver: (dom,), norms._windowed_solver: (8,),
-             norms._chi_table: (dom,)}.get(cached, ())
+             norms._chi_table: (dom,), _mac.axes: (False,)}.get(cached, ())
     keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
     cached.cache_clear()
     for key in keys:
