@@ -23,9 +23,6 @@ divergence.  u1 sits on faces in x and on centers in z, u2 the other way
 round.  On a walled axis the stored faces are the interior ones (the wall
 values are zero) and the center operator carries the quadratic ghost; on
 the periodic axis both operators are the circulant second difference.
-
-The norms' screened Laplacian uses the linear wall ghost instead
-(``ghost = -first``, a diagonal of 3 / h^2).
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import scipy.sparse
 
 from .domain import GridSpec
 
-__all__ = ["Axis", "axes", "center_laplacian"]
+__all__ = ["Axis", "axes"]
 
 _GHOST_NEAR = 4.0       # diagonal weight of a wall-adjacent tangential row, / h^2
 _GHOST_FAR = 4.0 / 3.0  # neighbor weight of that row, / h^2
@@ -60,18 +57,14 @@ def _stencil(nrows: int, ncols: int, offsets, weights, periodic: bool):
     return m
 
 
-def center_laplacian(n: int, h: float, ghost: str) -> scipy.sparse.csr_matrix:
-    """-d2/dx2 on n cell centers; ghost is "periodic", "quadratic" or "linear"."""
+def _center_laplacian(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matrix:
+    """-d2/dx2 on n cell centers: circulant, or with the quadratic wall ghost."""
     h2 = h * h
     w = np.tile([-1.0 / h2, 2.0 / h2, -1.0 / h2], (n, 1))
-    if ghost == "quadratic":
+    if not periodic:
         w[0, 1:] = _GHOST_NEAR / h2, -_GHOST_FAR / h2
         w[-1, :2] = -_GHOST_FAR / h2, _GHOST_NEAR / h2
-    elif ghost == "linear":
-        w[[0, -1], 1] = 3.0 / h2
-    elif ghost != "periodic":
-        raise ValueError(f"unknown ghost {ghost!r}")
-    return _stencil(n, n, (-1, 0, 1), w, ghost == "periodic")
+    return _stencil(n, n, (-1, 0, 1), w, periodic)
 
 
 def _face_laplacian(n: int, h: float) -> scipy.sparse.csr_matrix:
@@ -96,12 +89,8 @@ class Axis(NamedTuple):
 
 
 def _axis(n: int, h: float, periodic: bool) -> Axis:
-    if periodic:
-        lap = center_laplacian(n, h, "periodic")
-        factors = Axis(lap, lap, _gradient(n, h, True))
-    else:
-        factors = Axis(center_laplacian(n, h, "quadratic"), _face_laplacian(n, h),
-                       _gradient(n, h, False))
+    lap = _center_laplacian(n, h, periodic)
+    factors = Axis(lap, lap if periodic else _face_laplacian(n, h), _gradient(n, h, periodic))
     for m in factors:
         for a in (m.data, m.indices, m.indptr):
             a.flags.writeable = False

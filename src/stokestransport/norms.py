@@ -1,9 +1,13 @@
 """Lebesgue, Sobolev, dual, and uniformly-local norms on grid fields.
 
-The dual norm is the Hilbert-space case: hneg1_norm(rho) solves
-(-lap + 1) w = rho with homogeneous Dirichlet walls (and Dirichlet x-ends
-on the rectangle, periodic x on the strip) and returns <rho, w>^{1/2},
-which realizes sup over test functions of <rho, phi> / ||phi||_{H1}.
+The dual norm is the Hilbert-space case: hneg1_norm(rho) returns
+<rho, (1 - lap)^{-1} rho>^{1/2}, which realizes sup over test functions of
+<rho, phi> / ||phi||_{H1}.  lap is the five-point Laplacian with
+homogeneous Dirichlet walls (linear ghosts, ghost = -first sample) in z and
+on the rectangle's x-ends, periodic in x on the strip.  That operator is
+diagonal in DST-II along a walled axis and in the DFT along the periodic
+one (fast diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), so
+the norm is one Parseval sum and needs no solve.
 
 Uniformly-local norms use a partition of unity built from the quintic
 smoothstep S(t) = t^3 (10 - 15 t + 6 t^2):
@@ -29,10 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.fft
 
-from . import _mac
 from .domain import (
     CENTER,
     XFACE,
@@ -137,35 +139,41 @@ def h1_norm(f) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dual norm: screened Poisson solve, factorization cached per grid
+# dual norm: Parseval sum in the screened operator's eigenbasis
 # ---------------------------------------------------------------------------
 
-def _screened_matrix(grid: GridSpec, ncols: int, periodic: bool) -> scipy.sparse.csc_matrix:
-    """(-lap + 1) on ncols cell columns of the grid; Dirichlet walls via linear ghosts."""
-    Ax = _mac.center_laplacian(ncols, grid.hx, "periodic" if periodic else "linear")
-    Az = _mac.center_laplacian(grid.nz, grid.hz, "linear")
-    Ix = scipy.sparse.identity(ncols, format="csr")
-    Iz = scipy.sparse.identity(grid.nz, format="csr")
-    return (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-            + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
 
+def _dual_sq(b: np.ndarray, hx: float, hz: float, periodic: bool) -> np.ndarray:
+    """<b, (1 - lap)^{-1} b> over the last two axes of b, one value per leading index.
 
-@functools.lru_cache(maxsize=4)
-def _screened_solver(grid: GridSpec, domain: DomainSpec):
-    return scipy.sparse.linalg.splu(_screened_matrix(grid, grid.nx, domain.periodic))
+    b holds cell data, x on axis -2 and z on axis -1; x is periodic or walled.
+    The eigenvalues of -d2 are (2 sin(pi k / 2n) / h)^2, k = 1..n, on a
+    walled axis and (2 sin(pi k / n) / h)^2, k = 0..n-1, on the period.
+    Raises RuntimeError when the sum overflows.
+    """
+    nx, nz = b.shape[-2:]
+    bh = scipy.fft.dst(b, type=2, axis=-1, norm="ortho")
+    if periodic:
+        bh = scipy.fft.fft(bh, axis=-2, norm="ortho")
+        lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
+    else:
+        bh = scipy.fft.dst(bh, type=2, axis=-2, norm="ortho")
+        lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
+    lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
+    with np.errstate(over="ignore"):
+        mag = bh.real ** 2 + bh.imag ** 2 if periodic else bh * bh
+        s = hx * hz * (mag / (1.0 + lx[:, None] + lz)).sum(axis=(-2, -1))
+    if not np.all(np.isfinite(s)):
+        raise RuntimeError("dual-norm sum overflowed")
+    return s
 
 
 def hneg1_norm(rho: ScalarField) -> float:
     """Dual-space magnitude of a cell-centered density."""
     if rho.staggering != CENTER:
         raise ValueError("hneg1_norm needs a cell-centered field")
-    lu = _screened_solver(rho.grid, rho.domain)
-    b = rho.values.ravel()
-    w = lu.solve(b)
-    if not np.all(np.isfinite(w)):
-        raise RuntimeError("screened elliptic solve produced non-finite values")
-    val = rho.grid.hx * rho.grid.hz * float(b @ w)
-    return math.sqrt(max(val, 0.0))
+    g = rho.grid
+    return math.sqrt(float(_dual_sq(rho.values, g.hx, g.hz, rho.domain.periodic)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +311,27 @@ class NormReport:
         return ",".join(parts)
 
 
-@functools.lru_cache(maxsize=4)
-def _windowed_solver(grid: GridSpec, ncols: int):
-    """Screened solve on an ncols-wide column block, Dirichlet all around."""
-    return scipy.sparse.linalg.splu(_screened_matrix(grid, ncols, False))
-
-
 def _window_dual_norms(f: ScalarField, part: Partition, margin: float) -> np.ndarray:
-    """Dual norm of chi_k * f for every window k, one right-hand-side column each.
+    """Dual norm of chi_k * f for every window k, all windows in one batched sum.
 
-    Each solve is restricted to window k's support widened by ``margin``
-    (in x-units), Dirichlet all around.  The screening term gives the
-    resolvent an O(1) decay length, so the truncation error falls off
-    exponentially in ``margin``.  Once the widened support covers the
-    period, the periodic solve over the whole strip is used instead.
+    Window k's norm is taken on its support widened by ``margin`` (in
+    x-units), Dirichlet all around.  The screening term gives the resolvent
+    an O(1) decay length, so the truncation error falls off exponentially
+    in ``margin``.  Once the widened support covers the period, the
+    periodic norm over the whole strip is used instead.
     """
     g = f.grid
     cpu = part.cells_per_unit
     mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
     ncols = 3 * cpu + 2 * mcells
     chi = _chi_table(g, f.domain)
-    if ncols >= g.nx:
+    periodic = ncols >= g.nx
+    if periodic:
         b = f.values * chi[:, :, None]
-        lu = _screened_solver(g, f.domain)
     else:
         idx = (np.arange(ncols) + (np.arange(part.period)[:, None] - 1) * cpu - mcells) % g.nx
         b = f.values[idx] * np.take_along_axis(chi, idx, axis=1)[:, :, None]
-        lu = _windowed_solver(g, ncols)
-    b = b.reshape(part.period, -1).T
-    w = lu.solve(b)
-    return np.sqrt(np.maximum(g.hx * g.hz * np.einsum("ij,ij->j", b, w), 0.0))
+    return np.sqrt(_dual_sq(b, g.hx, g.hz, periodic))
 
 
 def _window_scalar(f: ScalarField, part: Partition, k: int) -> ScalarField:
@@ -343,9 +342,9 @@ def _window_scalar(f: ScalarField, part: Partition, k: int) -> ScalarField:
 def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormReport:
     """Sup over unit windows of the windowed (m, 2)-norm, m in {-1, 0, 1}.
 
-    For m = -1 all windows are solved at once, as the columns of one
-    right-hand side.  margin widens that restricted dual-norm solve beyond
-    the window support (in x-units); it has no effect for m = 0, 1.
+    For m = -1 all windows are summed at once, in one batched transform.
+    margin widens that restricted dual norm beyond the window support (in
+    x-units); it has no effect for m = 0, 1.
     """
     if m not in (-1, 0, 1):
         raise ValueError("m must be -1, 0, or 1")

@@ -253,6 +253,17 @@ class TestOtherCommands:
         names = {r[0] for r in rows}
         assert {"l1", "l2", "linf", "h1", "hneg1"} <= names
 
+    def test_norms_overflow_exits_1_and_writes_nothing(self, tmp_path):
+        # every sample is finite, but the dual-norm sum of 1e200 is not
+        out = tmp_path / "no"
+        cfg = write_cfg(
+            tmp_path,
+            "[norms]\ndomain = strip\nx_extent = 8\nnx = 64\nnz = 16\n"
+            "scenario = checker\nscenario.amplitude = 1e200\n")
+        rc = cli.main(["norms", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     def test_ledger_pass(self, tmp_path):
         out = tmp_path / "le"
         cfg = write_cfg(tmp_path, "[ledger]\nfamilies = 20\nseed = 3\n")

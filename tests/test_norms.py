@@ -1,14 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
-from stokestransport import norms
 from stokestransport.domain import (
     DomainKind,
     DomainSpec,
@@ -308,43 +309,6 @@ class TestUloc:
         assert wide >= base * (1 - 1e-12)
 
 
-def _windowed_hneg1(f, part, k, margin):
-    """Dual norm of chi_k * f via a solve restricted to the window support.
-
-    The screening term gives the resolvent an O(1) decay length, so the
-    Dirichlet truncation error falls off exponentially in ``margin``.
-    """
-    g = f.grid
-    cpu = part.cells_per_unit
-    mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
-    ncols = 3 * cpu + 2 * mcells
-    vals = f.values * part.chi_center(k)[:, None]
-    if ncols >= g.nx:
-        return hneg1_norm(f.with_values(vals))
-    idx = (np.arange(ncols) + (k - 1) * cpu - mcells) % g.nx
-    sub = vals[idx, :]
-    lu = norms._windowed_solver(g, ncols)
-    b = sub.ravel()
-    w = lu.solve(b)
-    val = g.hx * g.hz * float(b @ w)
-    return math.sqrt(max(val, 0.0))
-
-
-@pytest.mark.parametrize("period, nx, nz", [(32, 512, 16), (8, 64, 16)])
-@pytest.mark.parametrize("margin", [0.0, 0.2, "period"])
-def test_batched_dual_windows_match_one_solve_per_window(period, nx, nz, margin):
-    # margin = period widens every window past the strip: the periodic solve
-    dom = DomainSpec(DomainKind.STRIP, float(period))
-    grid = make_grid(dom, nx, nz)
-    part = Partition(grid, dom)
-    margin = float(period) if margin == "period" else margin
-    f = random_center_field(grid, dom, np.random.default_rng(nx))
-    rep = uloc_norm(f, -1, part, margin=margin)
-    want = [_windowed_hneg1(f, part, k, margin) for k in range(period)]
-    np.testing.assert_allclose(rep.per_window, want, rtol=1e-13, atol=0.0)
-    assert rep.value == max(rep.per_window)
-
-
 def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
     """1D -d2/dx2 on cell centers; Dirichlet walls via linear ghosts."""
     h2 = h * h
@@ -360,27 +324,84 @@ def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
     return A.tocsr()
 
 
-@pytest.mark.parametrize("kind, period, nx, nz, ncols", [
-    (DomainKind.STRIP, 8, 64, 16, None), (DomainKind.STRIP, 32, 512, 16, None),
-    (DomainKind.RECTANGLE, 1, 32, 32, None), (DomainKind.STRIP, 32, 512, 16, 48),
-    (DomainKind.STRIP, 8, 64, 16, 30),
-], ids=["strip_64x16", "strip_512x16", "rect_32x32", "window_48", "window_30"])
-def test_screened_matrix_equals_lap1d_kron(kind, period, nx, nz, ncols):
-    # the solvers' old body, on the old lil-built 1D operators; the same CSC
-    # arrays give SuperLU the same input and so the same factor
-    dom = DomainSpec(kind, float(period))
-    grid = make_grid(dom, nx, nz)
-    periodic = dom.periodic and ncols is None
-    ncols = ncols or nx
+@functools.lru_cache(maxsize=None)
+def _screened_lu(grid, ncols: int, periodic: bool):
+    """SuperLU factor of (-lap + 1) on ncols cell columns, the Kronecker sum of _lap1d."""
     Ax = _lap1d(ncols, grid.hx, periodic)
     Az = _lap1d(grid.nz, grid.hz, False)
     Ix = scipy.sparse.identity(ncols, format="csr")
     Iz = scipy.sparse.identity(grid.nz, format="csr")
-    want = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
-            + scipy.sparse.identity(ncols * grid.nz, format="csr")).tocsc()
-    got = norms._screened_matrix(grid, ncols, periodic)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    A = (scipy.sparse.kron(Ax, Iz) + scipy.sparse.kron(Ix, Az)
+         + scipy.sparse.identity(ncols * grid.nz, format="csr"))
+    return scipy.sparse.linalg.splu(A.tocsc())
+
+
+def _sparse_hneg1(vals, grid, periodic: bool) -> float:
+    """<b, w>^{1/2} with (-lap + 1) w = b solved by SuperLU on the columns of vals."""
+    b = vals.ravel()
+    w = _screened_lu(grid, vals.shape[0], periodic).solve(b)
+    return math.sqrt(grid.hx * grid.hz * float(b @ w))
+
+
+@pytest.mark.parametrize("kind, extent, nx, nz", [
+    (DomainKind.STRIP, 8, 64, 16), (DomainKind.STRIP, 32, 512, 16),
+    (DomainKind.STRIP, 8, 128, 128), (DomainKind.RECTANGLE, 1, 32, 32),
+    (DomainKind.RECTANGLE, 1, 128, 128), (DomainKind.RECTANGLE, 1.5, 24, 16),
+], ids=["strip_64x16", "strip_512x16", "strip_128x128", "rect_32x32",
+        "rect_128x128", "rect_24x16"])
+def test_hneg1_matches_sparse_solve(kind, extent, nx, nz):
+    dom = DomainSpec(kind, float(extent))
+    grid = make_grid(dom, nx, nz)
+    f = random_center_field(grid, dom, np.random.default_rng(nx + nz))
+    want = _sparse_hneg1(f.values, grid, dom.periodic)
+    assert hneg1_norm(f) == pytest.approx(want, rel=1e-13)
+
+
+def _windowed_hneg1(f, part, k, margin):
+    """Dual norm of chi_k * f via a solve restricted to the window support.
+
+    The screening term gives the resolvent an O(1) decay length, so the
+    Dirichlet truncation error falls off exponentially in ``margin``.
+    """
+    g = f.grid
+    cpu = part.cells_per_unit
+    mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
+    ncols = 3 * cpu + 2 * mcells
+    vals = f.values * part.chi_center(k)[:, None]
+    if ncols >= g.nx:
+        return _sparse_hneg1(vals, g, True)
+    idx = (np.arange(ncols) + (k - 1) * cpu - mcells) % g.nx
+    return _sparse_hneg1(vals[idx, :], g, False)
+
+
+@pytest.mark.parametrize("period, nx, nz", [(32, 512, 16), (8, 64, 16)])
+@pytest.mark.parametrize("margin", [0.0, 0.2, "period"])
+def test_batched_dual_windows_match_one_solve_per_window(period, nx, nz, margin):
+    # margin = period widens every window past the strip: the periodic norm
+    dom = DomainSpec(DomainKind.STRIP, float(period))
+    grid = make_grid(dom, nx, nz)
+    part = Partition(grid, dom)
+    margin = float(period) if margin == "period" else margin
+    f = random_center_field(grid, dom, np.random.default_rng(nx))
+    rep = uloc_norm(f, -1, part, margin=margin)
+    want = [_windowed_hneg1(f, part, k, margin) for k in range(period)]
+    np.testing.assert_allclose(rep.per_window, want, rtol=1e-13, atol=0.0)
+    assert rep.value == max(rep.per_window)
+
+
+def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
+    # 1e200 is a valid sample, but its squared transform coefficients are not
+    # representable; the norm must fail loudly instead of returning inf
+    for dom, grid in (strip, rect):
+        big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
+        with pytest.raises(RuntimeError, match="overflow"):
+            hneg1_norm(big)
+    dom, grid = strip
+    part = Partition(grid, dom)
+    big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
+    for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
+        with pytest.raises(RuntimeError, match="overflow"):
+            uloc_norm(big, -1, part, margin=margin)
 
 
 class TestNormReport:

@@ -273,15 +273,13 @@ class TestResidualGate:
 
 
 @pytest.mark.parametrize("cached", [stokes._rect_solver, stokes._strip_factor,
-                                    norms._screened_solver, norms._windowed_solver,
                                     norms._chi_table, _mac.axes])
 def test_factor_cache_keeps_four_grids(cached):
     if cached in (stokes._strip_factor, norms._chi_table):
         dom = DomainSpec(DomainKind.STRIP, 8.0)
     else:
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
-    extra = {norms._screened_solver: (dom,), norms._windowed_solver: (8,),
-             norms._chi_table: (dom,), _mac.axes: (False,)}.get(cached, ())
+    extra = {norms._chi_table: (dom,), _mac.axes: (False,)}.get(cached, ())
     keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
     cached.cache_clear()
     for key in keys:
