@@ -3,11 +3,13 @@
 Subcommands: stokes, transport, simulate, picard, stability, norms,
 ledger.  Each reads one section of an INI-style config (section name =
 subcommand name), applies defaults for anything unset, and lets the
-flags --out and --seed override their config keys.  Every run validates
-its whole configuration before touching the filesystem, writes the fully
-resolved key set to resolved.ini beside the outputs, and prints a short
-summary block.  Numeric output uses 17 significant digits so values
-round-trip through text exactly.
+flags --out and --seed override their config keys.  Every key has one
+parser in ``_TYPES``; the whole section is converted and range-checked
+there before any command runs, and the commands check only the rules
+that join two keys.  A run writes the resolved key set, as text, to
+resolved.ini beside the outputs and prints a short summary block.
+Numeric output uses 17 significant digits so values round-trip through
+text exactly.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error (nothing
 is written in that case).
@@ -53,12 +55,7 @@ from .stokes import (
     solve_buoyancy,
     solver_stats_text,
 )
-from .transport import (
-    TransportConfig,
-    integrate_flow,
-    push_forward,
-    write_flowmap,
-)
+from .transport import TransportConfig, _pull_back, integrate_flow, write_flowmap
 
 __all__ = ["main", "emit_series", "ConfigError"]
 
@@ -128,6 +125,75 @@ _DEFAULTS = {
 }
 
 
+# A parser maps a key's text to its value, or raises ValueError naming
+# what the key accepts.
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError("a finite number")
+    return x
+
+
+def _positive(text: str) -> float:
+    x = _finite(text)
+    if x <= 0.0:
+        raise ValueError("a positive finite number")
+    return x
+
+
+def _integer(floor: int):
+    def parse(text: str) -> int:
+        try:
+            n = int(text, 10)
+        except ValueError:
+            n = floor - 1
+        if n < floor:
+            raise ValueError(f"an integer >= {floor}")
+        return n
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    words = configparser.ConfigParser.BOOLEAN_STATES
+    try:
+        return words[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"one of {', '.join(words)}") from None
+
+
+def _choice(*names: str):
+    def parse(text: str) -> str:
+        word = text.strip().lower()
+        if word not in names:
+            raise ValueError(f"one of {', '.join(names)}")
+        return word
+    return parse
+
+
+_SCENARIO = _choice(*sorted(SCENARIOS))
+
+# Dotted keys (scenario.eps, scenario2.mode, ...) are scenario parameters
+# and parse as finite numbers.
+_TYPES = {
+    "domain": _choice("strip", "rectangle"),
+    "problem": _choice("poiseuille", "buoyancy"),
+    "scenario": _SCENARIO, "scenario2": _SCENARIO,
+    "out": str,
+    "x_extent": _positive, "t_final": _positive, "dt": _positive,
+    "tol": _positive, "recursion_c": _positive, "datum_f": _positive,
+    "phi": _finite, "flux": _finite,
+    "nx": _integer(8), "nz": _integer(8), "snapshot_every": _integer(0),
+    "n_time_nodes": _integer(2), "max_picard": _integer(1),
+    "sweep_fields": _integer(0), "seed": _integer(0), "families": _integer(1),
+    "n_max": _integer(2),
+    "uloc": _boolean,
+}
+
+
 def _load_section(cmd: str, config_path: str | None) -> dict:
     merged = dict(_DEFAULTS[cmd])
     scen_keys: dict[str, str] = {}
@@ -154,59 +220,49 @@ def _load_section(cmd: str, config_path: str | None) -> dict:
     return merged
 
 
-def _as_float(cfg: dict, key: str) -> float:
-    try:
-        return float(cfg[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from exc
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    try:
-        return int(str(cfg[key]), 10)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from exc
+def _convert(raw: dict) -> dict:
+    """Parse every key of a section through its entry in _TYPES."""
+    cfg = {}
+    for key, text in raw.items():
+        parse = _finite if "." in key else _TYPES[key]
+        try:
+            cfg[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be {exc}, got {text!r}") from None
+    return cfg
 
 
 def _build_domain(cfg: dict):
-    kind = cfg["domain"].strip().lower()
-    if kind not in ("strip", "rectangle"):
-        raise ConfigError(f"domain must be 'strip' or 'rectangle', got {kind!r}")
-    dom_kind = DomainKind.STRIP if kind == "strip" else DomainKind.RECTANGLE
+    kind = DomainKind.STRIP if cfg["domain"] == "strip" else DomainKind.RECTANGLE
     try:
-        dom = DomainSpec(dom_kind, _as_float(cfg, "x_extent"))
-        grid = make_grid(dom, _as_int(cfg, "nx"), _as_int(cfg, "nz"))
+        dom = DomainSpec(kind, cfg["x_extent"])
+        grid = make_grid(dom, cfg["nx"], cfg["nz"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return dom, grid
 
 
-def _scenario_params(cfg: dict, prefix: str) -> dict:
-    params = {}
-    for key, value in cfg.items():
-        if key.startswith(prefix + "."):
-            name = key[len(prefix) + 1:]
-            try:
-                params[name] = float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{key} must be numeric, got {value!r}") from exc
-    return params
-
-
 def _build_density(cfg: dict, grid, dom, key: str = "scenario") -> ScalarField:
-    name = cfg[key].strip()
-    if name not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}")
+    params = {k[len(key) + 1:]: v for k, v in cfg.items()
+              if k.startswith(key + ".")}
     try:
-        return make_density(name, grid, dom, **_scenario_params(cfg, key))
+        return make_density(cfg[key], grid, dom, **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _stokes_solution(cfg: dict, grid, dom):
+    """The Stokes solution named by the problem, phi and flux keys."""
+    if cfg["problem"] == "poiseuille":
+        if not dom.periodic:
+            raise ConfigError("the channel profile needs domain = strip")
+        return poiseuille(cfg["phi"], grid, dom)
+    rho = _build_density(cfg, grid, dom)
+    return solve_buoyancy(rho, StokesConfig(flux_target=cfg["flux"]))
+
+
 def _resolve_out(cfg: dict, flag_value: str | None) -> Path:
-    out = flag_value or cfg.get("out") or ""
+    out = flag_value or cfg["out"]
     if not out:
         raise ConfigError("no output directory; pass --out or set out=")
     return Path(out)
@@ -226,6 +282,18 @@ def _write(out: Path, name: str, text: str) -> Path:
     return p
 
 
+def _check_dt(cfg: dict) -> None:
+    if cfg["dt"] > cfg["t_final"]:
+        raise ConfigError(f"need dt <= t_final, got dt = {cfg['dt']}")
+
+
+def _partition(grid, dom) -> Partition:
+    try:
+        return Partition(grid, dom)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -233,17 +301,7 @@ def _write(out: Path, name: str, text: str) -> Path:
 
 def _cmd_stokes(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
-    problem = cfg["problem"].strip().lower()
-    if problem not in ("poiseuille", "buoyancy"):
-        raise ConfigError(f"problem must be 'poiseuille' or 'buoyancy', "
-                          f"got {problem!r}")
-    if problem == "poiseuille":
-        if not dom.periodic:
-            raise ConfigError("the channel profile needs domain = strip")
-        sol = poiseuille(_as_float(cfg, "phi"), grid, dom)
-    else:
-        rho = _build_density(cfg, grid, dom)
-        sol = solve_buoyancy(rho, StokesConfig(flux_target=_as_float(cfg, "flux")))
+    sol = _stokes_solution(cfg, grid, dom)
 
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "u1.stf", sol.u.u1)
@@ -259,29 +317,13 @@ def _cmd_stokes(cfg: dict, out: Path) -> list[str]:
             f"pressure_slope = {_fmt(sol.pressure_slope)}"]
 
 
-def _velocity_for(cfg: dict, grid, dom):
-    problem = cfg["problem"].strip().lower()
-    if problem == "poiseuille":
-        if not dom.periodic:
-            raise ConfigError("the channel profile needs domain = strip")
-        return poiseuille(_as_float(cfg, "phi"), grid, dom).u
-    if problem == "buoyancy":
-        rho = _build_density(cfg, grid, dom)
-        return solve_buoyancy(rho, StokesConfig(flux_target=_as_float(cfg, "flux"))).u
-    raise ConfigError(f"problem must be 'poiseuille' or 'buoyancy', got {problem!r}")
-
-
 def _cmd_transport(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
-    T = _as_float(cfg, "t_final")
-    dt = _as_float(cfg, "dt")
-    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):
-        raise ConfigError(f"t_final and dt must be positive and finite, got {T}, {dt}")
+    T = cfg["t_final"]
     rho0 = _build_density(cfg, grid, dom)
-    u = _velocity_for(cfg, grid, dom)
-    tcfg = TransportConfig(dt=dt)
-    rho_T = push_forward(rho0, u, T, tcfg)
-    fm = integrate_flow(u, T, 0.0, tcfg)
+    u = _stokes_solution(cfg, grid, dom).u
+    fm = integrate_flow(u, T, 0.0, TransportConfig(dt=cfg["dt"]))
+    rho_T = _pull_back(rho0, fm)
 
     out.mkdir(parents=True, exist_ok=True)
     write_field(out / "rho0.stf", rho0)
@@ -297,17 +339,10 @@ def _cmd_transport(cfg: dict, out: Path) -> list[str]:
 
 def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
-    T = _as_float(cfg, "t_final")
-    dt = _as_float(cfg, "dt")
-    if not (0.0 < T < math.inf):
-        raise ConfigError(f"t_final must be positive and finite, got {T}")
-    if not (0.0 < dt <= T):
-        raise ConfigError(f"need 0 < dt <= t_final, got dt = {dt}")
-    every = _as_int(cfg, "snapshot_every")
-    if every < 0:
-        raise ConfigError("snapshot_every must be >= 0")
+    _check_dt(cfg)
+    every = cfg["snapshot_every"]
     rho0 = _build_density(cfg, grid, dom)
-    states = time_march(rho0, T, dt)
+    states = time_march(rho0, cfg["t_final"], cfg["dt"])
 
     out.mkdir(parents=True, exist_ok=True)
     _write(out, "series.csv", emit_series(states))
@@ -322,19 +357,10 @@ def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
 
 def _cmd_picard(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
-    T = _as_float(cfg, "t_final")
-    nodes = _as_int(cfg, "n_time_nodes")
-    max_picard = _as_int(cfg, "max_picard")
-    tol = _as_float(cfg, "tol")
-    if not (0.0 < T < math.inf):
-        raise ConfigError(f"t_final must be positive and finite, got {T}")
-    if nodes < 2 or max_picard < 1:
-        raise ConfigError("need n_time_nodes >= 2 and max_picard >= 1")
-    if not (0.0 < tol < math.inf):
-        raise ConfigError(f"tol must be positive and finite, got {tol}")
     rho0 = _build_density(cfg, grid, dom)
-    states, trace = picard_solve(rho0, T=T, n_time_nodes=nodes,
-                                 tol=tol, max_picard=max_picard)
+    states, trace = picard_solve(rho0, T=cfg["t_final"],
+                                 n_time_nodes=cfg["n_time_nodes"],
+                                 tol=cfg["tol"], max_picard=cfg["max_picard"])
     out.mkdir(parents=True, exist_ok=True)
     rows = ["N,delta,ratio"]
     for i, d in enumerate(trace.diffs):
@@ -348,26 +374,14 @@ def _cmd_picard(cfg: dict, out: Path) -> list[str]:
             f"contraction_estimate = {_fmt(trace.contraction_estimate)}"]
 
 
-def _partition(grid, dom) -> Partition:
-    try:
-        return Partition(grid, dom)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _cmd_stability(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
     if dom.periodic:
         _partition(grid, dom)  # the strip measures differences in unit windows
-    T = _as_float(cfg, "t_final")
-    dt = _as_float(cfg, "dt")
-    if not (0.0 < T < math.inf):
-        raise ConfigError(f"t_final must be positive and finite, got {T}")
-    if not (0.0 < dt <= T):
-        raise ConfigError(f"need 0 < dt <= t_final, got dt = {dt}")
+    _check_dt(cfg)
     rho1 = _build_density(cfg, grid, dom, key="scenario")
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
-    rep = stability_experiment(rho1, rho2, T=T, dt=dt)
+    rep = stability_experiment(rho1, rho2, T=cfg["t_final"], dt=cfg["dt"])
     out.mkdir(parents=True, exist_ok=True)
     col = "abs_diff" if rep.absolute else "G"
     rows = [f"t,{col}"]
@@ -378,15 +392,11 @@ def _cmd_stability(cfg: dict, out: Path) -> list[str]:
             f"initial_diff = {_fmt(rep.initial_diff)}"]
 
 
-def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
+def _cmd_norms(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
     field = _build_density(cfg, grid, dom)
-    want_uloc = cfg["uloc"].strip() not in ("0", "false", "no", "")
-    sweep_n = _as_int(cfg, "sweep_fields")
-    if seed is None:
-        seed = _as_int(cfg, "seed")
-    if sweep_n < 0:
-        raise ConfigError(f"sweep_fields must be >= 0, got {sweep_n}")
+    want_uloc = cfg["uloc"]
+    sweep_n = cfg["sweep_fields"]
     if want_uloc and not dom.periodic:
         raise ConfigError("uloc norms need domain = strip")
     if sweep_n and not dom.periodic:
@@ -408,7 +418,7 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
         summary.append(f"uloc_l2 = {_fmt(uloc_norm(field, 0, part).value)}")
     sweep_worst = None
     if sweep_n:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg["seed"])
         worst = 0.0
         for _ in range(sweep_n):
             f = ScalarField(grid, dom, rng.standard_normal((grid.nx, grid.nz)))
@@ -429,23 +439,14 @@ def _cmd_norms(cfg: dict, out: Path, seed: int | None) -> list[str]:
     return summary
 
 
-def _cmd_ledger(cfg: dict, out: Path, seed: int | None) -> list[str]:
-    families = _as_int(cfg, "families")
-    C = _as_float(cfg, "recursion_c")
-    F = _as_float(cfg, "datum_f")
-    n_max = _as_int(cfg, "n_max")
-    if seed is None:
-        seed = _as_int(cfg, "seed")
-    if families < 1 or n_max < 2:
-        raise ConfigError("need families >= 1 and n_max >= 2")
-    if C <= 0 or F <= 0:
-        raise ConfigError("recursion_c and datum_f must be positive")
-
-    rng = np.random.default_rng(seed)
+def _cmd_ledger(cfg: dict, out: Path) -> list[str]:
+    families = cfg["families"]
+    rng = np.random.default_rng(cfg["seed"])
     rows = ["family,verdict,C0,k0,bound"]
     n_pass = 0
     for i in range(families):
-        led = random_ledger(C, F, range(1, n_max + 1), rng)
+        led = random_ledger(cfg["recursion_c"], cfg["datum_f"],
+                            range(1, cfg["n_max"] + 1), rng)
         res = energy_ledger_check(led)
         if res.verdict == "pass":
             n_pass += 1
@@ -461,6 +462,17 @@ def _cmd_ledger(cfg: dict, out: Path, seed: int | None) -> list[str]:
     return [f"families = {families}", f"passed = {n_pass}"]
 
 
+_COMMANDS = {
+    "stokes": _cmd_stokes,
+    "transport": _cmd_transport,
+    "simulate": _cmd_simulate,
+    "picard": _cmd_picard,
+    "stability": _cmd_stability,
+    "norms": _cmd_norms,
+    "ledger": _cmd_ledger,
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -471,8 +483,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="stokes-transport",
         description="Buoyancy-coupled Stokes flow and density transport")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("stokes", "transport", "simulate", "picard", "stability",
-                 "norms", "ledger"):
+    for name in _COMMANDS:
         s = sub.add_parser(name)
         s.add_argument("--config", default=None, help="INI config path")
         s.add_argument("--out", default=None, help="output directory")
@@ -508,26 +519,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cmd = args.command
     try:
-        cfg = _load_section(cmd, args.config)
+        raw = _load_section(cmd, args.config)
         if cmd == "stokes" and args.poiseuille is not None:
-            cfg["problem"] = "poiseuille"
-            cfg["phi"] = str(args.poiseuille)
-        if args.seed is not None and "seed" in cfg:
-            cfg["seed"] = str(args.seed)
+            raw["problem"] = "poiseuille"
+            raw["phi"] = str(args.poiseuille)
+        if args.seed is not None and "seed" in raw:
+            raw["seed"] = str(args.seed)
+        cfg = _convert(raw)
         out = _resolve_out(cfg, args.out)
-        if cmd == "norms":
-            summary = _cmd_norms(cfg, out, args.seed)
-        elif cmd == "ledger":
-            summary = _cmd_ledger(cfg, out, args.seed)
-        else:
-            summary = {
-                "stokes": _cmd_stokes,
-                "transport": _cmd_transport,
-                "simulate": _cmd_simulate,
-                "picard": _cmd_picard,
-                "stability": _cmd_stability,
-            }[cmd](cfg, out)
-        _write_resolved(out, cmd, cfg)
+        summary = _COMMANDS[cmd](cfg, out)
+        _write_resolved(out, cmd, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

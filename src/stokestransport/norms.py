@@ -85,16 +85,21 @@ def cutoff_profile(x):
 
 
 def lq_norm(f: ScalarField, q) -> float:
-    """Midpoint-quadrature L^q norm, q in {1, 2, inf}."""
+    """Midpoint-quadrature L^q norm, q in {1, 2, inf}.
+
+    Raises RuntimeError when the sum overflows.
+    """
     a = np.abs(f.values)
     if q == np.inf or q == math.inf:
         return float(a.max()) if a.size else 0.0
     if q not in (1, 2):
         raise ValueError(f"q must be 1, 2, or inf, got {q!r}")
     w = f.grid.hx * f.grid.hz
-    if q == 1:
-        return float(w * a.sum())
-    return float(math.sqrt(w * float((a * a).sum())))
+    with np.errstate(over="ignore"):
+        s = w * float(a.sum() if q == 1 else (a * a).sum())
+    if not math.isfinite(s):
+        raise RuntimeError(f"L{q} sum overflowed")
+    return s if q == 1 else math.sqrt(s)
 
 
 def _dx(vals: np.ndarray, hx: float, periodic: bool) -> np.ndarray:
@@ -120,9 +125,13 @@ def _to_centers(f: ScalarField) -> np.ndarray:
 
 def _h1_sq(vals: np.ndarray, grid: GridSpec, domain: DomainSpec) -> float:
     w = grid.hx * grid.hz
-    gx = _dx(vals, grid.hx, domain.periodic)
-    gz = _dz(vals, grid.hz)
-    return w * float((vals * vals).sum() + (gx * gx).sum() + (gz * gz).sum())
+    with np.errstate(over="ignore"):
+        gx = _dx(vals, grid.hx, domain.periodic)
+        gz = _dz(vals, grid.hz)
+        s = w * float((vals * vals).sum() + (gx * gx).sum() + (gz * gz).sum())
+    if not math.isfinite(s):
+        raise RuntimeError("H1 sum overflowed")
+    return s
 
 
 def h1_norm(f) -> float:

@@ -15,16 +15,10 @@ import inspect
 
 import numpy as np
 
-from .domain import DomainSpec, GridSpec, ScalarField
+from .domain import DomainSpec, GridSpec, ScalarField, x_centers, z_centers
 from .norms import smoothstep
 
 __all__ = ["SCENARIOS", "make_density"]
-
-
-def _coords(grid: GridSpec, domain: DomainSpec):
-    xs = (np.arange(grid.nx) + 0.5) * grid.hx
-    zs = (np.arange(grid.nz) + 0.5) * grid.hz
-    return xs[:, None], zs[None, :]
 
 
 def constant(grid: GridSpec, domain: DomainSpec, value: float = 1.0) -> ScalarField:
@@ -46,7 +40,7 @@ def stratified(grid: GridSpec, domain: DomainSpec, lower: float = 1.0,
         raise ValueError("plateau must lie in (0, 0.5)")
     if not (np.isfinite(lower) and np.isfinite(upper)):
         raise ValueError("stratified scenario needs finite levels")
-    xs, zs = _coords(grid, domain)
+    xs, zs = x_centers(grid)[:, None], z_centers(grid)[None, :]
     vals = (_stratified_profile(zs, float(lower), float(upper), float(plateau))
             * np.ones_like(xs))
     return ScalarField(grid, domain, vals)
@@ -76,7 +70,7 @@ def stratified_perturbed(grid: GridSpec, domain: DomainSpec, lower: float = 1.0,
         raise ValueError(
             f"eps must lie in [0, {0.08 * span:.3g}] so the perturbation "
             "cannot create new extrema")
-    xs, zs = _coords(grid, domain)
+    xs, zs = x_centers(grid)[:, None], z_centers(grid)[None, :]
     base = _stratified_profile(zs, float(lower), float(upper), float(plateau))
     wig = eps * np.cos(2.0 * np.pi * mode * xs / domain.x_extent) * _bump(zs)
     return ScalarField(grid, domain, base + wig * np.ones_like(base))
@@ -94,7 +88,7 @@ def patch(grid: GridSpec, domain: DomainSpec, cx: float | None = None,
         raise ValueError("patch must clear both walls")
     if cx is None:
         cx = 0.5 * domain.x_extent
-    xs, zs = _coords(grid, domain)
+    xs, zs = x_centers(grid)[:, None], z_centers(grid)[None, :]
     dx = xs - float(cx)
     if domain.periodic:
         L = domain.x_extent
@@ -110,7 +104,7 @@ def checker(grid: GridSpec, domain: DomainSpec, kx: int = 1, kz: int = 1,
     kx, kz = int(kx), int(kz)
     if kx < 1 or kz < 1:
         raise ValueError("wavenumbers must be positive")
-    xs, zs = _coords(grid, domain)
+    xs, zs = x_centers(grid)[:, None], z_centers(grid)[None, :]
     vals = (float(amplitude) * np.sin(2.0 * np.pi * kx * xs / domain.x_extent)
             * np.sin(2.0 * np.pi * kz * zs))
     return ScalarField(grid, domain, vals * np.ones((grid.nx, grid.nz)))

@@ -38,7 +38,7 @@ from .domain import (
     x_centers,
     z_centers,
 )
-from .norms import grad_inf_norm
+from .norms import _to_centers, grad_inf_norm
 
 __all__ = [
     "FlowMap",
@@ -53,7 +53,6 @@ __all__ = [
     "lipschitz_growth",
     "push_forward",
     "read_flowmap",
-    "steady",
     "write_flowmap",
 ]
 
@@ -61,13 +60,10 @@ __all__ = [
 @dataclass(frozen=True)
 class TransportConfig:
     dt: float = 0.01
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if self.integrator != "rk4":
-            raise ValueError(f"unsupported integrator {self.integrator!r}")
 
 
 @dataclass(frozen=True)
@@ -102,33 +98,6 @@ class FlowMap:
         d = _kernels.sample_center(self.displacement, px, pz, g.hx, g.hz,
                                    dom.periodic, dom.x_extent)
         return d[..., 0], d[..., 1]
-
-    def evaluate(self, px, pz):
-        """Map arbitrary points; results stay in the closed domain."""
-        px = np.asarray(px, dtype=float)
-        pz = np.asarray(pz, dtype=float)
-        dx, dz = self._sampled_disp(px, pz)
-        qx = px + dx
-        qz = np.clip(pz + dz, 0.0, 1.0)
-        L = self.domain.x_extent
-        if self.domain.periodic:
-            qx = qx - L * np.floor(qx / L)
-        else:
-            qx = np.clip(qx, 0.0, L)
-        return qx, qz
-
-
-class _Steady:
-    def __init__(self, u: VelocityField):
-        self.u = u
-
-    def __call__(self, t: float) -> VelocityField:
-        return self.u
-
-
-def steady(u: VelocityField):
-    """Wrap a single field as a constant-in-time provider."""
-    return _Steady(u)
 
 
 class VelocitySeries:
@@ -172,7 +141,7 @@ class VelocitySeries:
 
 def _as_provider(u):
     if isinstance(u, VelocityField):
-        return _Steady(u)
+        return lambda t: u
     if callable(u):
         return u
     raise TypeError("velocity must be a VelocityField or a callable of time")
@@ -328,7 +297,6 @@ class StabilityReport:
 
 
 def _centered_speed_diff(u1: VelocityField, u2: VelocityField) -> np.ndarray:
-    from .norms import _to_centers
     d1 = _to_centers(u1.u1) - _to_centers(u2.u1)
     d2 = _to_centers(u1.u2) - _to_centers(u2.u2)
     return np.sqrt(d1 ** 2 + d2 ** 2)

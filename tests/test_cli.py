@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokestransport import cli
 from stokestransport.coupling import time_march
@@ -20,6 +22,10 @@ def write_cfg(tmp_path, body, name="run.ini"):
     p = tmp_path / name
     p.write_text(body)
     return str(p)
+
+
+_SMALL = "nx = 32\nnz = 16\n"
+_STRIP_NORMS = "domain = strip\nx_extent = 8\nnx = 32\nnz = 8\n"
 
 
 def read_csv(path):
@@ -143,30 +149,91 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("cmd, body", [
-        ("transport", "nx = 32\nnz = 16\nt_final = inf\n"),
-        ("transport", "nx = 32\nnz = 16\ndt = inf\n"),
-        ("picard", "nx = 32\nnz = 16\nn_time_nodes = 1\n"),
-        ("stability", "nx = 60\nnz = 16\n"),
-        ("norms", "domain = strip\nx_extent = 8\nnx = 60\nnz = 16\nuloc = 1\n"),
-        ("stability", "nx = 32\nnz = 16\nt_final = inf\n"),
-        ("stability", "nx = 32\nnz = 16\ndt = 0\n"),
-        ("picard", "nx = 32\nnz = 16\ntol = nan\n"),
+    @pytest.mark.parametrize("cmd, body, flags", [
+        ("transport", "nx = 32\nnz = 16\nt_final = inf\n", []),
+        ("transport", "nx = 32\nnz = 16\ndt = inf\n", []),
+        ("picard", "nx = 32\nnz = 16\nn_time_nodes = 1\n", []),
+        ("stability", "nx = 60\nnz = 16\n", []),
+        ("norms", "domain = strip\nx_extent = 8\nnx = 60\nnz = 16\n"
+                  "uloc = 1\n", []),
+        ("stability", "nx = 32\nnz = 16\nt_final = inf\n", []),
+        ("stability", "nx = 32\nnz = 16\ndt = 0\n", []),
+        ("picard", "nx = 32\nnz = 16\ntol = nan\n", []),
         ("norms", "domain = strip\nx_extent = 8\nnx = 32\nnz = 16\n"
-                  "sweep_fields = -1\n"),
+                  "sweep_fields = -1\n", []),
+        ("stokes", _SMALL + "problem = buoyancy\nflux = nan\n", []),
+        ("stokes", _SMALL + "problem = buoyancy\nflux = inf\n", []),
+        ("stokes", _SMALL + "phi = nan\n", []),
+        ("stokes", _SMALL + "phi = -inf\n", []),
+        ("stokes", _SMALL, ["--poiseuille", "nan"]),
+        ("transport", _SMALL + "problem = buoyancy\nflux = nan\n", []),
+        ("transport", _SMALL + "problem = buoyancy\nflux = -inf\n", []),
+        ("transport", _SMALL + "phi = nan\n", []),
+        ("transport", _SMALL + "phi = inf\n", []),
+        ("norms", _STRIP_NORMS + "sweep_fields = 2\nseed = -1\n", []),
+        ("norms", _STRIP_NORMS + "sweep_fields = 2\n", ["--seed", "-3"]),
+        ("norms", _STRIP_NORMS + "uloc = maybe\n", []),
+        ("ledger", "families = 3\nseed = -1\n", []),
+        ("ledger", "families = 3\n", ["--seed", "-3"]),
+        ("ledger", "families = 3\nrecursion_c = nan\n", []),
+        ("ledger", "families = 3\nrecursion_c = inf\n", []),
+        ("ledger", "families = 3\ndatum_f = inf\n", []),
+        ("ledger", "families = 3\ndatum_f = nan\n", []),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
-            "stability_zero_dt", "picard_nan_tol", "norms_negative_sweep"])
+            "stability_zero_dt", "picard_nan_tol", "norms_negative_sweep",
+            "stokes_nan_flux", "stokes_inf_flux", "stokes_nan_phi",
+            "stokes_inf_phi", "stokes_poiseuille_flag_nan",
+            "transport_nan_flux", "transport_inf_flux", "transport_nan_phi",
+            "transport_inf_phi", "norms_negative_seed",
+            "norms_negative_seed_flag", "norms_uloc_not_a_boolean",
+            "ledger_negative_seed", "ledger_negative_seed_flag",
+            "ledger_nan_recursion_c", "ledger_inf_recursion_c",
+            "ledger_inf_datum_f", "ledger_nan_datum_f"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
-                                                   cmd, body):
+                                                   cmd, body, flags):
         out = tmp_path / "o"
         out.mkdir()
         cfg = write_cfg(tmp_path, f"[{cmd}]\n" + body)
-        rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
+        rc = cli.main([cmd, "--config", cfg, "--out", str(out), *flags])
         assert rc == 2
         assert list(out.iterdir()) == []
         assert "config error" in capsys.readouterr().err
+
+
+class TestKeyTable:
+    def test_every_default_parses_under_its_type(self):
+        keys = set()
+        for raw in cli._DEFAULTS.values():
+            assert set(cli._convert(raw)) == set(raw)
+            keys |= set(raw)
+        assert keys == set(cli._TYPES)  # no parser for a key nothing reads
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from(sorted(cli._TYPES) + ["scenario.eps"]),
+           text=st.one_of(
+               st.text(),
+               st.floats().map(repr),
+               st.integers(-10, 10 ** 30).map(str),
+               st.sampled_from(["Yes", " off ", "TRUE", "Strip", " patch",
+                                "1e400", "-0", "0x10", "1_0", ""])))
+    def test_any_text_is_a_value_or_a_config_error(self, key, text):
+        try:
+            value = cli._convert({key: text})[key]
+        except cli.ConfigError:
+            return
+        assert cli._convert({key: str(value)})[key] == value
+
+    @pytest.mark.parametrize("word, rows", [("yes", True), ("Off", False),
+                                            ("1", True), ("false", False)])
+    def test_uloc_takes_the_boolean_words(self, tmp_path, word, rows):
+        out = tmp_path / "no"
+        cfg = write_cfg(tmp_path, f"[norms]\n{_STRIP_NORMS}uloc = {word}\n")
+        assert cli.main(["norms", "--config", cfg, "--out", str(out)]) == 0
+        names = {r[0] for r in read_csv(out / "norms.csv")}
+        assert ("uloc_l2" in names) == rows
+
 
 
 class TestSimulateCommand:

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,22 @@ def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
     for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
         with pytest.raises(RuntimeError, match="overflow"):
             uloc_norm(big, -1, part, margin=margin)
+
+
+def test_l1_l2_and_h1_norms_raise_when_the_sum_overflows(strip, rect):
+    # the samples are valid, but their sum or the sum of their squares is
+    # not representable; the norm must fail instead of warning and
+    # returning inf
+    for dom, grid in (strip, rect):
+        big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
+        huge = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm, f in ((lambda f: lq_norm(f, 2), big), (h1_norm, big),
+                            (lambda f: lq_norm(f, 1), huge)):
+                with pytest.raises(RuntimeError, match="overflow"):
+                    norm(f)
+            assert lq_norm(big, 1) == pytest.approx(1e200 * dom.x_extent)
 
 
 class TestNormReport:

@@ -21,7 +21,6 @@ from stokestransport.transport import (
     integrate_flow,
     lipschitz_growth,
     push_forward,
-    steady,
 )
 
 
@@ -31,10 +30,6 @@ class TestConfig:
             TransportConfig(dt=0.0)
         with pytest.raises(ValueError):
             TransportConfig(dt=-0.1)
-
-    def test_integrator_name_checked(self):
-        with pytest.raises(ValueError):
-            TransportConfig(dt=0.1, integrator="euler")
 
 
 class TestFlowMapContainer:
@@ -64,14 +59,14 @@ class TestFlowMapContainer:
 class TestIntegrateFlow:
     def test_zero_field_is_identity(self, strip):
         dom, grid = strip
-        fm = integrate_flow(steady(VelocityField.zero(grid, dom)), 0.0, 1.0,
+        fm = integrate_flow(VelocityField.zero(grid, dom), 0.0, 1.0,
                             TransportConfig(dt=0.125))
         assert np.all(fm.displacement == 0.0)
 
     def test_empty_interval_is_identity(self, strip):
         dom, grid = strip
         sol = poiseuille(1.0, grid, dom)
-        fm = integrate_flow(steady(sol.u), 0.7, 0.7, TransportConfig(dt=0.1))
+        fm = integrate_flow(sol.u, 0.7, 0.7, TransportConfig(dt=0.1))
         assert np.all(fm.displacement == 0.0)
         assert fm.t0 == fm.t1 == 0.7
 
@@ -82,7 +77,7 @@ class TestIntegrateFlow:
         sol = poiseuille(1.0, grid, dom)
         a = abs(sol.pressure_slope) / 2.0
         t = 0.8
-        fm = integrate_flow(steady(sol.u), 0.0, t, TransportConfig(dt=0.05))
+        fm = integrate_flow(sol.u, 0.0, t, TransportConfig(dt=0.05))
         zc = z_centers(grid)
         expect = t * a * zc * (1.0 - zc)
         assert np.all(fm.displacement[:, :, 1] == 0.0)
@@ -103,14 +98,14 @@ class TestPushForward:
         dom, grid = strip
         rho = make_density("patch", grid, dom)
         sol = poiseuille(1.0, grid, dom)
-        out = push_forward(rho, steady(sol.u), 0.0, TransportConfig(dt=0.1))
+        out = push_forward(rho, sol.u, 0.0, TransportConfig(dt=0.1))
         assert np.array_equal(out.values, rho.values)
 
     def test_max_principle_exact(self, strip):
         dom, grid = strip
         rho = make_density("patch", grid, dom)
         sol = poiseuille(2.0, grid, dom)
-        out = push_forward(rho, steady(sol.u), 1.5, TransportConfig(dt=0.05))
+        out = push_forward(rho, sol.u, 1.5, TransportConfig(dt=0.05))
         assert out.values.min() >= rho.values.min()
         assert out.values.max() <= rho.values.max()
 
@@ -127,7 +122,7 @@ class TestPushForward:
             grid = make_grid(dom, nx, nz)
             rho = make_density("patch", grid, dom)
             sol = poiseuille(1.0, grid, dom)
-            out = push_forward(rho, steady(sol.u), 1.0, TransportConfig(dt=0.05))
+            out = push_forward(rho, sol.u, 1.0, TransportConfig(dt=0.05))
             drifts.append(abs(lq_norm(out, 2) - lq_norm(rho, 2)) / lq_norm(rho, 2))
         assert drifts[1] <= 0.02
         assert drifts[0] / drifts[1] >= 2.5
@@ -136,7 +131,7 @@ class TestPushForward:
         dom, grid = strip
         sol = poiseuille(1.0, grid, dom)
         with pytest.raises(ValueError):
-            push_forward(sol.u.u2, steady(sol.u), 1.0, TransportConfig(dt=0.1))
+            push_forward(sol.u.u2, sol.u, 1.0, TransportConfig(dt=0.1))
 
 
 class TestComposition:
@@ -157,8 +152,8 @@ class TestComposition:
                                       np.zeros((grid.nx, grid.nz + 1)),
                                       enforce_walls=False)
         cfg = TransportConfig(dt=0.05)
-        a = integrate_flow(steady(u), 0.0, 0.4, cfg)
-        b = integrate_flow(steady(u), 0.4, 1.0, cfg)
+        a = integrate_flow(u, 0.0, 0.4, cfg)
+        b = integrate_flow(u, 0.4, 1.0, cfg)
         both = compose_maps(b, a)
         assert np.allclose(both.displacement[:, :, 0], 0.3, rtol=0, atol=1e-13)
         assert both.t0 == 0.0 and both.t1 == 1.0
@@ -212,7 +207,7 @@ class TestLipschitz:
     def test_zero_field(self, strip):
         dom, grid = strip
         u = VelocityField.zero(grid, dom)
-        fm = integrate_flow(steady(u), 0.0, 1.0, TransportConfig(dt=0.1))
+        fm = integrate_flow(u, 0.0, 1.0, TransportConfig(dt=0.1))
         rep = lipschitz_growth(fm, u)
         assert rep.bound == 1.0
         assert rep.measured_lip == pytest.approx(1.0, rel=1e-12)
@@ -221,7 +216,7 @@ class TestLipschitz:
     def test_shear_respects_bound(self, strip):
         dom, grid = strip
         sol = poiseuille(1.0, grid, dom)
-        fm = integrate_flow(steady(sol.u), 0.0, 0.2, TransportConfig(dt=0.02))
+        fm = integrate_flow(sol.u, 0.0, 0.2, TransportConfig(dt=0.02))
         rep = lipschitz_growth(fm, sol.u)
         assert not rep.violation
         assert rep.measured_lip <= rep.bound * (1 + 1e-6)
@@ -236,8 +231,8 @@ class TestFlowStability:
         u1 = solve_buoyancy(rho1).u
         u2 = solve_buoyancy(rho2).u
         cfg = TransportConfig(dt=t / 8)
-        X1 = integrate_flow(steady(u1), 0.0, t, cfg)
-        X2 = integrate_flow(steady(u2), 0.0, t, cfg)
+        X1 = integrate_flow(u1, 0.0, t, cfg)
+        X2 = integrate_flow(u2, 0.0, t, cfg)
         return X1, X2, u1, u2
 
     @pytest.mark.parametrize("q", [2, np.inf])
@@ -255,7 +250,7 @@ class TestFlowStability:
 
     def test_interval_mismatch_rejected(self, strip):
         X1, X2, u1, u2 = self._two_flows(strip)
-        Xs = integrate_flow(steady(u2), 0.0, 0.1, TransportConfig(dt=0.05))
+        Xs = integrate_flow(u2, 0.0, 0.1, TransportConfig(dt=0.05))
         with pytest.raises(ValueError):
             flow_stability(X1, Xs, u1, u2, 2)
 
