@@ -3,14 +3,19 @@
 One vectorized numpy implementation, evaluated over whole point arrays.
 Every query first locates its points once: x is wrapped into the period
 (strip) or clamped (rectangle), z is clamped, and both are scaled to cell
-units.  Each staggered field then gathers its four corners through flat
-indices into the C-ordered array.  An RK4 stage samples u1 and u2 at the
-same points, so it locates them once for both components, and
-``sample_center`` blends every channel of an ``(nx, nz, k)`` array from a
-single set of weights.  Blends and sums run in place where an operand is a
-fresh temporary, but every floating-point operation is the one the plain
-expressions in the comments and docstrings name, in the same order, so
-results match the original arithmetic (kept in
+units.  Every staggering then finds its cells with one per-axis rule,
+``_axis``, and gathers the corners through flat indices with
+``take(mode="clip")``: a non-finite point casts to index -2**63, which the
+clip keeps in bounds while its NaN weight still yields NaN (``mode="wrap"``
+would reduce it by repeated addition and never return).  Both velocity
+components share one face blend, ``_face_sample``: corner pairs along the
+face axis first (x for u1, z for u2), then across, then the no-slip wall
+blend where the cross axis is walled.  ``sample_velocity`` and each RK4 stage locate
+their points once for both components; ``sample_center`` blends every
+channel of an ``(nx, nz, k)`` array from one set of weights.  Blends and
+sums run in place on fresh temporaries, but every floating-point operation
+is the one the plain expressions in the comments and docstrings name, in
+the same order, so results match the original arithmetic (kept in
 ``tests/_reference_kernels.py``) bit for bit.
 
 Sampling conventions:
@@ -32,8 +37,7 @@ import numpy as np
 
 __all__ = [
     "backend_name",
-    "sample_u1",
-    "sample_u2",
+    "sample_velocity",
     "sample_center",
     "rk4_step",
 ]
@@ -69,6 +73,17 @@ def _locate(px, z, hx, hz, periodic, Lx):
         x = np.maximum(px, 0.0)
         np.minimum(x, Lx, out=x)
     return x, x / hx, z / hz
+
+
+def _axis(f, n, periodic):
+    """Float cell index i and weight t of positions f along an axis of n
+    stored samples: i = floor(f), t = f - i; a walled axis clamps i to
+    [0, n - 2] and t to [0, 1]."""
+    i = np.floor(f)
+    if periodic:
+        return i, f - i
+    _clamp(i, 0.0, n - 2)
+    return i, _clamp(f - i, 0.0, 1.0)
 
 
 def _cell_index(fi, fj, n, nz, periodic):
@@ -107,71 +122,69 @@ def _blend(t, a, b):
     return a
 
 
-def _u1_at(u1, z, q, w, hz, periodic):
-    nf, nz = u1.shape
+def _face_sample(c, fx, fz, periodic, x_pairs, wall=None):
+    """Face data c at cell-unit positions (fx, fz), the x pairs blended
+    first if x_pairs (u1), else the z pairs (u2).  ``wall = (f, n, coord,
+    extent, h)`` gives the cross axis: where f <= 0 (f >= n - 1) the lower
+    (upper) pair falls linearly to zero at coord = 0 (extent) over h / 2.
+    """
+    nx, nz = c.shape
+    fi, tx = _axis(fx, nx, periodic)
+    fj, tz = _axis(fz, nz, False)
+    v00, v01, v10, v11 = _gather(c, _cell_index(fi, fj, nx, nz, periodic))
+    if x_pairs:
+        lo, hi, t = _blend(tx, v00, v10), _blend(tx, v01, v11), tz
+    else:
+        lo, hi, t = _blend(tz, v00, v01), _blend(tz, v10, v11), tx
+    if wall is None:
+        return _blend(t, lo, hi)
+    # inside a wall half-cell the lower (upper) corner pair is the stored
+    # row next to the wall, blended against the no-slip zero
+    f, n, coord, extent, h = wall
+    top = np.flatnonzero(f >= n - 1)
+    bot = np.flatnonzero(f <= 0.0)
+    r_top = hi[top]
+    r_bot = lo[bot]
+    out = _blend(t, lo, hi)
+    out[top] = ((extent - coord[top]) / (0.5 * h)) * r_top
+    out[bot] = (coord[bot] / (0.5 * h)) * r_bot
+    return out
+
+
+def _velocity(u1, u2, x, z, hx, hz, periodic, Lx):
+    """(u1, u2) at flat points with z already in [0, 1], located once."""
+    xs, q, w = _locate(x, z, hx, hz, periodic, Lx)
     fz = w - 0.5
-    fj = _clamp(np.floor(fz), 0.0, nz - 2)
-    tz = _clamp(fz - fj, 0.0, 1.0)
-    fi = np.floor(q)
-    if periodic:
-        tx = q - fi
-    else:
-        _clamp(fi, 0.0, nf - 2)
-        tx = _clamp(q - fi, 0.0, 1.0)
-    v00, v01, v10, v11 = _gather(u1, _cell_index(fi, fj, nf, nz, periodic))
-    # inside a wall half-cell the lower corner row is the wall row, so ra
-    # (bottom) or rb (top) is the row blended against the no-slip zero
-    top = np.flatnonzero(fz >= nz - 1)
-    bot = np.flatnonzero(fz <= 0.0)
-    ra = _blend(tx, v00, v10)
-    rb = _blend(tx, v01, v11)
-    r_top = rb[top]
-    r_bot = ra[bot]
-    out = _blend(tz, ra, rb)
-    out[top] = ((1.0 - z[top]) / (0.5 * hz)) * r_top
-    out[bot] = (z[bot] / (0.5 * hz)) * r_bot
-    return out
-
-
-def _u2_at(u2, x, q, w, hx, periodic, Lx):
-    nx, nzp = u2.shape
-    fj = _clamp(np.floor(w), 0.0, nzp - 2)
-    tz = _clamp(w - fj, 0.0, 1.0)
     fx = q - 0.5
-    fi = np.floor(fx)
-    if periodic:
-        tx = fx - fi
-    else:
-        _clamp(fi, 0.0, nx - 2)
-        tx = _clamp(fx - fi, 0.0, 1.0)
-    v00, v01, v10, v11 = _gather(u2, _cell_index(fi, fj, nx, nzp, periodic))
-    ca = _blend(tz, v00, v01)
-    cb = _blend(tz, v10, v11)
-    if periodic:
-        return _blend(tx, ca, cb)
-    # the rectangle's x-walls: same blend against zero as u1 on z-walls
-    right = np.flatnonzero(fx >= nx - 1)
-    left = np.flatnonzero(fx <= 0.0)
-    c_right = cb[right]
-    c_left = ca[left]
-    out = _blend(tx, ca, cb)
-    out[right] = ((Lx - x[right]) / (0.5 * hx)) * c_right
-    out[left] = (x[left] / (0.5 * hx)) * c_left
-    return out
+    v1 = _face_sample(u1, q, fz, periodic, True, (fz, u1.shape[1], z, 1.0, hz))
+    wall = None if periodic else (fx, u2.shape[0], xs, Lx, hx)
+    return v1, _face_sample(u2, fx, w, periodic, False, wall)
 
 
-def _center_at(c, q, w, periodic):
+def _as_points(px, pz):
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    pz = np.ascontiguousarray(pz, dtype=np.float64)
+    if px.shape != pz.shape:
+        raise ValueError("px and pz must have matching shapes")
+    return px, pz
+
+
+def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
+    """Both MAC velocity components at points, each of shape px.shape."""
+    px, pz = _as_points(px, pz)
+    v1, v2 = _velocity(u1, u2, px.ravel(), _clip01(pz.ravel()), hx, hz,
+                       periodic, Lx)
+    return v1.reshape(px.shape), v2.reshape(px.shape)
+
+
+def sample_center(c, px, pz, hx, hz, periodic, Lx):
+    """Cell-centered data at points; an (nx, nz, k) array samples every
+    channel from one set of weights and returns shape px.shape + (k,)."""
+    px, pz = _as_points(px, pz)
+    _, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
     nx, nz = c.shape[:2]
-    fz = _clamp(w - 0.5, 0.0, nz - 1.0)
-    fj = np.minimum(np.floor(fz), nz - 2)
-    tz = fz - fj
-    if periodic:
-        fx = q - 0.5
-        fi = np.floor(fx)
-    else:
-        fx = _clamp(q - 0.5, 0.0, nx - 1.0)
-        fi = np.minimum(np.floor(fx), nx - 2)
-    tx = fx - fi
+    fi, tx = _axis(q - 0.5, nx, periodic)
+    fj, tz = _axis(w - 0.5, nz, False)
     index = _cell_index(fi, fj, nx, nz, periodic)
     channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
     out = np.empty((len(channels), q.size))
@@ -183,36 +196,6 @@ def _center_at(c, q, w, periodic):
         hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
         res = _blend(tx, _blend(tz, v00, v01), _blend(tz, v10, v11))
         np.minimum(np.maximum(res, lo), hi, out=out[k])
-    return out
-
-
-def _as_points(px, pz):
-    px = np.ascontiguousarray(px, dtype=np.float64)
-    pz = np.ascontiguousarray(pz, dtype=np.float64)
-    if px.shape != pz.shape:
-        raise ValueError("px and pz must have matching shapes")
-    return px, pz
-
-
-def sample_u1(u1, px, pz, hx, hz, periodic, Lx):
-    px, pz = _as_points(px, pz)
-    z = _clip01(pz.ravel())
-    _, q, w = _locate(px.ravel(), z, hx, hz, periodic, Lx)
-    return _u1_at(u1, z, q, w, hz, periodic).reshape(px.shape)
-
-
-def sample_u2(u2, px, pz, hx, hz, periodic, Lx):
-    px, pz = _as_points(px, pz)
-    x, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
-    return _u2_at(u2, x, q, w, hx, periodic, Lx).reshape(px.shape)
-
-
-def sample_center(c, px, pz, hx, hz, periodic, Lx):
-    """Cell-centered data at points; an (nx, nz, k) array samples every
-    channel from one set of weights and returns shape px.shape + (k,)."""
-    px, pz = _as_points(px, pz)
-    _, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
-    out = _center_at(c, q, w, periodic)
     if c.ndim == 2:
         return out[0].reshape(px.shape)
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
@@ -220,18 +203,13 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
 
 def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
     """Advance all seed positions by one RK4 step of size h, in place."""
-
-    def velocity(u1, u2, x, z):
-        xs, q, w = _locate(x, z, hx, hz, periodic, Lx)
-        return (_u1_at(u1, z, q, w, hz, periodic),
-                _u2_at(u2, xs, q, w, hx, periodic, Lx))
-
+    grid = (hx, hz, periodic, Lx)
     # q = p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), the sum accumulated left
     # to right as the stages finish
-    k1x, k1z = velocity(u1a, u2a, px, _clip01(pz))
+    k1x, k1z = _velocity(u1a, u2a, px, _clip01(pz), *grid)
     x1 = px + 0.5 * h * k1x
     z1 = _clip01(pz + 0.5 * h * k1z)
-    k2x, k2z = velocity(u1b, u2b, x1, z1)
+    k2x, k2z = _velocity(u1b, u2b, x1, z1, *grid)
     x2 = px + 0.5 * h * k2x
     z2 = _clip01(pz + 0.5 * h * k2z)
     k2x *= 2.0
@@ -239,7 +217,7 @@ def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
     sx = k1x + k2x
     sz = k1z + k2z
     del k1x, k1z, k2x, k2z, x1, z1
-    k3x, k3z = velocity(u1b, u2b, x2, z2)
+    k3x, k3z = _velocity(u1b, u2b, x2, z2, *grid)
     x3 = px + h * k3x
     z3 = _clip01(pz + h * k3z)
     k3x *= 2.0
@@ -247,7 +225,7 @@ def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
     sx += k3x
     sz += k3z
     del k3x, k3z, x2, z2
-    k4x, k4z = velocity(u1c, u2c, x3, z3)
+    k4x, k4z = _velocity(u1c, u2c, x3, z3, *grid)
     sx += k4x
     sz += k4z
     sx *= h / 6.0

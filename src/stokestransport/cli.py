@@ -208,14 +208,14 @@ def _load_section(cmd: str, config_path: str | None) -> dict:
             raise ConfigError(f"cannot parse {config_path}: {exc}") from exc
         if parser.has_section(cmd):
             for key, value in parser.items(cmd):
-                if "." in key:
-                    scen_keys[key] = value
-                elif key in merged:
-                    merged[key] = value
-                else:
+                # a dotted key passes a parameter to a scenario key
+                prefix, dot, _ = key.partition(".")
+                if prefix not in merged or (
+                        dot and prefix not in ("scenario", "scenario2")):
                     raise ConfigError(
                         f"unknown key {key!r} in section [{cmd}] of "
                         f"{config_path}")
+                (scen_keys if dot else merged)[key] = value
     merged.update(scen_keys)
     return merged
 

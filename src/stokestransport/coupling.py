@@ -150,6 +150,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     partition = Partition(rho0.grid, rho0.domain) if rho0.domain.periodic else None
 
     rho_series = [rho0] * len(times)
+    sols = [solve_buoyancy(rho0, stokes_config)] * len(times)
     rho0_sup = lq_norm(rho0, np.inf)
     ratio_max = 0.0
     speed_max = 0.0
@@ -157,7 +158,6 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     converged = False
 
     for _ in range(max_picard):
-        sols = [solve_buoyancy(r, stokes_config) for r in rho_series]
         us = [s.u for s in sols]
         for r, s in zip(rho_series, sols):
             sup = lq_norm(r, np.inf)
@@ -174,6 +174,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
                     for a, b in zip(new_series, rho_series))
         diffs.append(delta)
         rho_series = new_series
+        sols = [solve_buoyancy(r, stokes_config) for r in rho_series]
         if delta < tol:
             converged = True
             break
@@ -194,9 +195,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         iterations=len(diffs),
         times=times,
     )
-    final_sols = [solve_buoyancy(r, stokes_config) for r in rho_series]
-    states = [_make_state(t, r, s)
-              for t, r, s in zip(times, rho_series, final_sols)]
+    states = [_make_state(t, r, s) for t, r, s in zip(times, rho_series, sols)]
     return states, trace
 
 

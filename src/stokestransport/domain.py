@@ -295,8 +295,7 @@ def interpolate_velocity(u: VelocityField, point) -> tuple[float, float]:
         raise ValueError(f"z = {z} outside [0, 1]")
     if not dom.periodic and not (0.0 <= x <= dom.x_extent):
         raise ValueError(f"x = {x} outside [0, {dom.x_extent}]")
-    px = np.array([x])
-    pz = np.array([z])
-    v1 = _kernels.sample_u1(u.u1.values, px, pz, g.hx, g.hz, dom.periodic, dom.x_extent)
-    v2 = _kernels.sample_u2(u.u2.values, px, pz, g.hx, g.hz, dom.periodic, dom.x_extent)
+    v1, v2 = _kernels.sample_velocity(u.u1.values, u.u2.values, np.array([x]),
+                                      np.array([z]), g.hx, g.hz, dom.periodic,
+                                      dom.x_extent)
     return float(v1[0]), float(v2[0])

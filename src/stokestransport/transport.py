@@ -93,12 +93,6 @@ class FlowMap:
                              indexing="ij")
         return px + self.displacement[:, :, 0], pz + self.displacement[:, :, 1]
 
-    def _sampled_disp(self, px, pz):
-        g, dom = self.grid, self.domain
-        d = _kernels.sample_center(self.displacement, px, pz, g.hx, g.hz,
-                                   dom.periodic, dom.x_extent)
-        return d[..., 0], d[..., 1]
-
 
 class VelocitySeries:
     """Linear-in-time interpolation between velocity snapshots.
@@ -191,11 +185,13 @@ def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
         raise ValueError(
             f"cannot compose: inner ends at t = {inner.t1}, outer starts at "
             f"t = {outer.t0}")
+    g, dom = outer.grid, outer.domain
     qx, qz = inner.map_centers()
-    dx, dz = outer._sampled_disp(qx.ravel(), qz.ravel())
+    d = _kernels.sample_center(outer.displacement, qx.ravel(), qz.ravel(),
+                               g.hx, g.hz, dom.periodic, dom.x_extent)
     disp = np.empty_like(inner.displacement)
-    disp[:, :, 0] = inner.displacement[:, :, 0] + dx.reshape(qx.shape)
-    disp[:, :, 1] = inner.displacement[:, :, 1] + dz.reshape(qz.shape)
+    disp[:, :, 0] = inner.displacement[:, :, 0] + d[:, 0].reshape(qx.shape)
+    disp[:, :, 1] = inner.displacement[:, :, 1] + d[:, 1].reshape(qz.shape)
     return FlowMap(t0=inner.t0, t1=outer.t1, grid=inner.grid,
                    domain=inner.domain, displacement=disp)
 

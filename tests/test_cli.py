@@ -179,6 +179,9 @@ class TestConfigErrors:
         ("ledger", "families = 3\nrecursion_c = inf\n", []),
         ("ledger", "families = 3\ndatum_f = inf\n", []),
         ("ledger", "families = 3\ndatum_f = nan\n", []),
+        ("simulate", "nx = 32\nnz = 16\nfoo.bar = 1\n", []),
+        ("simulate", "nx = 32\nnz = 16\nscenario2.eps = 0.3\n", []),
+        ("ledger", "families = 3\nscenario.eps = 0.3\n", []),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -190,7 +193,9 @@ class TestConfigErrors:
             "norms_negative_seed_flag", "norms_uloc_not_a_boolean",
             "ledger_negative_seed", "ledger_negative_seed_flag",
             "ledger_nan_recursion_c", "ledger_inf_recursion_c",
-            "ledger_inf_datum_f", "ledger_nan_datum_f"])
+            "ledger_inf_datum_f", "ledger_nan_datum_f",
+            "simulate_unknown_dotted_key", "simulate_scenario2_param",
+            "ledger_scenario_param"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stokestransport import coupling
 from stokestransport.coupling import (
     EnergyLedger,
     PicardDivergenceError,
@@ -69,6 +70,24 @@ class TestPicard:
             picard_solve(rho0, T=1.0, n_time_nodes=1)
         with pytest.raises(ValueError):
             picard_solve(rho0, T=1.0, max_picard=0)
+
+    def test_each_sweep_solves_each_node_once(self, strip, monkeypatch):
+        # rho0 is solved once; every sweep then solves its new series once,
+        # and the last sweep's solutions are the returned states
+        calls = []
+
+        def counted(rho, *args, **kwargs):
+            calls.append(rho)
+            return solve(rho, *args, **kwargs)
+
+        solve = coupling.solve_buoyancy
+        monkeypatch.setattr(coupling, "solve_buoyancy", counted)
+        dom, grid = strip
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        states, trace = picard_solve(rho0, T=0.5, n_time_nodes=4)
+        assert trace.iterations >= 2
+        assert len(calls) == 1 + trace.iterations * 4
+        assert all(s.rho is r for s, r in zip(states, calls[-4:]))
 
     def test_rectangle_mode(self, rect):
         dom, grid = rect

@@ -1,9 +1,13 @@
 """The transport kernels against their reference, and sampling semantics.
 
-``_reference_kernels`` holds the original vectorized arithmetic.  The
-production kernels share index work across fields and channels but keep
-every floating-point expression, so everything here demands bitwise
-equality, not approximate closeness.
+``_reference_kernels`` holds the original vectorized arithmetic, with one
+sampler per staggering.  The production kernels locate every staggering
+with one per-axis rule and blend both velocity components through one face
+sampler (``sample_velocity`` returns u1 and u2 together); they share index
+work across fields and channels but keep every floating-point expression,
+so everything here demands bitwise equality, not approximate closeness.
+Non-finite points must come back as NaN or a clamped wall value, without
+raising or hanging.
 """
 
 import numpy as np
@@ -77,10 +81,9 @@ class TestReferenceParity:
         # which the clamp in sample_center must undo
         c = rng.choice([0.1, 0.7, 1.3], size=(nx, nz))
         args = (px, pz, grid.hx, grid.hz, dom.periodic, L)
-        assert np.array_equal(_kernels.sample_u1(u1, *args),
-                              ref._np_sample_u1(u1, *args))
-        assert np.array_equal(_kernels.sample_u2(u2, *args),
-                              ref._np_sample_u2(u2, *args))
+        v1, v2 = _kernels.sample_velocity(u1, u2, *args)
+        assert np.array_equal(v1, ref._np_sample_u1(u1, *args))
+        assert np.array_equal(v2, ref._np_sample_u2(u2, *args))
         assert np.array_equal(_kernels.sample_center(c, *args),
                               ref._np_sample_center(c, *args))
 
@@ -126,25 +129,26 @@ class TestSamplingSemantics:
         # offsets by the exact period reduce to the same wrapped abscissa
         grid, dom, u1, u2, px, pz = _sample_args(strip)
         pz = np.clip(pz, 0.0, 1.0)
-        base = _kernels.sample_u1(u1, px, pz, grid.hx, grid.hz, True, dom.x_extent)
-        moved = _kernels.sample_u1(u1, px + dom.x_extent, pz, grid.hx, grid.hz,
-                                   True, dom.x_extent)
-        assert np.array_equal(base, moved)
+        args = (grid.hx, grid.hz, True, dom.x_extent)
+        base = _kernels.sample_velocity(u1, u2, px, pz, *args)
+        moved = _kernels.sample_velocity(u1, u2, px + dom.x_extent, pz, *args)
+        assert np.array_equal(base[0], moved[0])
+        assert np.array_equal(base[1], moved[1])
 
     def test_z_clamped_to_walls(self, strip):
         grid, dom, u1, u2, px, pz = _sample_args(strip)
-        below = _kernels.sample_u2(u2, px, np.full_like(px, -3.0),
-                                   grid.hx, grid.hz, True, dom.x_extent)
-        at = _kernels.sample_u2(u2, px, np.zeros_like(px),
-                                grid.hx, grid.hz, True, dom.x_extent)
+        _, below = _kernels.sample_velocity(u1, u2, px, np.full_like(px, -3.0),
+                                            grid.hx, grid.hz, True, dom.x_extent)
+        _, at = _kernels.sample_velocity(u1, u2, px, np.zeros_like(px),
+                                         grid.hx, grid.hz, True, dom.x_extent)
         assert np.array_equal(below, at)
         assert np.all(at == 0.0)  # no-slip row
 
     def test_u1_vanishes_on_walls(self, strip):
         # tangential velocity blends linearly to zero inside the wall half-cell
         grid, dom, u1, u2, px, pz = _sample_args(strip)
-        top = _kernels.sample_u1(u1, px, np.ones_like(px), grid.hx, grid.hz,
-                                 True, dom.x_extent)
+        top, _ = _kernels.sample_velocity(u1, u2, px, np.ones_like(px),
+                                          grid.hx, grid.hz, True, dom.x_extent)
         assert np.all(top == 0.0)
 
     def test_center_extension_is_constant_beyond_walls(self, strip):
@@ -166,6 +170,53 @@ class TestSamplingSemantics:
         at = _kernels.sample_center(c, np.full(8, dom.x_extent), pz, grid.hx,
                                     grid.hz, False, dom.x_extent)
         assert np.array_equal(beyond, at)
+
+
+@pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
+                                     (DomainKind.RECTANGLE, 1.5)],
+                         ids=["strip", "rectangle"])
+class TestNonFinitePoints:
+    """A non-finite point neither raises nor hangs: the clipped gather keeps
+    its index in bounds, a NaN weight carries NaN through, and an infinite
+    coordinate clamps like any point beyond a wall."""
+
+    _X = [0.0, 0.3, 0.77, 1.5]
+    _Z = [0.0, 0.03, 0.5, 0.97, 1.0]
+
+    @staticmethod
+    def _sample(kind, L, px, pz):
+        dom, grid, rng, u1, u2, _, _ = _case(kind, L, 16, 8)
+        c = rng.standard_normal((16, 8))
+        args = (np.asarray(px, dtype=float), np.asarray(pz, dtype=float),
+                grid.hx, grid.hz, dom.periodic, L)
+        with np.errstate(invalid="ignore"):
+            return (*_kernels.sample_velocity(u1, u2, *args),
+                    _kernels.sample_center(c, *args))
+
+    def test_nan_x_gives_nan(self, kind, L):
+        got = self._sample(kind, L, np.full(5, np.nan), self._Z)
+        assert all(np.all(np.isnan(v)) for v in got)
+
+    def test_nan_z_gives_nan(self, kind, L):
+        got = self._sample(kind, L, self._X, np.full(4, np.nan))
+        assert all(np.all(np.isnan(v)) for v in got)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_x(self, kind, L, sign):
+        got = self._sample(kind, L, np.full(5, sign * np.inf), self._Z)
+        if kind is DomainKind.STRIP:
+            assert all(np.all(np.isnan(v)) for v in got)
+            return
+        edge = self._sample(kind, L, np.full(5, L if sign > 0 else 0.0),
+                            self._Z)
+        assert all(np.array_equal(a, b) for a, b in zip(got, edge))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_z_clamps_to_wall(self, kind, L, sign):
+        got = self._sample(kind, L, self._X, np.full(4, sign * np.inf))
+        wall = self._sample(kind, L, self._X, np.full(4, max(sign, 0.0)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, wall))
+        assert all(np.all(np.isfinite(v)) for v in got)
 
 
 class TestEnvSelection:

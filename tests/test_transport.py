@@ -92,6 +92,17 @@ class TestIntegrateFlow:
         fm_exact = integrate_flow(provider, 0.0, 0.5, TransportConfig(dt=0.5 / 4))
         assert np.array_equal(fm_coarse.displacement, fm_exact.displacement)
 
+    def test_overflowing_trajectory_raises(self, strip):
+        # one step of 10 at speed 1e308 overflows x to inf, which wraps to
+        # NaN; the step check must stop it instead of returning a map
+        dom, grid = strip
+        u1 = np.full((grid.nx, grid.nz), 1e308)
+        u = VelocityField.from_arrays(grid, dom, u1,
+                                      np.zeros((grid.nx, grid.nz + 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="non-finite"):
+                integrate_flow(u, 0.0, 10.0, TransportConfig(dt=10.0))
+
 
 class TestPushForward:
     def test_time_zero_is_bitwise_identity(self, strip):
