@@ -3,13 +3,13 @@
 Subcommands: stokes, transport, simulate, picard, stability, norms,
 ledger.  Each reads one section of an INI-style config (section name =
 subcommand name), applies defaults for anything unset, and lets the
-flags --out and --seed override their config keys.  Every key has one
-parser in ``_TYPES``; the whole section is converted and range-checked
-there before any command runs, and the commands check only the rules
-that join two keys.  A run writes the resolved key set, as text, to
-resolved.ini beside the outputs and prints a short summary block.
-Numeric output uses 17 significant digits so values round-trip through
-text exactly.
+flag --out, and --seed where the section has a seed key (norms, ledger),
+override their config keys.  Every key has one parser in ``_TYPES``; the
+whole section is converted and range-checked there before any command
+runs, and the commands check only the rules that join two keys.  A run
+writes the resolved key set, as text, to resolved.ini beside the outputs
+and prints a short summary block.  Numeric output uses 17 significant
+digits so values round-trip through text exactly.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error (nothing
 is written in that case).
@@ -257,6 +257,8 @@ def _stokes_solution(cfg: dict, grid, dom):
         if not dom.periodic:
             raise ConfigError("the channel profile needs domain = strip")
         return poiseuille(cfg["phi"], grid, dom)
+    if cfg["flux"] != 0.0 and not dom.periodic:
+        raise ConfigError("a nonzero flux needs domain = strip (a closed box carries none)")
     rho = _build_density(cfg, grid, dom)
     return solve_buoyancy(rho, StokesConfig(flux_target=cfg["flux"]))
 
@@ -487,8 +489,9 @@ def _parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name)
         s.add_argument("--config", default=None, help="INI config path")
         s.add_argument("--out", default=None, help="output directory")
-        s.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized suites")
+        if "seed" in _DEFAULTS[name]:
+            s.add_argument("--seed", type=int, default=None,
+                           help="seed for randomized suites")
         if name == "stokes":
             s.add_argument("--poiseuille", type=float, default=None,
                            metavar="PHI", help="channel-flow shortcut")
@@ -523,8 +526,9 @@ def main(argv=None) -> int:
         if cmd == "stokes" and args.poiseuille is not None:
             raw["problem"] = "poiseuille"
             raw["phi"] = str(args.poiseuille)
-        if args.seed is not None and "seed" in raw:
-            raw["seed"] = str(args.seed)
+        seed = getattr(args, "seed", None)
+        if seed is not None:
+            raw["seed"] = str(seed)
         cfg = _convert(raw)
         out = _resolve_out(cfg, args.out)
         summary = _COMMANDS[cmd](cfg, out)

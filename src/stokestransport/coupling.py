@@ -42,7 +42,7 @@ import scipy.special
 
 from .domain import DomainSpec, GridSpec, ScalarField, VelocityField, z_centers
 from .norms import Partition, hneg1_norm, lq_norm, h1_norm, uloc_norm, w1inf_norm
-from .stokes import StokesConfig, StokesSolution, flux_profile, solve_buoyancy
+from .stokes import StokesSolution, flux_profile, solve_buoyancy
 from .transport import (
     FlowMap,
     TransportConfig,
@@ -128,15 +128,13 @@ def _diff_norm(a: ScalarField, b: ScalarField, partition: Partition | None,
 
 
 def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
-                 tol: float = 1e-8, max_picard: int = 25,
-                 stokes_config: StokesConfig | None = None,
-                 transport_config: TransportConfig | None = None):
+                 tol: float = 1e-8, max_picard: int = 25):
     """Alternate Stokes and transport solves on [0, T] to a fixed point.
 
     Returns (states, trace): the final self-consistent time series and the
     iteration record.  Divergence (no decrease in the iterate distance by
     the iteration cap) raises PicardDivergenceError suggesting a shorter
-    window.
+    window.  Each flow map is integrated with a quarter of the node spacing.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
@@ -145,12 +143,11 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     if max_picard < 1:
         raise ValueError("max_picard must be >= 1")
     times = np.linspace(0.0, float(T), int(n_time_nodes))
-    if transport_config is None:
-        transport_config = TransportConfig(dt=float(times[1] - times[0]) / 4.0)
+    config = TransportConfig(dt=float(times[1] - times[0]) / 4.0)
     partition = Partition(rho0.grid, rho0.domain) if rho0.domain.periodic else None
 
     rho_series = [rho0] * len(times)
-    sols = [solve_buoyancy(rho0, stokes_config)] * len(times)
+    sols = [solve_buoyancy(rho0)] * len(times)
     rho0_sup = lq_norm(rho0, np.inf)
     ratio_max = 0.0
     speed_max = 0.0
@@ -167,14 +164,14 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
                             float(np.abs(s.u.u1.values).max()),
                             float(np.abs(s.u.u2.values).max()))
         provider = VelocitySeries(times, us)
-        maps = backward_flow_maps(provider, times, transport_config)
+        maps = backward_flow_maps(provider, times, config)
         new_series = [_pull_back(rho0, m) for m in maps]
         margin = speed_max * float(T)
         delta = max(_diff_norm(a, b, partition, margin)
                     for a, b in zip(new_series, rho_series))
         diffs.append(delta)
         rho_series = new_series
-        sols = [solve_buoyancy(r, stokes_config) for r in rho_series]
+        sols = [solve_buoyancy(r) for r in rho_series]
         if delta < tol:
             converged = True
             break
@@ -199,8 +196,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     return states, trace
 
 
-def time_march(rho0: ScalarField, T: float, dt: float,
-               stokes_config: StokesConfig | None = None):
+def time_march(rho0: ScalarField, T: float, dt: float):
     """March the coupled system to time T with velocity frozen per step.
 
     The returned states sample every step boundary, t = 0 included.  The
@@ -222,7 +218,7 @@ def time_march(rho0: ScalarField, T: float, dt: float,
     states = []
     warned = False
     for k in range(nsteps + 1):
-        sol = solve_buoyancy(rho, stokes_config)
+        sol = solve_buoyancy(rho)
         states.append(_make_state(bounds[k], rho, sol))
         if k == nsteps:
             break
@@ -251,9 +247,7 @@ class StabilityExperimentReport:
 
 
 def stability_experiment(rho0_1: ScalarField, rho0_2: ScalarField, T: float,
-                         dt: float | None = None,
-                         stokes_config: StokesConfig | None = None
-                         ) -> StabilityExperimentReport:
+                         dt: float | None = None) -> StabilityExperimentReport:
     """Evolve two data sets side by side and track their dual-norm gap.
 
     values holds G(t) = gap(t) / gap(0) when the initial gap is nonzero,
@@ -264,8 +258,8 @@ def stability_experiment(rho0_1: ScalarField, rho0_2: ScalarField, T: float,
         raise ValueError("both data sets must live on one grid")
     if dt is None:
         dt = T / 16.0
-    s1 = time_march(rho0_1, T, dt, stokes_config)
-    s2 = time_march(rho0_2, T, dt, stokes_config)
+    s1 = time_march(rho0_1, T, dt)
+    s2 = time_march(rho0_2, T, dt)
     dom = rho0_1.domain
     partition = Partition(rho0_1.grid, dom) if dom.periodic else None
     speed = max(st.norms["u_linf"] for st in s1 + s2)
@@ -293,6 +287,8 @@ def contraction_window(B: float, target: float = 0.4, cap: float = 1.0) -> float
     """Largest T with B T e^{BT} <= target, capped; solves via Lambert W."""
     if not (0.0 < target < 1.0):
         raise ValueError("target must lie in (0, 1)")
+    if math.isnan(B):
+        raise ValueError("B must be a number, got nan")
     if B <= 0.0:
         return cap
     y = float(scipy.special.lambertw(target).real)
@@ -313,14 +309,16 @@ class EnergyLedger:
     F: float
 
     def __post_init__(self):
-        if self.C <= 0.0 or self.F <= 0.0:
-            raise ValueError("C and F must be positive")
+        if not (0.0 < self.C < math.inf and 0.0 < self.F < math.inf):
+            raise ValueError("C and F must be positive and finite")
         clean = {}
         for n, arr in self.E.items():
             n = int(n)
             a = np.asarray(arr, dtype=float)
             if a.ndim != 1 or a.size != n:
                 raise ValueError(f"E[{n}] must hold exactly {n} values")
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"E[{n}] must hold finite values")
             clean[n] = a
         object.__setattr__(self, "E", clean)
 

@@ -107,6 +107,13 @@ class TestStokesCommand:
         assert rc == 0
         assert (out / "u1.stf").exists()
 
+    def test_zero_flux_stays_valid_on_the_rectangle(self, tmp_path):
+        out = tmp_path / "box"
+        cfg = write_cfg(tmp_path, "[stokes]\ndomain = rectangle\nx_extent = 1\n"
+                                  "problem = buoyancy\nflux = 0\n" + _SMALL)
+        assert cli.main(["stokes", "--config", cfg, "--out", str(out)]) == 0
+        assert "flux=" not in (out / "summary.txt").read_text()
+
 
 class TestConfigErrors:
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -182,6 +189,10 @@ class TestConfigErrors:
         ("simulate", "nx = 32\nnz = 16\nfoo.bar = 1\n", []),
         ("simulate", "nx = 32\nnz = 16\nscenario2.eps = 0.3\n", []),
         ("ledger", "families = 3\nscenario.eps = 0.3\n", []),
+        ("stokes", _SMALL + "domain = rectangle\nx_extent = 1\n"
+                   "problem = buoyancy\nflux = 5.0\n", []),
+        ("transport", _SMALL + "domain = rectangle\nx_extent = 1\n"
+                      "problem = buoyancy\nflux = 5.0\n", []),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -195,7 +206,8 @@ class TestConfigErrors:
             "ledger_nan_recursion_c", "ledger_inf_recursion_c",
             "ledger_inf_datum_f", "ledger_nan_datum_f",
             "simulate_unknown_dotted_key", "simulate_scenario2_param",
-            "ledger_scenario_param"])
+            "ledger_scenario_param", "stokes_rectangle_flux",
+            "transport_rectangle_flux"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"
@@ -205,6 +217,18 @@ class TestConfigErrors:
         assert rc == 2
         assert list(out.iterdir()) == []
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["stokes", "transport", "simulate",
+                                     "picard", "stability"])
+    def test_seed_flag_rejected_without_a_seed_key(self, tmp_path, capsys, cmd):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + _SMALL)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, "--config", cfg, "--out", str(out), "--seed", "5"])
+        assert exc.value.code == 2
+        assert list(out.iterdir()) == []
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestKeyTable:

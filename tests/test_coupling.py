@@ -253,6 +253,10 @@ class TestContractionWindow:
         assert contraction_window(0.0) == 1.0
         assert contraction_window(-3.0, cap=0.7) == 0.7
 
+    def test_nan_b_rejected(self):
+        with pytest.raises(ValueError):
+            contraction_window(math.nan)
+
 
 class _LinearLedger:
     """E_{n,k} = k F with C = 1: recursion reads k <= 1 * (0 + (k+1))."""
@@ -322,3 +326,15 @@ class TestLedger:
             EnergyLedger(E={1: np.array([1.0])}, C=0.0, F=1.0)
         with pytest.raises(ValueError):
             EnergyLedger(E={1: np.array([1.0])}, C=1.0, F=-2.0)
+
+    @pytest.mark.parametrize("E, C, F", [
+        ({1: [0.5], 2: [0.7, math.nan], 3: [0.1, 0.2, 0.3]}, 1.5, 0.8),
+        ({1: [0.5], 2: [0.7, math.inf]}, 1.5, 0.8),
+        ({1: [0.5]}, 1.5, math.inf),
+        ({1: [0.5]}, math.nan, 0.8),
+        ({1: [0.5]}, math.inf, 0.8),
+        ({1: [0.5]}, 1.5, math.nan),
+    ], ids=["nan_energy", "inf_energy", "inf_F", "nan_C", "inf_C", "nan_F"])
+    def test_non_finite_data_rejected(self, E, C, F):
+        with pytest.raises(ValueError):
+            EnergyLedger(E=E, C=C, F=F)

@@ -291,12 +291,43 @@ def test_factor_cache_keeps_four_grids(cached):
     assert cached.cache_info().misses == 6
 
 
+class _NanSolve:
+    """A factor stand-in whose solve returns NaN of the right shape."""
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+class TestFinisher:
+    def test_rectangle_non_finite_solve_raises(self, rect, monkeypatch):
+        dom, grid = rect
+        monkeypatch.setattr(stokes, "_rect_solver", lambda g: (_NanSolve(), 0))
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        with pytest.raises(StokesSolveError, match="non-finite"):
+            solve_stokes_bounded(f)
+
+    def test_strip_non_finite_solve_raises(self, strip, monkeypatch):
+        dom, grid = strip
+        fac = dict(stokes._strip_factor(grid), modes=_NanSolve())
+        monkeypatch.setattr(stokes, "_strip_factor", lambda g: fac)
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        with pytest.raises(StokesSolveError, match="non-finite"):
+            solve_stokes_strip(f)
+
+    def test_flux_is_reported_on_the_strip_only(self, rect, strip):
+        sols = [solve_buoyancy(make_density("stratified_perturbed", grid, dom))
+                for dom, grid in (rect, strip)]
+        assert sols[0].flux is None
+        assert sols[1].flux == float(flux_profile(sols[1].u)[0])
+
+
 class TestValidation:
-    def test_config_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            StokesConfig(linear_solver_tolerance=0.0)
-        with pytest.raises(ValueError):
-            StokesConfig(linear_solver_tolerance=1e-3)
+    def test_rectangle_rejects_nonzero_flux_target(self, rect):
+        dom, grid = rect
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        with pytest.raises(ValueError, match="flux"):
+            solve_stokes_bounded(f, StokesConfig(flux_target=5.0))
+        solve_stokes_bounded(f, StokesConfig(flux_target=0.0))  # zero stays valid
 
     def test_config_rejects_nonfinite_flux(self):
         with pytest.raises(ValueError):
