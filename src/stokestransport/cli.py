@@ -256,6 +256,9 @@ def _stokes_solution(cfg: dict, grid, dom):
     if cfg["problem"] == "poiseuille":
         if not dom.periodic:
             raise ConfigError("the channel profile needs domain = strip")
+        if cfg["flux"] != 0.0:
+            raise ConfigError("flux is the buoyancy problem's flux target; "
+                              "the channel profile's flux is phi")
         return poiseuille(cfg["phi"], grid, dom)
     if cfg["flux"] != 0.0 and not dom.periodic:
         raise ConfigError("a nonzero flux needs domain = strip (a closed box carries none)")

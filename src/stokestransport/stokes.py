@@ -6,15 +6,21 @@ holds the discretization notes.  Both solvers end in one finisher,
 non-finite output, applies the residual and divergence gate and builds the
 ``StokesSolution``.
 
-Rectangle mode assembles the full saddle-point system (velocity Laplacian,
-pressure gradient / divergence couplings) and factorizes it once per grid.
-Pressure is fixed only up to a constant, so the continuity row of cell
-(0, 0) is replaced by the single-entry row p[0, 0] = 0.  No constraint is
-lost: under no-slip the continuity rows sum to zero (the divergence
-telescopes to the wall fluxes, which vanish), so cell (0, 0)'s divergence
-is implied by all the others.  The mean is removed after the solve.  One
-pinned cell keeps the matrix sparse, where a mean-pressure row and column
-would couple every cell.
+Rectangle mode is a fast diagonalization (Lynch, Rice & Thomas 1964) with
+a capacitance correction (Buzbee, Golub & Nielson 1970).  With free-slip
+walls (tangential ghost = first sample) every MAC factor is diagonal in an
+orthonormal sine or cosine basis: u1 is DST-I in x by DCT-II in z, u2 is
+DCT-II by DST-I and p is DCT-II by DCT-II.  With g(k) = -2 sin(pi k / 2n) / h
+per axis and lam = gx^2 + gz^2, mode (k, l) then solves in closed form:
+p = (gx f1 + gz f2) / lam, u1 = (f1 - gx p) / lam, u2 = (f2 - gz p) / lam,
+and the constant mode (0, 0) is 0, which fixes the pressure mean without a
+pin.  No-slip differs from free-slip only in the r = 2(nx-1) + 2(nz-1)
+wall-adjacent tangential rows (+3/h^2 on the diagonal, -1/(3h^2) on the
+neighbour, from ``_mac``'s quadratic ghost), so the r x r capacitance
+matrix of those rows is assembled from 1D transform matrices and factored
+once per grid.  A solve is one forward transform, the wall defect of the
+free-slip answer, one dense back-substitution, a low-rank change of the
+transformed forcing, and one inverse transform per field.
 
 Strip mode applies an FFT in x; each wavenumber yields a small banded
 saddle system in z.  All nonzero wavenumbers share one sparsity pattern, so
@@ -31,9 +37,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -139,50 +146,122 @@ def check_compatibility(g: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rectangle: one sparse saddle-point factorization per grid
+# rectangle: free-slip modes by fast transforms, no-slip walls by capacitance
 # ---------------------------------------------------------------------------
 
-def _rect_matrix(grid: GridSpec) -> scipy.sparse.csc_matrix:
-    """The saddle matrix; cell (0, 0)'s continuity row is the pin p = 0."""
-    X, Z = _mac.axes(grid, False)
-    nx, nz = grid.nx, grid.nz
-    kron, eye = scipy.sparse.kron, scipy.sparse.identity
-    a1 = kron(X.faces, eye(nz)) + kron(eye(nx - 1), Z.centers)
-    a2 = kron(X.centers, eye(nz - 1)) + kron(eye(nx), Z.faces)
-    g1 = kron(X.grad, eye(nz), format="csr")
-    g2 = kron(eye(nx), Z.grad, format="csr")
-    pin = scipy.sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, nx * nz))
-    return scipy.sparse.bmat([[a1, None, g1], [None, a2, g2], [None, None, pin],
-                              [-g1.T[1:], -g2.T[1:], None]], format="csc")
+# orthonormal transforms along one axis; DST-I is its own inverse
+_dst = functools.partial(scipy.fft.dst, type=1, norm="ortho")
+_dct = functools.partial(scipy.fft.dct, type=2, norm="ortho")
+_idct = functools.partial(scipy.fft.idct, type=2, norm="ortho")
+
+
+def _transforms(n: int, h: float):
+    """(S, C, g) of a walled axis of n cells; the rows of S and C are modes.
+
+    S is the orthonormal DST-I on the n - 1 interior faces, C the orthonormal
+    DCT-II on the n centers and g[k] = -2 sin(pi k / 2n) / h the gradient
+    symbol: S.T diag(g[1:]) C[1:] is ``Axis.grad``, S.T diag(g[1:]**2) S is
+    ``Axis.faces`` and C.T diag(g**2) C the free-slip center Laplacian.
+    """
+    S, C = _dst(np.eye(n - 1), axis=0), _dct(np.eye(n), axis=0)
+    return S, C, -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
+
+
+def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
+    """The two wall rows of ``axis.centers`` minus their free-slip rows."""
+    rows = axis.centers[[0, -1]].toarray()
+    h2 = h * h
+    rows[0, :2] -= 1.0 / h2, -1.0 / h2
+    rows[1, -2:] -= -1.0 / h2, 1.0 / h2
+    return rows
+
+
+class _RectFactor(NamedTuple):
+    gx: np.ndarray   # (nx, 1) gradient symbol
+    gz: np.ndarray   # (1, nz)
+    inv: np.ndarray  # 1 / (gx^2 + gz^2), 0 for the constant mode
+    Sx: np.ndarray   # (nx - 1, nx - 1) DST-I matrix along x
+    Sz: np.ndarray   # (nz - 1, nz - 1)
+    qx: np.ndarray   # (nx, 2) DCT-II of a unit in the first and last x cell
+    qz: np.ndarray   # (nz, 2)
+    rx: np.ndarray   # (2, nx) the two x wall-row corrections, in DCT-II
+    rz: np.ndarray   # (2, nz)
+    cap: tuple       # lu_factor of the capacitance matrix
+
+
+def _tile(blocks: np.ndarray) -> np.ndarray:
+    """(2, 2, n, m) wall-pair blocks -> the (2n, 2m) matrix they tile."""
+    a, b, n, m = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(a * n, b * m)
 
 
 @functools.lru_cache(maxsize=4)
-def _rect_solver(grid: GridSpec):
-    """(factorization, L+U nonzeros) of the rectangle system, per grid."""
-    lu = scipy.sparse.linalg.splu(_rect_matrix(grid))
-    return lu, lu.L.nnz + lu.U.nnz
+def _rect_factor(grid: GridSpec) -> _RectFactor:
+    """Mode symbols and the factored wall capacitance of the rectangle.
+
+    No-slip is free-slip plus U V^T, where U picks the r wall-adjacent
+    tangential rows and V^T holds their ghost corrections; the capacitance is
+    I + V^T A_free^-1 U.  Each block reads one wall family's rows of the
+    free-slip response to a unit force on another family's rows; in the mode
+    basis both are a DST-I along the wall times a fixed DCT-II vector across
+    it, so a block is S^T diag(w) S within a family and Sx^T H Sz across.
+    """
+    X, Z = _mac.axes(grid, False)
+    Sx, Cx, gx = _transforms(grid.nx, grid.hx)
+    Sz, Cz, gz = _transforms(grid.nz, grid.hz)
+    gx, gz = gx[:, None], gz[None, :]
+    lam = gx * gx + gz * gz
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    qx, qz = Cx[:, [0, -1]], Cz[:, [0, -1]]
+    rx, rz = _wall_rows(X, grid.hx) @ Cx.T, _wall_rows(Z, grid.hz) @ Cz.T
+    inv2 = inv * inv
+    w11, w12, w22 = gz * gz * inv2, (-gx * gz * inv2)[1:, 1:], gx * gx * inv2
+    b11 = Sx.T @ (((rz[:, None] * qz.T) @ w11[1:].T)[..., None] * Sx)
+    b22 = Sz.T @ (((rx[:, None] * qx.T) @ w22[:, 1:])[..., None] * Sz)
+    b12 = Sx.T @ (w12 * qx[1:].T[None, :, :, None] * rz[:, None, None, 1:]) @ Sz
+    b21 = Sz.T @ (w12.T * qz[1:].T[None, :, :, None] * rx[:, None, None, 1:]) @ Sx
+    cap = np.block([[_tile(b11), _tile(b12)], [_tile(b21), _tile(b22)]])
+    cap[np.diag_indices_from(cap)] += 1.0
+    return _RectFactor(gx, gz, inv, Sx, Sz, qx, qz, rx, rz, scipy.linalg.lu_factor(cap))
+
+
+def _free_slip(fac: _RectFactor, f1, f2):
+    """Per-mode free-slip solve on (nx, nz) coefficient arrays.
+
+    Row 0 of f1 and u1 and column 0 of f2 and u2 are padding: sine mode 0
+    does not exist.
+    """
+    p = (fac.gx * f1 + fac.gz * f2) * fac.inv
+    return (f1 - fac.gx * p) * fac.inv, (f2 - fac.gz * p) * fac.inv, p
 
 
 def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
-    """No-slip Stokes solve on the rectangle; mean pressure pinned to zero."""
+    """No-slip Stokes solve on the rectangle with zero-mean pressure."""
     config = config or StokesConfig()
     if f.domain.periodic:
         raise ValueError("solve_stokes_bounded expects a rectangle forcing")
     if config.flux_target != 0.0:
         raise ValueError("a closed rectangle carries no net flux; flux_target must be 0")
     nx, nz = f.grid.nx, f.grid.nz
-    nu1, nu2 = (nx - 1) * nz, nx * (nz - 1)
-    rhs = np.concatenate([f.f1[1:-1, :].ravel(), f.f2[:, 1:-1].ravel(), np.zeros(nx * nz)])
-    try:
-        lu, lu_nnz = _rect_solver(f.grid)
-        sol = lu.solve(rhs)
-    except RuntimeError as exc:  # singular factorization
-        raise StokesSolveError(f"sparse factorization failed: {exc}") from exc
+    fac = _rect_factor(f.grid)
+    f1, f2 = np.zeros((nx, nz)), np.zeros((nx, nz))
+    f1[1:] = _dst(_dct(f.f1[1:-1], axis=1), axis=0)
+    f2[:, 1:] = _dct(_dst(f.f2[:, 1:-1], axis=1), axis=0)
+    # free-slip solve, its no-slip defect in the wall rows, the capacitance
+    # weights of the wall forces that cancel it, and the corrected solve
+    u1, u2, _ = _free_slip(fac, f1, f2)
+    defect = np.concatenate([(fac.rz @ u1[1:].T @ fac.Sx).ravel(),
+                             (fac.rx @ u2[:, 1:] @ fac.Sz).ravel()])
+    c = scipy.linalg.lu_solve(fac.cap, defect, check_finite=False)
+    f1[1:] -= fac.Sx @ c[:2 * (nx - 1)].reshape(2, nx - 1).T @ fac.qz.T
+    f2[:, 1:] -= fac.qx @ (c[2 * (nx - 1):].reshape(2, nz - 1) @ fac.Sz.T)
+    u1, u2, p = _free_slip(fac, f1, f2)
     a1 = np.zeros((nx + 1, nz))
-    a1[1:-1, :] = sol[:nu1].reshape(nx - 1, nz)
-    return _finish(f, config, a1, sol[nu1:nu1 + nu2].reshape(nx, nz - 1),
-                   sol[nu1 + nu2:].reshape(nx, nz), 0.0,
-                   {"solver": "sparse-lu", "lu_nnz": lu_nnz, "unknowns": sol.size})
+    a1[1:-1] = _dst(_idct(u1[1:], axis=1), axis=0)
+    return _finish(f, config, a1, _idct(_dst(u2[:, 1:], axis=1), axis=0),
+                   _idct(_idct(p, axis=0), axis=1), 0.0,
+                   {"solver": "transform-capacitance", "capacitance": c.size,
+                    "unknowns": (nx - 1) * nz + nx * (nz - 1) + nx * nz})
 
 
 def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:

@@ -193,6 +193,9 @@ class TestConfigErrors:
                    "problem = buoyancy\nflux = 5.0\n", []),
         ("transport", _SMALL + "domain = rectangle\nx_extent = 1\n"
                       "problem = buoyancy\nflux = 5.0\n", []),
+        ("stokes", _SMALL + "flux = 5.0\n", []),
+        ("stokes", _SMALL + "problem = poiseuille\nflux = -0.5\n", []),
+        ("transport", _SMALL + "flux = 5.0\n", []),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -207,7 +210,8 @@ class TestConfigErrors:
             "ledger_inf_datum_f", "ledger_nan_datum_f",
             "simulate_unknown_dotted_key", "simulate_scenario2_param",
             "ledger_scenario_param", "stokes_rectangle_flux",
-            "transport_rectangle_flux"])
+            "transport_rectangle_flux", "stokes_poiseuille_flux",
+            "stokes_poiseuille_negative_flux", "transport_poiseuille_flux"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"
