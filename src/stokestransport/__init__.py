@@ -18,7 +18,6 @@ from .domain import (
     ScalarField,
     VelocityField,
     divergence,
-    interpolate_velocity,
     make_grid,
     max_divergence,
 )
@@ -27,7 +26,6 @@ from .stokes import (
     StokesSolution,
     StokesSolveError,
     buoyancy_forcing,
-    check_compatibility,
     flux_profile,
     momentum_residual,
     poiseuille,
@@ -49,14 +47,12 @@ __all__ = [
     "ScalarField",
     "VelocityField",
     "divergence",
-    "interpolate_velocity",
     "make_grid",
     "max_divergence",
     "StokesConfig",
     "StokesSolution",
     "StokesSolveError",
     "buoyancy_forcing",
-    "check_compatibility",
     "flux_profile",
     "momentum_residual",
     "poiseuille",

@@ -4,19 +4,21 @@ One vectorized numpy implementation, evaluated over whole point arrays.
 Every query first locates its points once: x is wrapped into the period
 (strip) or clamped (rectangle), z is clamped, and both are scaled to cell
 units.  Every staggering then finds its cells with one per-axis rule,
-``_axis``, and gathers the corners through flat indices with
-``take(mode="clip")``: a non-finite point casts to index -2**63, which the
-clip keeps in bounds while its NaN weight still yields NaN (``mode="wrap"``
-would reduce it by repeated addition and never return).  Both velocity
-components share one face blend, ``_face_sample``: corner pairs along the
-face axis first (x for u1, z for u2), then across, then the no-slip wall
-blend where the cross axis is walled.  ``sample_velocity`` and each RK4 stage locate
-their points once for both components; ``sample_center`` blends every
-channel of an ``(nx, nz, k)`` array from one set of weights.  Blends and
-sums run in place on fresh temporaries, but every floating-point operation
-is the one the plain expressions in the comments and docstrings name, in
-the same order, so results match the original arithmetic (kept in
-``tests/_reference_kernels.py``) bit for bit.
+``_axis``, and reads the four corners from the field's corner table
+(``_corners``, the strip's wrap resolved when it is built) by one flat
+index and four ``take(mode="clip")`` calls: a non-finite point casts to
+index -2**63, which the clip keeps in bounds while its NaN weight still
+yields NaN.  Both velocity components share one face blend,
+``_face_sample``: corner pairs along the face axis first (x for u1, z for
+u2), then across, then the no-slip wall blend where the cross axis is
+walled.  Each RK4 stage locates its points once for both components and
+reads one table per distinct field; a first stage from the cell centres
+takes its located cells from a per-grid cache of read-only arrays.
+``sample_center`` blends every channel of an ``(nx, nz, k)`` array from
+one set of weights.  Blends run in place on fresh temporaries, but every
+floating-point operation is the one the plain expressions in the comments
+and docstrings name, in the same order, so results match the original
+arithmetic (kept in ``tests/_reference_kernels.py``) bit for bit.
 
 Sampling conventions:
 
@@ -33,10 +35,13 @@ Sampling conventions:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
     "backend_name",
+    "center_points",
     "sample_velocity",
     "sample_center",
     "rk4_step",
@@ -86,32 +91,39 @@ def _axis(f, n, periodic):
     return i, _clamp(f - i, 0.0, 1.0)
 
 
-def _cell_index(fi, fj, n, nz, periodic):
-    """Flat indices of cells (i, j), (i, j+1), (i+1, j), (i+1, j+1) in a
-    C-ordered (n, nz) array, from the integral float indices of (i, j).
+def _corners(c, periodic):
+    """Corner table of an (n, nz) field: four rows holding c[i, j],
+    c[i, j+1], c[i+1, j] and c[i+1, j+1] at flat index k * nz + j, with
+    k = i on a walled axis and k = i + 1 on the strip, whose wrapped
+    abscissa puts i in [-1, n].  The rows are overlapping views of one flat
+    array: the field itself, or on the strip the field between its wrapped
+    neighbour rows, which resolves the wrap once per table."""
+    nz = c.shape[1]
+    ext = np.concatenate((c[-1:], c, c[:2])) if periodic else c
+    e = np.ascontiguousarray(ext).ravel()
+    return e[:-nz - 1], e[1:-nz], e[nz:-1], e[nz + 1:]
 
-    On the strip the wrapped abscissa can round onto either end of the
-    period, so a row index lies in [-1, n]; one compare-and-add per side
-    wraps it, which is cheaper than an integer ``%``.
-    """
-    a = fi * nz
-    a += fj
-    a = a.astype(np.intp)
+
+def _cells(fx, fz, n, nz, periodic):
+    """Corner-table index and axis weights (tx, tz) of cell-unit positions
+    in an (n, nz) field; z is always walled."""
+    fi, tx = _axis(fx, n, periodic)
+    fj, tz = _axis(fz, nz, False)
     if periodic:
-        size = n * nz
-        np.add(a, size, out=a, where=a < 0)
-        np.subtract(a, size, out=a, where=a >= size)
-    b = a + nz
-    if periodic:
-        np.subtract(b, size, out=b, where=b >= size)
-    return a, a + 1, b, b + 1
+        fi += 1.0
+    fi *= nz
+    fi += fj
+    return fi.astype(np.intp), tx, tz
 
 
-def _gather(c, index):
-    """Values of c at flat indices; ``mode="clip"`` keeps non-finite
-    points in bounds, and their NaN weights still yield NaN."""
-    flat = np.ascontiguousarray(c).ravel()
-    return [flat.take(i, mode="clip") for i in index]
+def _wall_rows(f, n, coord, extent, h):
+    """Points inside a wall half-cell of the cross axis: where f >= n - 1
+    (f <= 0) the upper (lower) corner pair falls linearly to zero at coord
+    = extent (0) over h / 2.  Returns the rows and their scale factors."""
+    top = np.flatnonzero(f >= n - 1)
+    bot = np.flatnonzero(f <= 0.0)
+    return (top, (extent - coord[top]) / (0.5 * h),
+            bot, coord[bot] / (0.5 * h))
 
 
 def _blend(t, a, b):
@@ -122,16 +134,12 @@ def _blend(t, a, b):
     return a
 
 
-def _face_sample(c, fx, fz, periodic, x_pairs, wall=None):
-    """Face data c at cell-unit positions (fx, fz), the x pairs blended
-    first if x_pairs (u1), else the z pairs (u2).  ``wall = (f, n, coord,
-    extent, h)`` gives the cross axis: where f <= 0 (f >= n - 1) the lower
-    (upper) pair falls linearly to zero at coord = 0 (extent) over h / 2.
-    """
-    nx, nz = c.shape
-    fi, tx = _axis(fx, nx, periodic)
-    fj, tz = _axis(fz, nz, False)
-    v00, v01, v10, v11 = _gather(c, _cell_index(fi, fj, nx, nz, periodic))
+def _face_sample(table, cells, x_pairs, wall):
+    """Face data from its corner table at located cells, the x pairs blended
+    first if x_pairs (u1), else the z pairs (u2); wall rows (or None) come
+    from ``_wall_rows`` of the cross axis."""
+    idx, tx, tz = cells
+    v00, v01, v10, v11 = (row.take(idx, mode="clip") for row in table)
     if x_pairs:
         lo, hi, t = _blend(tx, v00, v10), _blend(tx, v01, v11), tz
     else:
@@ -140,25 +148,51 @@ def _face_sample(c, fx, fz, periodic, x_pairs, wall=None):
         return _blend(t, lo, hi)
     # inside a wall half-cell the lower (upper) corner pair is the stored
     # row next to the wall, blended against the no-slip zero
-    f, n, coord, extent, h = wall
-    top = np.flatnonzero(f >= n - 1)
-    bot = np.flatnonzero(f <= 0.0)
-    r_top = hi[top]
-    r_bot = lo[bot]
+    top, s_top, bot, s_bot = wall
+    r_top, r_bot = hi[top], lo[bot]
     out = _blend(t, lo, hi)
-    out[top] = ((extent - coord[top]) / (0.5 * h)) * r_top
-    out[bot] = (coord[bot] / (0.5 * h)) * r_bot
+    out[top], out[bot] = s_top * r_top, s_bot * r_bot
     return out
 
 
-def _velocity(u1, u2, x, z, hx, hz, periodic, Lx):
-    """(u1, u2) at flat points with z already in [0, 1], located once."""
+def _stage(shape1, shape2, x, z, hx, hz, periodic, Lx):
+    """Located cells and wall rows of both velocity components (u1 of
+    shape1, u2 of shape2) at flat points with z already in [0, 1]."""
     xs, q, w = _locate(x, z, hx, hz, periodic, Lx)
     fz = w - 0.5
     fx = q - 0.5
-    v1 = _face_sample(u1, q, fz, periodic, True, (fz, u1.shape[1], z, 1.0, hz))
-    wall = None if periodic else (fx, u2.shape[0], xs, Lx, hx)
-    return v1, _face_sample(u2, fx, w, periodic, False, wall)
+    (n1, nz1), (n2, nz2) = shape1, shape2
+    wall2 = None if periodic else _wall_rows(fx, n2, xs, Lx, hx)
+    return ((_cells(q, fz, n1, nz1, periodic), _wall_rows(fz, nz1, z, 1.0, hz)),
+            (_cells(fx, w, n2, nz2, periodic), wall2))
+
+
+def _velocity(table1, table2, stage):
+    """(u1, u2) from their corner tables at a located stage."""
+    (cells1, wall1), (cells2, wall2) = stage
+    return (_face_sample(table1, cells1, True, wall1),
+            _face_sample(table2, cells2, False, wall2))
+
+
+@functools.lru_cache(maxsize=4)
+def center_points(nx, nz, hx, hz):
+    """Read-only flat (px, pz) of all cell centres, x-major order."""
+    px = np.repeat((np.arange(nx) + 0.5) * hx, nz)
+    pz = np.tile((np.arange(nz) + 0.5) * hz, nx)
+    px.flags.writeable = pz.flags.writeable = False
+    return px, pz
+
+
+@functools.lru_cache(maxsize=4)
+def _center_stage(shape1, shape2, hx, hz, periodic, Lx):
+    """The located stage at the cell centres, read-only: it depends only on
+    the grid, and every first RK4 stage from the centres starts there."""
+    px, pz = center_points(shape2[0], shape1[1], hx, hz)
+    stage = _stage(shape1, shape2, px, pz, hx, hz, periodic, Lx)
+    for cells, wall in stage:
+        for a in cells + (wall or ()):
+            a.flags.writeable = False
+    return stage
 
 
 def _as_points(px, pz):
@@ -172,8 +206,9 @@ def _as_points(px, pz):
 def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
     """Both MAC velocity components at points, each of shape px.shape."""
     px, pz = _as_points(px, pz)
-    v1, v2 = _velocity(u1, u2, px.ravel(), _clip01(pz.ravel()), hx, hz,
-                       periodic, Lx)
+    stage = _stage(u1.shape, u2.shape, px.ravel(), _clip01(pz.ravel()), hx,
+                   hz, periodic, Lx)
+    v1, v2 = _velocity(_corners(u1, periodic), _corners(u2, periodic), stage)
     return v1.reshape(px.shape), v2.reshape(px.shape)
 
 
@@ -183,13 +218,12 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     px, pz = _as_points(px, pz)
     _, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
     nx, nz = c.shape[:2]
-    fi, tx = _axis(q - 0.5, nx, periodic)
-    fj, tz = _axis(w - 0.5, nz, False)
-    index = _cell_index(fi, fj, nx, nz, periodic)
+    idx, tx, tz = _cells(q - 0.5, w - 0.5, nx, nz, periodic)
     channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
     out = np.empty((len(channels), q.size))
     for k, ch in enumerate(channels):
-        v00, v01, v10, v11 = _gather(ch, index)
+        v00, v01, v10, v11 = (row.take(idx, mode="clip")
+                              for row in _corners(ch, periodic))
         # rounding can push the blend past the corner hull by an ulp; scalar
         # data carries an exact range-preservation contract, so clamp
         lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
@@ -201,33 +235,41 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
 
 
-def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
-    """Advance all seed positions by one RK4 step of size h, in place."""
+def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx,
+             from_centers=False):
+    """Advance all seed positions by one RK4 step of size h, in place.
+
+    from_centers says px, pz hold ``center_points`` of the grid, so stage 1
+    takes its located cells from the per-grid cache.
+    """
     grid = (hx, hz, periodic, Lx)
-    # q = p + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), the sum accumulated left
-    # to right as the stages finish
-    k1x, k1z = _velocity(u1a, u2a, px, _clip01(pz), *grid)
-    x1 = px + 0.5 * h * k1x
-    z1 = _clip01(pz + 0.5 * h * k1z)
-    k2x, k2z = _velocity(u1b, u2b, x1, z1, *grid)
-    x2 = px + 0.5 * h * k2x
-    z2 = _clip01(pz + 0.5 * h * k2z)
-    k2x *= 2.0
-    k2z *= 2.0
-    sx = k1x + k2x
-    sz = k1z + k2z
-    del k1x, k1z, k2x, k2z, x1, z1
-    k3x, k3z = _velocity(u1b, u2b, x2, z2, *grid)
-    x3 = px + h * k3x
-    z3 = _clip01(pz + h * k3z)
-    k3x *= 2.0
-    k3z *= 2.0
-    sx += k3x
-    sz += k3z
-    del k3x, k3z, x2, z2
-    k4x, k4z = _velocity(u1c, u2c, x3, z3, *grid)
-    sx += k4x
-    sz += k4z
+    shapes = (u1a.shape, u2a.shape)
+    # one corner table per distinct field array, checked by identity
+    fields = (u1a, u2a, u1b, u2b, u1c, u2c)
+    distinct = {id(c): c for c in fields}
+    tables = {k: _corners(c, periodic) for k, c in distinct.items()}
+    t1a, t2a, t1b, t2b, t1c, t2c = (tables[id(c)] for c in fields)
+    if from_centers:
+        stage = _center_stage(*shapes, *grid)
+    else:
+        stage = _stage(*shapes, px, _clip01(pz), *grid)
+    # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
+    # + 2 k3 + k4), the sum accumulated left to right as the stages finish
+    tableau = (((t1a, t2a), 0.5, 1.0), ((t1b, t2b), 0.5, 2.0),
+               ((t1b, t2b), 1.0, 2.0), ((t1c, t2c), 0.0, 1.0))
+    for s, (tabs, c, w) in enumerate(tableau):
+        kx, kz = _velocity(*tabs, stage)
+        if c:
+            stage = _stage(*shapes, px + c * h * kx,
+                           _clip01(pz + c * h * kz), *grid)
+        if w != 1.0:
+            kx *= w
+            kz *= w
+        if s == 0:
+            sx, sz = kx, kz
+        else:
+            sx += kx
+            sz += kz
     sx *= h / 6.0
     sz *= h / 6.0
     px += sx

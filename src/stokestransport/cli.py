@@ -194,9 +194,11 @@ _TYPES = {
 }
 
 
-def _load_section(cmd: str, config_path: str | None) -> dict:
+def _load_section(cmd: str, config_path: str | None):
+    """Raw key texts over the defaults, and the set of keys the file set."""
     merged = dict(_DEFAULTS[cmd])
     scen_keys: dict[str, str] = {}
+    given: set[str] = set()
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -216,8 +218,9 @@ def _load_section(cmd: str, config_path: str | None) -> dict:
                         f"unknown key {key!r} in section [{cmd}] of "
                         f"{config_path}")
                 (scen_keys if dot else merged)[key] = value
+                given.add(key)
     merged.update(scen_keys)
-    return merged
+    return merged, given
 
 
 def _convert(raw: dict) -> dict:
@@ -256,9 +259,6 @@ def _stokes_solution(cfg: dict, grid, dom):
     if cfg["problem"] == "poiseuille":
         if not dom.periodic:
             raise ConfigError("the channel profile needs domain = strip")
-        if cfg["flux"] != 0.0:
-            raise ConfigError("flux is the buoyancy problem's flux target; "
-                              "the channel profile's flux is phi")
         return poiseuille(cfg["phi"], grid, dom)
     if cfg["flux"] != 0.0 and not dom.periodic:
         raise ConfigError("a nonzero flux needs domain = strip (a closed box carries none)")
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     cmd = args.command
     try:
-        raw = _load_section(cmd, args.config)
+        raw, given = _load_section(cmd, args.config)
         if cmd == "stokes" and args.poiseuille is not None:
             raw["problem"] = "poiseuille"
             raw["phi"] = str(args.poiseuille)
@@ -533,6 +533,10 @@ def main(argv=None) -> int:
         if seed is not None:
             raw["seed"] = str(seed)
         cfg = _convert(raw)
+        # phi is the channel profile's flux, flux the buoyancy flux target
+        unread = {"poiseuille": "flux", "buoyancy": "phi"}.get(cfg.get("problem"))
+        if unread in given:
+            raise ConfigError(f"{unread} is not read by problem = {cfg['problem']}")
         out = _resolve_out(cfg, args.out)
         summary = _COMMANDS[cmd](cfg, out)
         _write_resolved(out, cmd, raw)

@@ -37,7 +37,6 @@ __all__ = [
     "cell_center_points",
     "divergence",
     "max_divergence",
-    "interpolate_velocity",
 ]
 
 CENTER = "center"
@@ -116,8 +115,8 @@ def z_faces(grid: GridSpec) -> np.ndarray:
 
 def cell_center_points(grid: GridSpec):
     """Flat (px, pz) arrays of all cell-center coordinates, x-major order."""
-    px, pz = np.meshgrid(x_centers(grid), z_centers(grid), indexing="ij")
-    return px.ravel().copy(), pz.ravel().copy()
+    px, pz = _kernels.center_points(grid.nx, grid.nz, grid.hx, grid.hz)
+    return px.copy(), pz.copy()
 
 
 def expected_shape(grid: GridSpec, domain: DomainSpec, staggering: str):
@@ -278,24 +277,3 @@ def divergence(u: VelocityField) -> np.ndarray:
 
 def max_divergence(u: VelocityField) -> float:
     return float(np.max(np.abs(divergence(u))))
-
-
-def interpolate_velocity(u: VelocityField, point) -> tuple[float, float]:
-    """Bilinear velocity sample at an arbitrary point of the closed domain.
-
-    Values are convex combinations of stored samples and the wall zeros, so
-    no-slip is exact: any point with z in {0, 1} returns (., 0.0) exactly.
-    Rectangle mode rejects points outside the closure; strip mode wraps x.
-    """
-    x, z = float(point[0]), float(point[1])
-    dom, g = u.domain, u.grid
-    if not (np.isfinite(x) and np.isfinite(z)):
-        raise ValueError("point must be finite")
-    if z < 0.0 or z > 1.0:
-        raise ValueError(f"z = {z} outside [0, 1]")
-    if not dom.periodic and not (0.0 <= x <= dom.x_extent):
-        raise ValueError(f"x = {x} outside [0, {dom.x_extent}]")
-    v1, v2 = _kernels.sample_velocity(u.u1.values, u.u2.values, np.array([x]),
-                                      np.array([z]), g.hx, g.hz, dom.periodic,
-                                      dom.x_extent)
-    return float(v1[0]), float(v2[0])

@@ -68,7 +68,6 @@ __all__ = [
     "solve_buoyancy",
     "poiseuille",
     "flux_profile",
-    "check_compatibility",
     "momentum_residual",
     "solver_stats_text",
 ]
@@ -136,13 +135,6 @@ def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None
 def flux_profile(u: VelocityField) -> np.ndarray:
     """Per-column midpoint quadrature of int_0^1 u1 dz, one value per x-face."""
     return u.grid.hz * u.u1.values.sum(axis=1)
-
-
-def check_compatibility(g: ScalarField) -> float:
-    """Midpoint quadrature of a cell-centered source over the whole domain."""
-    if g.staggering != CENTER:
-        raise ValueError("compatibility integral is defined for cell-centered data")
-    return float(g.grid.hx * g.grid.hz * g.values.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,8 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     nx, nz, hz = f.grid.nx, f.grid.nz, f.grid.hz
     fac = _strip_factor(f.grid)
 
-    f1hat = np.fft.rfft(f.f1, axis=0)
-    f2hat = np.fft.rfft(f.f2[:, 1:-1], axis=0)
+    f1hat = scipy.fft.rfft(f.f1, axis=0)
+    f2hat = scipy.fft.rfft(f.f2[:, 1:-1], axis=0)
     nmode = f1hat.shape[0]
 
     u1hat = np.zeros((nmode, nz), dtype=complex)
@@ -368,8 +360,8 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     u2hat[1:] = sol[:, nz:2 * nz - 1]
     phat[1:] = sol[:, 2 * nz - 1:]
 
-    return _finish(f, config, np.fft.irfft(u1hat, n=nx, axis=0),
-                   np.fft.irfft(u2hat, n=nx, axis=0), np.fft.irfft(phat, n=nx, axis=0), slope,
+    u1, u2, p = (scipy.fft.irfft(a, n=nx, axis=0) for a in (u1hat, u2hat, phat))
+    return _finish(f, config, u1, u2, p, slope,
                    {"solver": "fft-lu", "modes": nmode, "lu_nnz": fac["lu_nnz"]})
 
 

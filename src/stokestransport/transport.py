@@ -28,16 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, snapshots
-from .domain import (
-    CENTER,
-    DomainSpec,
-    GridSpec,
-    ScalarField,
-    VelocityField,
-    cell_center_points,
-    x_centers,
-    z_centers,
-)
+from .domain import DomainSpec, GridSpec, ScalarField, VelocityField
 from .norms import _to_centers, grad_inf_norm
 
 __all__ = [
@@ -51,7 +42,6 @@ __all__ = [
     "flow_stability",
     "integrate_flow",
     "lipschitz_growth",
-    "push_forward",
     "read_flowmap",
     "write_flowmap",
 ]
@@ -89,8 +79,9 @@ class FlowMap:
 
     def map_centers(self):
         """Mapped cell-center positions, x left unwrapped."""
-        px, pz = np.meshgrid(x_centers(self.grid), z_centers(self.grid),
-                             indexing="ij")
+        g = self.grid
+        px, pz = (c.reshape(g.nx, g.nz)
+                  for c in _kernels.center_points(g.nx, g.nz, g.hx, g.hz))
         return px + self.displacement[:, :, 0], pz + self.displacement[:, :, 1]
 
 
@@ -151,8 +142,8 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     # to floating-point noise in the quotient
     nsteps = (0 if span == 0.0
               else max(1, int(math.ceil(abs(span) / config.dt - 1e-12))))
-    px, pz = cell_center_points(g)
-    seeds_x, seeds_z = px.copy(), pz.copy()
+    seeds_x, seeds_z = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
+    px, pz = seeds_x.copy(), seeds_z.copy()
     if nsteps:
         h = span / nsteps
         fa = f
@@ -164,7 +155,8 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
                               fa.u1.values, fa.u2.values,
                               fb.u1.values, fb.u2.values,
                               fc.u1.values, fc.u2.values,
-                              g.hx, g.hz, dom.periodic, dom.x_extent)
+                              g.hx, g.hz, dom.periodic, dom.x_extent,
+                              from_centers=k == 0)
             if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pz))):
                 raise RuntimeError(
                     f"trajectory became non-finite at step {k + 1}/{nsteps} "
@@ -194,15 +186,6 @@ def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
     disp[:, :, 1] = inner.displacement[:, :, 1] + d[:, 1].reshape(qz.shape)
     return FlowMap(t0=inner.t0, t1=outer.t1, grid=inner.grid,
                    domain=inner.domain, displacement=disp)
-
-
-def push_forward(rho0: ScalarField, u, t: float,
-                 config: TransportConfig) -> ScalarField:
-    """Transport rho0 to time t by sampling it along backward characteristics."""
-    if rho0.staggering != CENTER:
-        raise ValueError("transport acts on cell-centered densities")
-    back = integrate_flow(u, t, 0.0, config)
-    return _pull_back(rho0, back)
 
 
 def _pull_back(rho0: ScalarField, back: FlowMap) -> ScalarField:

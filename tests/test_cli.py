@@ -107,6 +107,15 @@ class TestStokesCommand:
         assert rc == 0
         assert (out / "u1.stf").exists()
 
+    def test_poiseuille_flag_overrides_a_buoyancy_phi(self, tmp_path):
+        # the flag selects the channel profile, which reads phi from the flag
+        out = tmp_path / "pois"
+        cfg = write_cfg(tmp_path, "[stokes]\nproblem = buoyancy\nphi = 7.0\n"
+                                  + _SMALL)
+        assert cli.main(["stokes", "--config", cfg, "--poiseuille", "0.5",
+                         "--out", str(out)]) == 0
+        assert float(read_csv(out / "flux.csv")[1][1]) == pytest.approx(0.5)
+
     def test_zero_flux_stays_valid_on_the_rectangle(self, tmp_path):
         out = tmp_path / "box"
         cfg = write_cfg(tmp_path, "[stokes]\ndomain = rectangle\nx_extent = 1\n"
@@ -196,6 +205,11 @@ class TestConfigErrors:
         ("stokes", _SMALL + "flux = 5.0\n", []),
         ("stokes", _SMALL + "problem = poiseuille\nflux = -0.5\n", []),
         ("transport", _SMALL + "flux = 5.0\n", []),
+        ("stokes", _SMALL + "problem = buoyancy\nphi = 7.0\n", []),
+        ("transport", _SMALL + "problem = buoyancy\nphi = 1.0\n", []),
+        ("stokes", _SMALL + "problem = poiseuille\nflux = 0\n", []),
+        ("stokes", _SMALL + "problem = buoyancy\nflux = 0.5\n",
+         ["--poiseuille", "1.0"]),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -211,7 +225,9 @@ class TestConfigErrors:
             "simulate_unknown_dotted_key", "simulate_scenario2_param",
             "ledger_scenario_param", "stokes_rectangle_flux",
             "transport_rectangle_flux", "stokes_poiseuille_flux",
-            "stokes_poiseuille_negative_flux", "transport_poiseuille_flux"])
+            "stokes_poiseuille_negative_flux", "transport_poiseuille_flux",
+            "stokes_buoyancy_phi", "transport_buoyancy_default_phi",
+            "stokes_poiseuille_zero_flux", "stokes_poiseuille_flag_flux"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stokestransport import _kernels
 from stokestransport.domain import (
     CENTER,
     XFACE,
@@ -12,7 +13,6 @@ from stokestransport.domain import (
     cell_center_points,
     divergence,
     expected_shape,
-    interpolate_velocity,
     make_grid,
     max_divergence,
     x_centers,
@@ -156,6 +156,15 @@ class TestVelocityField:
                                       np.zeros((grid.nx, grid.nz + 1)))
         assert max_divergence(v) == 0.0
         assert divergence(v).shape == (grid.nx, grid.nz)
+
+
+def interpolate_velocity(u, point):
+    """Both velocity components at one point, through the MAC sampler."""
+    g, dom = u.grid, u.domain
+    v1, v2 = _kernels.sample_velocity(u.u1.values, u.u2.values, [point[0]],
+                                      [point[1]], g.hx, g.hz, dom.periodic,
+                                      dom.x_extent)
+    return float(v1[0]), float(v2[0])
 
 
 class TestInterpolation:

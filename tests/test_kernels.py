@@ -102,15 +102,73 @@ class TestReferenceParity:
 
     def test_rk4_steps_bitwise_equal(self, kind, L, nx, nz):
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
+        args = (grid.hx, grid.hz, dom.periodic, L)
+        # distinct stage fields, then one steady field (u1a is u1b is u1c)
+        # whose corner tables every stage shares
+        for fields in ((u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2),
+                       (u1, u2) * 3):
+            new_x, new_z = px.copy(), pz.copy()
+            ref_x, ref_z = px.copy(), pz.copy()
+            for _ in range(4):
+                _kernels.rk4_step(new_x, new_z, 0.05, *fields, *args)
+                ref._np_rk4_step(ref_x, ref_z, 0.05, *fields, *args)
+                assert np.array_equal(new_x, ref_x)
+                assert np.array_equal(new_z, ref_z)
+
+    def test_rk4_step_from_cached_centers_bitwise_equal(self, kind, L, nx,
+                                                         nz):
+        dom, grid, rng, u1, u2, _, _ = _case(kind, L, nx, nz)
         fields = (u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2)
         args = (grid.hx, grid.hz, dom.periodic, L)
-        new_x, new_z = px.copy(), pz.copy()
-        ref_x, ref_z = px.copy(), pz.copy()
-        for _ in range(4):
-            _kernels.rk4_step(new_x, new_z, 0.05, *fields, *args)
-            ref._np_rk4_step(ref_x, ref_z, 0.05, *fields, *args)
-            assert np.array_equal(new_x, ref_x)
-            assert np.array_equal(new_z, ref_z)
+        seeds = _kernels.center_points(nx, nz, grid.hx, grid.hz)
+        cached, plain, oracle = ([s.copy() for s in seeds] for _ in range(3))
+        _kernels.rk4_step(*cached, 0.3, *fields, *args, from_centers=True)
+        _kernels.rk4_step(*plain, 0.3, *fields, *args)
+        ref._np_rk4_step(*oracle, 0.3, *fields, *args)
+        for a, b, c in zip(cached, plain, oracle):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+
+def _arrays(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif tree is not None:
+        for item in tree:
+            yield from _arrays(item)
+
+
+def _center_stage(kind, L, nx, nz):
+    dom = DomainSpec(kind, L)
+    grid = make_grid(dom, nx, nz)
+    nf = nx if dom.periodic else nx + 1
+    return _kernels._center_stage((nf, nz), (nx, nz + 1), grid.hx, grid.hz,
+                                  dom.periodic, L)
+
+
+class TestCenterCache:
+    @pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
+                                         (DomainKind.RECTANGLE, 1.5)],
+                             ids=["strip", "rectangle"])
+    def test_cached_arrays_are_read_only(self, kind, L):
+        arrays = [*_arrays(_center_stage(kind, L, 16, 8)),
+                  *_kernels.center_points(16, 8, L / 16, 1 / 8)]
+        assert len(arrays) >= 12
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_grids_get_separate_entries(self):
+        _kernels._center_stage.cache_clear()
+        strip = _center_stage(DomainKind.STRIP, 8.0, 16, 8)
+        finer = _center_stage(DomainKind.STRIP, 8.0, 32, 8)
+        box = _center_stage(DomainKind.RECTANGLE, 8.0, 16, 8)
+        assert _center_stage(DomainKind.STRIP, 8.0, 16, 8) is strip
+        info = _kernels._center_stage.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
+        # the u1 corner-table index of each entry covers its own grid
+        assert [s[0][0][0].size for s in (strip, finer, box)] == [128, 256, 128]
+        assert box[1][1] is not None and strip[1][1] is None
 
 
 @pytest.mark.parametrize("which", ["rect", "strip"])
@@ -120,7 +178,11 @@ def test_flow_maps_bitwise_equal(which, rect, strip, monkeypatch):
     u = solve_buoyancy(rho).u
     cfg = TransportConfig(dt=0.05)
     new = integrate_flow(u, 1.0, 0.0, cfg).displacement
-    monkeypatch.setattr(_kernels, "rk4_step", ref._np_rk4_step)
+
+    def reference_step(*args, from_centers=False):
+        ref._np_rk4_step(*args)
+
+    monkeypatch.setattr(_kernels, "rk4_step", reference_step)
     assert np.array_equal(new, integrate_flow(u, 1.0, 0.0, cfg).displacement)
 
 

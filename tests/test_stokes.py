@@ -22,7 +22,6 @@ from stokestransport.stokes import (
     StokesConfig,
     StokesSolveError,
     buoyancy_forcing,
-    check_compatibility,
     flux_profile,
     momentum_residual,
     poiseuille,
@@ -372,11 +371,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             Forcing(grid, dom, np.zeros((grid.nx + 1, grid.nz)),
                     np.zeros((grid.nx, grid.nz + 1)))
-
-    def test_compatibility_is_cell_integral(self, rect):
-        dom, grid = rect
-        g = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 2.0))
-        assert check_compatibility(g) == pytest.approx(2.0 * dom.x_extent, rel=1e-14)
 
     def test_solver_rejects_wrong_domain(self, rect, strip):
         rdom, rgrid = rect
