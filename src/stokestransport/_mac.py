@@ -13,10 +13,9 @@ interpolant through the wall (value 0) and the first two interior samples:
 
 That stencil reproduces quadratics exactly, which is what makes the
 parabolic channel profile an exact discrete solution; the price is that
-the wall-adjacent rows of the operator are mildly nonsymmetric.  The
-rectangle solver treats those rows as a low-rank change of the free-slip
-operator (ghost = first sample), which sine and cosine transforms
-diagonalize; the strip's sparse LU does not mind them.
+the wall-adjacent rows of the operator are mildly nonsymmetric.  Both
+solvers treat those rows as a low-rank change of the free-slip operator
+(ghost = first sample), which sine and cosine transforms diagonalize.
 
 Every 2D operator is a Kronecker composition of three factors per axis:
 ``-d2/dx2`` on the cell centers, ``-d2/dx2`` on the stored faces, and the

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .domain import DomainSpec, GridSpec, ScalarField, VelocityField, z_centers
+from .domain import ScalarField, VelocityField, z_centers
 from .norms import Partition, hneg1_norm, lq_norm, h1_norm, uloc_norm, w1inf_norm
 from .stokes import StokesSolution, flux_profile, solve_buoyancy
 from .transport import (

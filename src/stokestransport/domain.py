@@ -16,7 +16,7 @@ j = 0 and j = nz always, u1 at i = 0 and i = nx in rectangle mode.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -38,7 +38,6 @@ import scipy.fft
 from .domain import (
     CENTER,
     XFACE,
-    ZFACE,
     DomainSpec,
     GridSpec,
     ScalarField,

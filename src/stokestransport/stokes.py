@@ -6,31 +6,32 @@ holds the discretization notes.  Both solvers end in one finisher,
 non-finite output, applies the residual and divergence gate and builds the
 ``StokesSolution``.
 
-Rectangle mode is a fast diagonalization (Lynch, Rice & Thomas 1964) with
-a capacitance correction (Buzbee, Golub & Nielson 1970).  With free-slip
-walls (tangential ghost = first sample) every MAC factor is diagonal in an
-orthonormal sine or cosine basis: u1 is DST-I in x by DCT-II in z, u2 is
-DCT-II by DST-I and p is DCT-II by DCT-II.  With g(k) = -2 sin(pi k / 2n) / h
-per axis and lam = gx^2 + gz^2, mode (k, l) then solves in closed form:
-p = (gx f1 + gz f2) / lam, u1 = (f1 - gx p) / lam, u2 = (f2 - gz p) / lam,
-and the constant mode (0, 0) is 0, which fixes the pressure mean without a
-pin.  No-slip differs from free-slip only in the r = 2(nx-1) + 2(nz-1)
+Both domains are solved by fast diagonalization (Lynch, Rice & Thomas
+1964) with a capacitance correction (Buzbee, Golub & Nielson 1970).  With
+free-slip walls (tangential ghost = first sample) every MAC factor is
+diagonal in a Fourier, sine or cosine basis: along a walled axis the
+tangential velocity and p are orthonormal DCT-II and the normal velocity is
+DST-I, with symbol g(k) = -2 sin(pi k / 2n) / h; along the strip's periodic
+x axis an rfft, with symbol gx = (1 - exp(-i theta)) / hx, whose divergence
+is -conj(gx).  With lam = |gx|^2 + gz^2, mode (k, l) then solves in closed
+form: p = (conj(gx) f1 + gz f2) / lam, u1 = (f1 - gx p) / lam,
+u2 = (f2 - gz p) / lam.  No-slip differs from free-slip only in the
 wall-adjacent tangential rows (+3/h^2 on the diagonal, -1/(3h^2) on the
-neighbour, from ``_mac``'s quadratic ghost), so the r x r capacitance
-matrix of those rows is assembled from 1D transform matrices and factored
-once per grid.  A solve is one forward transform, the wall defect of the
-free-slip answer, one dense back-substitution, a low-rank change of the
-transformed forcing, and one inverse transform per field.
+neighbour, from ``_mac``'s quadratic ghost), a low-rank change that a
+capacitance matrix of those rows undoes.  A solve is one forward transform,
+the wall defect of the free-slip answer, the capacitance solve, a low-rank
+change of the transformed forcing, and one inverse transform per field.
 
-Strip mode applies an FFT in x; each wavenumber yields a small banded
-saddle system in z.  All nonzero wavenumbers share one sparsity pattern, so
-their blocks are stacked on the diagonal of one matrix and factorized by a
-single pivoted sparse LU; row pivots stay inside a block, so no mode fills
-into another, and one solve covers every mode.  The zero wavenumber is
+On the rectangle the r = 2(nx-1) + 2(nz-1) wall rows couple every mode, so
+the r x r capacitance is assembled from 1D transform matrices and factored
+once per grid; the constant mode (0, 0) is 0, which fixes the pressure mean
+without a pin.  On the strip each nonzero wavenumber keeps its own two u1
+wall rows, so its capacitance is 2 x 2.  The zero wavenumber is
 rank-deficient exactly along the parabolic profile and is closed by
-prescribing the volume flux; its pressure gains a linear slope in x, stored
-separately from the periodic pressure samples (constant f1 with zero flux
-is balanced by pressure alone: f = e_x gives u = 0 and slope 1).
+prescribing the volume flux in a small dense bordered system; its pressure
+gains a linear slope in x, stored separately from the periodic pressure
+samples (constant f1 with zero flux is balanced by pressure alone: f = e_x
+gives u = 0 and slope 1).
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import _mac
 from .domain import (
@@ -217,13 +216,14 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
     return _RectFactor(gx, gz, inv, Sx, Sz, qx, qz, rx, rz, scipy.linalg.lu_factor(cap))
 
 
-def _free_slip(fac: _RectFactor, f1, f2):
-    """Per-mode free-slip solve on (nx, nz) coefficient arrays.
+def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
+    """Per-mode free-slip solve on coefficient arrays of either domain.
 
-    Row 0 of f1 and u1 and column 0 of f2 and u2 are padding: sine mode 0
-    does not exist.
+    The divergence symbol is -conj(gx): gx is real on the rectangle and
+    complex on the strip.  Column 0 of f2 and u2 is padding, as is row 0 of
+    f1 and u1 on the rectangle: sine mode 0 does not exist.
     """
-    p = (fac.gx * f1 + fac.gz * f2) * fac.inv
+    p = (np.conj(fac.gx) * f1 + fac.gz * f2) * fac.inv
     return (f1 - fac.gx * p) * fac.inv, (f2 - fac.gz * p) * fac.inv, p
 
 
@@ -274,8 +274,9 @@ def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:
 
 
 def _check_solution(res, u, f, config):
-    # the flux-driven profile and its pressure slope are O(flux_target)
-    scale = max(1.0, float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))),
+    # the solution scales with the data, and the flux-driven profile and its
+    # pressure slope are O(flux_target); zero data is solved exactly
+    scale = max(float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))),
                 abs(config.flux_target))
     tol = 10.0 * config.linear_solver_tolerance * scale
     if res > tol:
@@ -288,44 +289,43 @@ def _check_solution(res, u, f, config):
 
 
 # ---------------------------------------------------------------------------
-# strip: FFT in x, one block-diagonal LU over the nonzero wavenumbers
+# strip: FFT in x, then the rectangle's z transforms with a 2 x 2 capacitance
 # ---------------------------------------------------------------------------
 
+class _StripFactor(NamedTuple):
+    gx: np.ndarray   # (nx // 2, 1) gradient symbol of the nonzero wavenumbers
+    gz: np.ndarray   # (1, nz)
+    inv: np.ndarray  # 1 / (|gx|^2 + gz^2)
+    qz: np.ndarray   # (nz, 2) DCT-II of a unit in the first and last z cell
+    rz: np.ndarray   # (2, nz) the two u1 wall-row corrections, in DCT-II
+    cap: np.ndarray  # (nx // 2, 2, 2) inverse wall capacitance per wavenumber
+    m0: tuple        # lu_factor of the bordered zero-wavenumber system
+
+
 @functools.lru_cache(maxsize=4)
-def _strip_factor(grid: GridSpec):
-    nx, nz = grid.nx, grid.nz
-    hx, hz = grid.hx, grid.hz
+def _strip_factor(grid: GridSpec) -> _StripFactor:
+    """Mode symbols, wall capacitances and the zero-mode factor of the strip.
+
+    A nonzero wavenumber's no-slip operator is its free-slip one plus the two
+    u1 wall rows.  The free-slip u1 response to an f1 mode is gz^2 / lam^2,
+    so the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz.
+    """
+    nx, nz, hz = grid.nx, grid.nz, grid.hz
     _, Z = _mac.axes(grid, True)
+    _, Cz, gz = _transforms(nz, hz)
+    theta = 2.0 * np.pi * np.arange(1, nx // 2 + 1) / nx
+    gx = ((1.0 - np.exp(-1j * theta)) / grid.hx)[:, None]
+    gz = gz[None, :]
+    inv = 1.0 / (np.abs(gx) ** 2 + gz * gz)
+    qz, rz = Cz[:, [0, -1]], _wall_rows(Z, hz) @ Cz.T
+    cap = np.linalg.inv(np.eye(2) + (rz * (gz * gz * inv * inv)[:, None, :]) @ qz)
 
     # zero mode: unknowns (u1 profile, pressure slope); closed by the flux row
     m0 = np.zeros((nz + 1, nz + 1))
     m0[:nz, :nz] = Z.centers.toarray()
     m0[:nz, nz] = 1.0
     m0[nz, :nz] = hz
-    m0_lu = scipy.linalg.lu_factor(m0)
-
-    # Nonzero modes share one z pattern over the unknowns (u1, u2 on faces
-    # 1..nz-1, p): B from the z factors, then the u1-p couplings, which are
-    # diagonal in z.  Each entry is base + coef[kind]: kind 1 adds kap2 on
-    # B's diagonal (the velocity rows), 2 is d (cells -> x-faces), 3 ddiv.
-    B = scipy.sparse.bmat([[Z.centers, None, None], [None, Z.faces, Z.grad],
-                           [None, -Z.grad.T, None]], format="coo")
-    j = np.arange(nz)
-    pc = 2 * nz - 1 + j
-    rows = np.concatenate([B.row, j, pc])
-    cols = np.concatenate([B.col, pc, j])
-    kind = np.concatenate([(B.row == B.col).astype(int), np.full(nz, 2), np.full(nz, 3)])
-    base = np.concatenate([B.data, np.zeros(2 * nz)])
-    theta = 2.0 * np.pi * np.arange(1, nx // 2 + 1) / nx
-    coef = np.stack([np.zeros_like(theta), (2.0 - 2.0 * np.cos(theta)) / (hx * hx),
-                     (1.0 - np.exp(-1j * theta)) / hx, (np.exp(1j * theta) - 1.0) / hx], axis=1)
-    n = 3 * nz - 1
-    off = n * np.arange(theta.size)[:, None]
-    A = scipy.sparse.coo_matrix(((base + coef[:, kind]).ravel(),
-                                 ((rows + off).ravel(), (cols + off).ravel())),
-                                shape=(n * theta.size,) * 2).tocsc()
-    lu = scipy.sparse.linalg.splu(A)
-    return {"m0": m0_lu, "modes": lu, "lu_nnz": lu.L.nnz + lu.U.nnz}
+    return _StripFactor(gx, gz, inv, qz, rz, cap, scipy.linalg.lu_factor(m0))
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -338,31 +338,28 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
 
     f1hat = scipy.fft.rfft(f.f1, axis=0)
     f2hat = scipy.fft.rfft(f.f2[:, 1:-1], axis=0)
-    nmode = f1hat.shape[0]
 
-    u1hat = np.zeros((nmode, nz), dtype=complex)
-    u2hat = np.zeros((nmode, nz - 1), dtype=complex)
-    phat = np.zeros((nmode, nz), dtype=complex)
+    # zero mode: rfft coefficients are unnormalized; the flux row must see the
+    # physical flux, and the slope never passes through irfft, so scale by nx
+    sol0 = scipy.linalg.lu_solve(fac.m0, np.append(f1hat[0].real, config.flux_target * nx))
+    p0 = np.append(0.0, hz * np.cumsum(f2hat[0].real))
 
-    # rfft coefficients are unnormalized; the flux row must see the physical
-    # flux, and the slope never passes through irfft, so scale by nx here.
-    rhs0 = np.concatenate([f1hat[0].real, [float(config.flux_target) * nx]])
-    sol0 = scipy.linalg.lu_solve(fac["m0"], rhs0)
-    u1hat[0, :] = sol0[:nz]
-    slope = float(sol0[nz]) / nx
-    phat[0, 1:] = hz * np.cumsum(f2hat[0].real)
+    # nonzero modes: free-slip solve, the defect of its u1 wall rows, the
+    # wall forces that cancel it, and the corrected solve
+    f1 = _dct(f1hat[1:], axis=1)
+    f2 = np.zeros_like(f1)
+    f2[:, 1:] = _dst(f2hat[1:], axis=1)
+    u1, _, _ = _free_slip(fac, f1, f2)
+    c = (fac.cap @ (u1 @ fac.rz.T)[..., None])[..., 0]
+    f1 -= c @ fac.qz.T
+    u1, u2, p = _free_slip(fac, f1, f2)
 
-    rhs = np.zeros((nmode - 1, 3 * nz - 1), dtype=complex)
-    rhs[:, :nz] = f1hat[1:]
-    rhs[:, nz:2 * nz - 1] = f2hat[1:]
-    sol = fac["modes"].solve(rhs.ravel()).reshape(rhs.shape)
-    u1hat[1:] = sol[:, :nz]
-    u2hat[1:] = sol[:, nz:2 * nz - 1]
-    phat[1:] = sol[:, 2 * nz - 1:]
-
+    u1hat = np.vstack([sol0[:nz], _idct(u1, axis=1)])
+    u2hat = np.vstack([np.zeros(nz - 1), _dst(u2[:, 1:], axis=1)])
+    phat = np.vstack([p0, _idct(p, axis=1)])
     u1, u2, p = (scipy.fft.irfft(a, n=nx, axis=0) for a in (u1hat, u2hat, phat))
-    return _finish(f, config, u1, u2, p, slope,
-                   {"solver": "fft-lu", "modes": nmode, "lu_nnz": fac["lu_nnz"]})
+    return _finish(f, config, u1, u2, p, float(sol0[nz]) / nx,
+                   {"solver": "fft-transform-capacitance", "modes": len(u1hat)})
 
 
 def solve_buoyancy(rho: ScalarField, config: StokesConfig | None = None) -> StokesSolution:

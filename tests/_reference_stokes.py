@@ -8,9 +8,9 @@ Kept verbatim (apart from the imports they need) as oracles:
   matrix with the pressure of cell (0, 0) pinned, and ``solve_stokes_bounded``,
   the SuperLU solve of that matrix that the transform-and-capacitance
   rectangle solver replaced, here with one step of iterative refinement;
-* the per-mode ``_strip_factor`` and ``solve_stokes_strip`` from before the
-  nonzero modes were batched: one ``splu`` object per nonzero Fourier mode,
-  each solved in a Python loop.
+* the per-mode ``_strip_factor`` and ``solve_stokes_strip``: one ``splu``
+  object per nonzero Fourier mode, each solved in a Python loop, which the
+  strip's transform-and-capacitance solver replaced.
 """
 
 from __future__ import annotations

@@ -7,14 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokestransport import cli
 from stokestransport.coupling import time_march
-from stokestransport.domain import DomainKind, DomainSpec, make_grid
 from stokestransport.scenarios import make_density
 
 

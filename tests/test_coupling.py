@@ -6,7 +6,6 @@ import pytest
 from stokestransport import coupling
 from stokestransport.coupling import (
     EnergyLedger,
-    PicardDivergenceError,
     contraction_window,
     energy_ledger_check,
     picard_solve,
@@ -15,7 +14,6 @@ from stokestransport.coupling import (
     time_march,
 )
 from stokestransport.domain import DomainKind, DomainSpec, make_grid
-from stokestransport.norms import lq_norm
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import flux_profile
 

@@ -1,0 +1,35 @@
+"""The CLI's outputs on small grids against the committed golden files.
+
+``tests/_golden.py`` holds the cases, the comparison rule and the script
+that regenerates ``tests/golden/``.
+"""
+
+import shutil
+
+import numpy as np
+import pytest
+
+import _golden
+from stokestransport import snapshots
+
+
+@pytest.mark.parametrize("name", sorted(_golden.CASES))
+def test_outputs_match_golden(name, tmp_path):
+    out = tmp_path / name
+    assert _golden.run_case(name, out) == 0
+    assert _golden.compare_dirs(out, _golden.GOLDEN / name) == []
+
+
+def test_comparison_sees_a_small_change(tmp_path):
+    # a 1e-8 relative change of one float or of one field value is caught
+    want = _golden.GOLDEN / "stokes_strip"
+    got = tmp_path / "stokes_strip"
+    shutil.copytree(want, got)
+    assert _golden.compare_dirs(got, want) == []
+    text = (want / "summary.txt").read_text()
+    (got / "summary.txt").write_text(text.replace("-5.98830409", "-5.98830415"))
+    dom, grid, code, u1 = snapshots.read_raster(want / "u1.stf")
+    u1[5, 7] += 1e-8 * np.max(np.abs(u1))
+    snapshots.write_raster(got / "u1.stf", dom, grid.nx, grid.nz, code, u1)
+    assert [m.split(":")[0] for m in _golden.compare_dirs(got, want)] == [
+        "summary.txt", "u1.stf"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import _reference_stokes as ref
 from _manufactured import manufactured_case, velocity_error_l2
@@ -206,52 +207,57 @@ class TestRectangleTransform:
             err = np.max(np.abs(got.p.values - want.p.values))
             assert err <= 1e-10 * np.max(np.abs(want.p.values))
 
-    @pytest.mark.parametrize("name, n, h", [("x", 24, 1.5 / 24), ("z", 16, 1.0 / 16)])
+    @pytest.mark.parametrize("name, n, h", [("x", 24, 1.5 / 24), ("z", 16, 1.0 / 16),
+                                            ("strip", 32, 8.0 / 32)])
     def test_symbols_diagonalize_the_mac_factors(self, name, n, h):
         # the transform symbols are pinned to the one MAC definition in _mac
+
+        def close(got, want):
+            want = want.toarray() if hasattr(want, "toarray") else want
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        if name == "strip":
+            # the rfft of each factor is its symbol times the rfft, per wavenumber
+            grid = make_grid(DomainSpec(DomainKind.STRIP, n * h), n, 16)
+            axis, _ = _mac.axes(grid, True)
+            gx = stokes._strip_factor(grid).gx
+            F = scipy.fft.rfft(np.eye(n), axis=0)[1:]
+            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.toarray(), axis=0)[1:])
+            close(gx * F, scipy.fft.rfft(axis.grad.toarray(), axis=0)[1:])
+            return
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 1.5), 24, 16)
         axis = dict(zip("xz", _mac.axes(grid, False)))[name]
         S, C, g = stokes._transforms(n, h)
         walls = np.zeros((n, n))
         walls[[0, -1]] = stokes._wall_rows(axis, h)
 
-        def close(got, want):
-            want = want.toarray()
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
         close(S.T @ np.diag(g[1:] ** 2) @ S, axis.faces)
         close(C.T @ np.diag(g ** 2) @ C + walls, axis.centers)
         close(S.T @ np.diag(g[1:]) @ C[1:], axis.grad)
 
 
-class TestBatchedModes:
-    """The block-diagonal mode factor against one splu per mode."""
+class TestStripTransform:
+    """The strip's transform-and-capacitance solve against one splu per mode."""
 
     @pytest.mark.parametrize("period, nx, nz", [(8, 16, 8), (8, 128, 128),
                                                  (32, 512, 16)])
-    def test_bitwise_equal_to_per_mode_solves(self, period, nx, nz):
+    def test_agrees_with_sparse_lu(self, period, nx, nz):
         dom = DomainSpec(DomainKind.STRIP, float(period))
         grid = make_grid(dom, nx, nz)
         rng = np.random.default_rng(nx + nz)
         f2 = rng.standard_normal(expected_shape(grid, dom, ZFACE))
         f2[:, [0, -1]] = 0.0
         f = Forcing(grid, dom, rng.standard_normal(expected_shape(grid, dom, XFACE)), f2)
+        buoy = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
         config = StokesConfig(flux_target=0.37)
-        got = solve_stokes_strip(f, config)
-        want = ref.solve_stokes_strip(f, config)
-        assert np.array_equal(got.u.u1.values, want.u.u1.values)
-        assert np.array_equal(got.u.u2.values, want.u.u2.values)
-        assert np.array_equal(got.p.values, want.p.values)
-        assert got.pressure_slope == want.pressure_slope
-
-    def test_factor_fill_is_the_sum_of_the_modes(self):
-        # row pivots never cross a block, so no mode fills into another
-        dom = DomainSpec(DomainKind.STRIP, 8.0)
-        grid = make_grid(dom, 128, 128)
-        sol = solve_buoyancy(make_density("stratified_perturbed", grid, dom))
-        per_mode = sum(lu.L.nnz + lu.U.nnz for lu in ref._strip_factor(grid)["modes"][1:])
-        assert sol.stats["lu_nnz"] == per_mode
-        assert f"lu_nnz={per_mode}" in solver_stats_text(sol)
+        for force in (f, buoy):
+            got = solve_stokes_strip(force, config)
+            want = ref.solve_stokes_strip(force, config)
+            for a, b in ((got.u.u1.values, want.u.u1.values),
+                         (got.u.u2.values, want.u.u2.values),
+                         (got.p.values, want.p.values)):
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+            assert got.pressure_slope == pytest.approx(want.pressure_slope, rel=1e-10)
 
 
 class TestMacOperator:
@@ -302,6 +308,49 @@ class TestResidualGate:
         with pytest.raises(StokesSolveError, match="momentum residual"):
             stokes._check_solution(res, u, f, config)
 
+    @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
+                                                (DomainKind.RECTANGLE, 1.0)])
+    def test_decisions_do_not_depend_on_the_data_scale(self, kind, x_extent):
+        # accept the solve, reject it with one face off by 1e-11 of the data,
+        # and reject the all-zero answer, whatever the scale of rho
+        dom = DomainSpec(kind, x_extent)
+        grid = make_grid(dom, 32, 16)
+        rho = make_density("stratified_perturbed", grid, dom).values
+        zero = VelocityField.from_arrays(grid, dom, np.zeros(expected_shape(grid, dom, XFACE)),
+                                         np.zeros(expected_shape(grid, dom, ZFACE)))
+
+        def accepts(f, config, u, p, slope):
+            res = momentum_residual(u, p, f, pressure_slope=slope)
+            try:
+                stokes._check_solution(res, u, f, config)
+            except StokesSolveError:
+                return False
+            return True
+
+        decisions = []
+        for scale in (1e-12, 1.0, 1e12):
+            rho_s = ScalarField(grid, dom, scale * rho)
+            f = buoyancy_forcing(rho_s)
+            config = StokesConfig(flux_target=0.37 * scale if dom.periodic else 0.0)
+            sol = solve_buoyancy(rho_s, config)
+            a1 = sol.u.u1.values.copy()
+            a1[5, 7] += 1e-11 * scale
+            off = VelocityField.from_arrays(grid, dom, a1, sol.u.u2.values,
+                                            enforce_walls=False)
+            decisions.append((accepts(f, config, sol.u, sol.p, sol.pressure_slope),
+                              accepts(f, config, off, sol.p, sol.pressure_slope),
+                              accepts(f, config, zero, ScalarField(grid, dom, 0.0 * rho), 0.0)))
+        assert decisions == [(True, False, False)] * 3
+
+    @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
+                                                (DomainKind.RECTANGLE, 1.0)])
+    def test_zero_data_passes_a_zero_tolerance(self, kind, x_extent):
+        dom = DomainSpec(kind, x_extent)
+        grid = make_grid(dom, 32, 16)
+        sol = solve_buoyancy(ScalarField(grid, dom, np.zeros((32, 16))))
+        assert sol.residual_norm == 0.0
+        assert not np.any(sol.u.u1.values) and not np.any(sol.u.u2.values)
+
 
 @pytest.mark.parametrize("cached", [stokes._rect_factor, stokes._strip_factor,
                                     norms._chi_table, _mac.axes])
@@ -322,13 +371,6 @@ def test_factor_cache_keeps_four_grids(cached):
     assert cached.cache_info().misses == 6
 
 
-class _NanSolve:
-    """A factor stand-in whose solve returns NaN of the right shape."""
-
-    def solve(self, rhs):
-        return np.full_like(rhs, np.nan)
-
-
 class TestFinisher:
     def test_rectangle_non_finite_solve_raises(self, rect, monkeypatch):
         dom, grid = rect
@@ -341,7 +383,8 @@ class TestFinisher:
 
     def test_strip_non_finite_solve_raises(self, strip, monkeypatch):
         dom, grid = strip
-        fac = dict(stokes._strip_factor(grid), modes=_NanSolve())
+        fac = stokes._strip_factor(grid)
+        fac = fac._replace(gx=np.full_like(fac.gx, np.nan))
         monkeypatch.setattr(stokes, "_strip_factor", lambda g: fac)
         f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
         with pytest.raises(StokesSolveError, match="non-finite"):

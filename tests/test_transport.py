@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from _flows import composition_orders, shear_series
-from conftest import random_center_field
 from stokestransport.domain import (
-    ScalarField,
     VelocityField,
     x_centers,
     z_centers,
