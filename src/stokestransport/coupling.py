@@ -14,6 +14,11 @@ pure transport of rho.  Two drivers are provided:
   the scheme cannot create extrema, and plateau-built initial data keeps
   its sup exactly.
 
+Both return SimulationState records of time, density and norms only.  The
+velocity and pressure are the Stokes response to -rho e_z, so the density
+is the whole state: each solve is read for its norms and then let go, and a
+march keeps one density field per step.
+
 Strip-mode density differences are measured in the windowed dual norm
 with the solve widened by (measured max speed) x (elapsed time), a
 finite-speed enlargement of the window supports.
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-from .domain import ScalarField, VelocityField, z_centers
+from .domain import ScalarField, z_centers
 from .norms import Partition, hneg1_norm, lq_norm, h1_norm, uloc_norm, w1inf_norm
 from .stokes import StokesSolution, flux_profile, solve_buoyancy
 from .transport import (
@@ -76,10 +81,15 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationState:
+    """A state of the coupled system: its time, density and norms.
+
+    The density is the whole state; ``solve_buoyancy(rho)`` recovers the
+    velocity and pressure.  ``norms`` holds the velocity's ``u_linf``,
+    ``u_h1`` and ``flux`` next to the density's own norms.
+    """
+
     t: float
     rho: ScalarField
-    u: VelocityField
-    p: ScalarField
     norms: dict
 
 
@@ -116,7 +126,7 @@ def _make_state(t: float, rho: ScalarField, sol: StokesSolution) -> SimulationSt
         "flux": _measured_flux(sol),
         "potential_energy": _potential_energy(rho),
     }
-    return SimulationState(t=float(t), rho=rho, u=sol.u, p=sol.p, norms=norms)
+    return SimulationState(t=float(t), rho=rho, norms=norms)
 
 
 def _diff_norm(a: ScalarField, b: ScalarField, partition: Partition | None,
@@ -167,11 +177,13 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         maps = backward_flow_maps(provider, times, config)
         new_series = [_pull_back(rho0, m) for m in maps]
         margin = speed_max * float(T)
+        # node 0 is rho0 through the identity map: its solve is kept and
+        # its difference is zero
         delta = max(_diff_norm(a, b, partition, margin)
-                    for a, b in zip(new_series, rho_series))
+                    for a, b in zip(new_series[1:], rho_series[1:]))
         diffs.append(delta)
         rho_series = new_series
-        sols = [solve_buoyancy(r) for r in rho_series]
+        sols = sols[:1] + [solve_buoyancy(r) for r in rho_series[1:]]
         if delta < tol:
             converged = True
             break

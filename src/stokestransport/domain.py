@@ -213,10 +213,11 @@ class VelocityField:
 
         Analytic no-slip profiles evaluate to O(1e-16) residue at the walls,
         which the constructor would reject; zeroing keeps the invariant exact.
+        Either way the fields copy their arrays and never alias the caller's.
         """
-        a1 = np.array(a1, dtype=np.float64)
-        a2 = np.array(a2, dtype=np.float64)
         if enforce_walls:
+            a1 = np.array(a1, dtype=np.float64)
+            a2 = np.array(a2, dtype=np.float64)
             a2[:, 0] = 0.0
             a2[:, -1] = 0.0
             if not domain.periodic:

@@ -223,8 +223,19 @@ def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
     complex on the strip.  Column 0 of f2 and u2 is padding, as is row 0 of
     f1 and u1 on the rectangle: sine mode 0 does not exist.
     """
-    p = (np.conj(fac.gx) * f1 + fac.gz * f2) * fac.inv
-    return (f1 - fac.gx * p) * fac.inv, (f2 - fac.gz * p) * fac.inv, p
+    # the operations of (conj(gx) f1 + gz f2) inv, (f1 - gx p) inv and
+    # (f2 - gz p) inv in their order, so the results are bit for bit the same,
+    # with the temporaries reused in place
+    p = np.conj(fac.gx) * f1
+    p += fac.gz * f2
+    p *= fac.inv
+    u1 = fac.gx * p
+    np.subtract(f1, u1, out=u1)
+    u1 *= fac.inv
+    u2 = fac.gz * p
+    np.subtract(f2, u2, out=u2)
+    u2 *= fac.inv
+    return u1, u2, p
 
 
 def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from stokestransport.coupling import (
 )
 from stokestransport.domain import DomainKind, DomainSpec, make_grid
 from stokestransport.scenarios import make_density
-from stokestransport.stokes import flux_profile
+from stokestransport.stokes import flux_profile, solve_buoyancy
 
 
 class TestPicard:
@@ -70,8 +72,9 @@ class TestPicard:
             picard_solve(rho0, T=1.0, max_picard=0)
 
     def test_each_sweep_solves_each_node_once(self, strip, monkeypatch):
-        # rho0 is solved once; every sweep then solves its new series once,
-        # and the last sweep's solutions are the returned states
+        # rho0 is solved once and node 0 keeps that solve; every sweep then
+        # solves nodes 1..n-1 of its new series once, and the last sweep's
+        # solutions are the returned states
         calls = []
 
         def counted(rho, *args, **kwargs):
@@ -84,8 +87,10 @@ class TestPicard:
         rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
         states, trace = picard_solve(rho0, T=0.5, n_time_nodes=4)
         assert trace.iterations >= 2
-        assert len(calls) == 1 + trace.iterations * 4
-        assert all(s.rho is r for s, r in zip(states, calls[-4:]))
+        assert len(calls) == 1 + trace.iterations * 3
+        assert calls[0] is rho0
+        assert all(s.rho is r for s, r in zip(states[1:], calls[-3:], strict=True))
+        assert np.array_equal(states[0].rho.values, rho0.values)
 
     def test_rectangle_mode(self, rect):
         dom, grid = rect
@@ -134,7 +139,8 @@ class TestTimeMarch:
         states = time_march(rho0, T=0.25, dt=0.05)
         for s in states:
             assert abs(s.norms["flux"]) <= 1e-10
-            assert np.max(np.abs(flux_profile(s.u))) <= 1e-10
+            # a state keeps no velocity; the solve of its density is its own
+            assert np.max(np.abs(flux_profile(solve_buoyancy(s.rho).u))) <= 1e-10
 
     def test_advisory_warning_on_large_step(self, strip):
         dom, grid = strip
@@ -162,6 +168,32 @@ class TestTimeMarch:
         gap = math.sqrt(grid.hx * grid.hz * float(np.sum(d * d)))
         # velocities are O(1e-4); both paths advect by O(dt * |u|)
         assert gap <= 1e-5
+
+    @pytest.mark.parametrize("kind", [DomainKind.STRIP, DomainKind.RECTANGLE],
+                             ids=["strip", "rectangle"])
+    def test_states_keep_one_density_per_step(self, kind):
+        # a state is its time, density and norms: the bytes a march retains
+        # grow by about one density field per step, not by u1, u2 and p too
+        dom = DomainSpec(kind, 8.0 if kind is DomainKind.STRIP else 2.0)
+        grid = make_grid(dom, 64, 32)
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        dt = 0.01
+        time_march(rho0, T=10 * dt, dt=dt)  # warm the solver and kernel caches
+
+        def retained(nsteps):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                states = time_march(rho0, T=nsteps * dt, dt=dt)
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(states) == nsteps + 1
+            return size
+
+        per_step = (retained(40) - retained(10)) / 30
+        assert per_step <= 1.5 * rho0.values.nbytes
 
     def test_refinement_convergence(self):
         # fixed smooth scenario: halving h should cut the solution change

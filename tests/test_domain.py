@@ -140,6 +140,19 @@ class TestVelocityField:
         assert np.all(v.u2.values[:, 0] == 0.0)
         assert np.all(v.u2.values[:, -1] == 0.0)
 
+    @pytest.mark.parametrize("enforce_walls", [True, False])
+    def test_from_arrays_does_not_alias_the_inputs(self, rect, enforce_walls):
+        dom, grid = rect
+        a1 = np.zeros((grid.nx + 1, grid.nz))
+        a2 = np.zeros((grid.nx, grid.nz + 1))
+        a1[1:-1] = 0.25
+        a2[:, 1:-1] = -0.5
+        v = VelocityField.from_arrays(grid, dom, a1, a2, enforce_walls=enforce_walls)
+        a1[...] = 7.0
+        a2[...] = 7.0
+        assert np.all(v.u1.values[1:-1] == 0.25) and np.all(v.u1.values[[0, -1]] == 0.0)
+        assert np.all(v.u2.values[:, 1:-1] == -0.5) and np.all(v.u2.values[:, [0, -1]] == 0.0)
+
     def test_rectangle_side_walls(self, rect):
         dom, grid = rect
         u1 = np.ones((grid.nx + 1, grid.nz))

@@ -260,6 +260,29 @@ class TestStripTransform:
             assert got.pressure_slope == pytest.approx(want.pressure_slope, rel=1e-10)
 
 
+@pytest.mark.parametrize("domain", ["rectangle", "strip"])
+def test_free_slip_in_place_matches_the_expression_form(domain):
+    # the in-place solve keeps the operations and their order, so it is
+    # bit for bit the plain expression on either domain's coefficients; the
+    # rectangle solve reuses f1 and f2 after it, so they must not change
+    periodic = domain == "strip"
+    dom = DomainSpec(DomainKind.STRIP if periodic else DomainKind.RECTANGLE,
+                     8.0 if periodic else 1.5)
+    grid = make_grid(dom, 32, 16)
+    fac = stokes._strip_factor(grid) if periodic else stokes._rect_factor(grid)
+    rng = np.random.default_rng(3)
+    shape = fac.inv.shape
+    f1, f2 = rng.standard_normal(shape), rng.standard_normal(shape)
+    if periodic:
+        f1, f2 = f1 + 1j * rng.standard_normal(shape), f2 + 1j * rng.standard_normal(shape)
+    p = (np.conj(fac.gx) * f1 + fac.gz * f2) * fac.inv
+    want = ((f1 - fac.gx * p) * fac.inv, (f2 - fac.gz * p) * fac.inv, p)
+    f1_in, f2_in = f1.copy(), f2.copy()
+    for got, ref_ in zip(stokes._free_slip(fac, f1, f2), want):
+        assert got.dtype == ref_.dtype and np.array_equal(got, ref_)
+    assert np.array_equal(f1, f1_in) and np.array_equal(f2, f2_in)
+
+
 class TestMacOperator:
     """The Kronecker-composed operators against the hand-written ones."""
 
