@@ -1,36 +1,34 @@
 """Hot transport kernels: bilinear MAC sampling and RK4 seed stepping.
 
-One vectorized numpy implementation, evaluated over whole point arrays.
-Every query first locates its points once: x is wrapped into the period
-(strip) or clamped (rectangle), z is clamped, and both are scaled to cell
-units.  Every staggering then finds its cells with one per-axis rule,
-``_axis``, and reads the four corners from the field's corner table
-(``_corners``, the strip's wrap resolved when it is built) by one flat
-index and four ``take(mode="clip")`` calls: a non-finite point casts to
-index -2**63, which the clip keeps in bounds while its NaN weight still
-yields NaN.  Both velocity components share one face blend,
-``_face_sample``: corner pairs along the face axis first (x for u1, z for
-u2), then across, then the no-slip wall blend where the cross axis is
-walled.  Each RK4 stage locates its points once for both components and
-reads one table per distinct field; a first stage from the cell centres
-takes its located cells from a per-grid cache of read-only arrays.
-``sample_center`` blends every channel of an ``(nx, nz, k)`` array from
-one set of weights.  Blends run in place on fresh temporaries, but every
-floating-point operation is the one the plain expressions in the comments
-and docstrings name, in the same order, so results match the original
-arithmetic (kept in ``tests/_reference_kernels.py``) bit for bit.
+One vectorized numpy implementation over whole point arrays, with one
+sampling rule for every staggering.  A query locates its points once: x is
+wrapped into the period (strip) or clamped (rectangle), z is clamped, and
+both are scaled to cell units.  A field is read through its padded corner
+table (``_table``), a copy with one ghost line beyond each end of each
+axis, so every point's cell is ``i = floor(f)`` with weight ``t = f - i``,
+unclamped, and a sample is one flat index, four ``take(mode="clip")``
+calls and three blends (a non-finite point casts to index -2**63, which the
+clip keeps in bounds while its NaN weight still yields NaN).  Each RK4
+stage locates its points once for both velocity components and reads one
+table per distinct field; a first stage from the cell centres takes its
+located cells from a per-grid cache of read-only arrays.  Blends run in
+place on fresh temporaries, but every floating-point operation is the one
+the plain expressions in the docstrings name, in the same order, so outside
+the wall half-cells results match the original arithmetic (kept in
+``tests/_reference_kernels.py``) bit for bit.
 
-Sampling conventions:
+Sampling conventions (the ghost lines of ``_table``):
 
 * strip mode wraps x into [0, L) *before* any index arithmetic, so samples
   at x and x + L are bit-identical whenever x + L is exactly representable;
-* z is clamped to [0, 1]; rectangle mode also clamps x to [0, Lx];
-* u1 has no stored row on the walls z = 0, 1: within the last half cell the
-  value is blended linearly against the wall value 0 (no-slip), and the
-  same happens for u2 against the x-walls in rectangle mode;
-* cell-centered data is extended by its boundary value across the outer
-  half-cell band (constant extrapolation), keeping every interpolated value
-  a convex combination of stored samples.
+  the ghosts are the wrapped rows, two after since x can round up to L;
+* a velocity component tangential to a no-slip wall (u1 at z = 0, 1; u2 at
+  x = 0, Lx on the rectangle) has as ghost minus its edge line (the MAC
+  ghost of Harlow & Welch), so it falls linearly to 0 in the wall half-cell;
+* every other ghost copies the edge line: the normal components store exact
+  zeros on the walls, and cell-centered data is extended by its boundary
+  value (constant extrapolation), every sample a convex combination of
+  stored samples.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ def _clip01(a):
 def _locate(px, z, hx, hz, periodic, Lx):
     """Wrap or clamp x and scale both coordinates to cell units.
 
-    z must already lie in [0, 1].  Returns (x, x / hx, z / hz).
+    z must already lie in [0, 1].  Returns (x / hx, z / hz).
     """
     if periodic:
         x = px / Lx
@@ -77,53 +75,54 @@ def _locate(px, z, hx, hz, periodic, Lx):
     else:
         x = np.maximum(px, 0.0)
         np.minimum(x, Lx, out=x)
-    return x, x / hx, z / hz
+    x /= hx
+    return x, z / hz
 
 
-def _axis(f, n, periodic):
-    """Float cell index i and weight t of positions f along an axis of n
-    stored samples: i = floor(f), t = f - i; a walled axis clamps i to
-    [0, n - 2] and t to [0, 1]."""
-    i = np.floor(f)
+def _table(c, periodic, gx=1.0, gz=1.0):
+    """Corner table of an (n, m) field: rows holding the corners 00, 01, 10
+    and 11 of cell (i, j) at flat index (i + 1)(m + 2) + j + 1.  The rows are
+    overlapping views of one flat copy of the field padded by a ghost line
+    at each end of each axis: the wrapped rows on the strip's x axis, else
+    gx (x) or gz (z) times the edge line."""
+    n, m = c.shape
+    p = np.empty((n + 3 if periodic else n + 2, m + 2))
+    p[1:n + 1, 1:-1] = c
     if periodic:
-        return i, f - i
-    _clamp(i, 0.0, n - 2)
-    return i, _clamp(f - i, 0.0, 1.0)
+        p[0, 1:-1], p[n + 1:, 1:-1] = c[-1], c[:2]
+    else:
+        p[0, 1:-1], p[-1, 1:-1] = gx * c[0], gx * c[-1]
+    p[:, 0], p[:, -1] = gz * p[:, 1], gz * p[:, -2]
+    e = p.ravel()
+    s = m + 2
+    return e[:-s - 1], e[1:-s], e[s:-1], e[s + 1:]
 
 
-def _corners(c, periodic):
-    """Corner table of an (n, nz) field: four rows holding c[i, j],
-    c[i, j+1], c[i+1, j] and c[i+1, j+1] at flat index k * nz + j, with
-    k = i on a walled axis and k = i + 1 on the strip, whose wrapped
-    abscissa puts i in [-1, n].  The rows are overlapping views of one flat
-    array: the field itself, or on the strip the field between its wrapped
-    neighbour rows, which resolves the wrap once per table."""
-    nz = c.shape[1]
-    ext = np.concatenate((c[-1:], c, c[:2])) if periodic else c
-    e = np.ascontiguousarray(ext).ravel()
-    return e[:-nz - 1], e[1:-nz], e[nz:-1], e[nz + 1:]
+def _u1_table(u1, periodic):
+    """u1's table, negated beyond the z walls, its rows listed x pairs
+    first (00, 10, 01, 11)."""
+    v00, v01, v10, v11 = _table(u1, periodic, gz=-1.0)
+    return v00, v10, v01, v11
 
 
-def _cells(fx, fz, n, nz, periodic):
-    """Corner-table index and axis weights (tx, tz) of cell-unit positions
-    in an (n, nz) field; z is always walled."""
-    fi, tx = _axis(fx, n, periodic)
-    fj, tz = _axis(fz, nz, False)
-    if periodic:
-        fi += 1.0
-    fi *= nz
-    fi += fj
-    return fi.astype(np.intp), tx, tz
+def _u2_table(u2, periodic):
+    """u2's table, negated beyond the rectangle's x walls."""
+    return _table(u2, periodic, gx=-1.0)
 
 
-def _wall_rows(f, n, coord, extent, h):
-    """Points inside a wall half-cell of the cross axis: where f >= n - 1
-    (f <= 0) the upper (lower) corner pair falls linearly to zero at coord
-    = extent (0) over h / 2.  Returns the rows and their scale factors."""
-    top = np.flatnonzero(f >= n - 1)
-    bot = np.flatnonzero(f <= 0.0)
-    return (top, (extent - coord[top]) / (0.5 * h),
-            bot, coord[bot] / (0.5 * h))
+def _cells(fx, fz, m):
+    """Corner-table index of the cells i = floor(fx), j = floor(fz) of
+    cell-unit positions in a field of m samples along z, and their weights
+    (tx, tz) = (fx - i, fz - j)."""
+    i = np.floor(fx)
+    j = np.floor(fz)
+    tx = fx - i
+    tz = fz - j
+    # (i + 1)(m + 2) + j + 1, exact in floating point
+    i *= m + 2
+    i += j
+    i += m + 3
+    return i.astype(np.intp), tx, tz
 
 
 def _blend(t, a, b):
@@ -134,44 +133,33 @@ def _blend(t, a, b):
     return a
 
 
-def _face_sample(table, cells, x_pairs, wall):
-    """Face data from its corner table at located cells, the x pairs blended
-    first if x_pairs (u1), else the z pairs (u2); wall rows (or None) come
-    from ``_wall_rows`` of the cross axis."""
-    idx, tx, tz = cells
-    v00, v01, v10, v11 = (row.take(idx, mode="clip") for row in table)
-    if x_pairs:
-        lo, hi, t = _blend(tx, v00, v10), _blend(tx, v01, v11), tz
-    else:
-        lo, hi, t = _blend(tz, v00, v01), _blend(tz, v10, v11), tx
-    if wall is None:
-        return _blend(t, lo, hi)
-    # inside a wall half-cell the lower (upper) corner pair is the stored
-    # row next to the wall, blended against the no-slip zero
-    top, s_top, bot, s_bot = wall
-    r_top, r_bot = hi[top], lo[bot]
-    out = _blend(t, lo, hi)
-    out[top], out[bot] = s_top * r_top, s_bot * r_bot
-    return out
+def _gather(table, idx):
+    """The corners (a, b, c, d) of a corner table at flat cell indices."""
+    return [row.take(idx, mode="clip") for row in table]
 
 
-def _stage(shape1, shape2, x, z, hx, hz, periodic, Lx):
-    """Located cells and wall rows of both velocity components (u1 of
-    shape1, u2 of shape2) at flat points with z already in [0, 1]."""
-    xs, q, w = _locate(x, z, hx, hz, periodic, Lx)
-    fz = w - 0.5
-    fx = q - 0.5
-    (n1, nz1), (n2, nz2) = shape1, shape2
-    wall2 = None if periodic else _wall_rows(fx, n2, xs, Lx, hx)
-    return ((_cells(q, fz, n1, nz1, periodic), _wall_rows(fz, nz1, z, 1.0, hz)),
-            (_cells(fx, w, n2, nz2, periodic), wall2))
+def _sample(corners, t_in, t_out):
+    """Bilinear blend of gathered corners (a, b, c, d), overwriting them:
+    blend(t_out, blend(t_in, a, b), blend(t_in, c, d))."""
+    a, b, c, d = corners
+    return _blend(t_out, _blend(t_in, a, b), _blend(t_in, c, d))
+
+
+def _stage(nz, x, z, hx, hz, periodic, Lx):
+    """Located cells of u1 (blended x pairs first) and u2 (z pairs first)
+    on a grid of nz cells along z, at flat points with z in [0, 1]."""
+    q, w = _locate(x, z, hx, hz, periodic, Lx)
+    idx1, tx1, tz1 = _cells(q, w - 0.5, nz)
+    q -= 0.5
+    idx2, tx2, tz2 = _cells(q, w, nz + 1)
+    return (idx1, tx1, tz1), (idx2, tz2, tx2)
 
 
 def _velocity(table1, table2, stage):
     """(u1, u2) from their corner tables at a located stage."""
-    (cells1, wall1), (cells2, wall2) = stage
-    return (_face_sample(table1, cells1, True, wall1),
-            _face_sample(table2, cells2, False, wall2))
+    (idx1, *t1), (idx2, *t2) = stage
+    return (_sample(_gather(table1, idx1), *t1),
+            _sample(_gather(table2, idx2), *t2))
 
 
 @functools.lru_cache(maxsize=4)
@@ -184,13 +172,12 @@ def center_points(nx, nz, hx, hz):
 
 
 @functools.lru_cache(maxsize=4)
-def _center_stage(shape1, shape2, hx, hz, periodic, Lx):
+def _center_stage(nx, nz, hx, hz, periodic, Lx):
     """The located stage at the cell centres, read-only: it depends only on
     the grid, and every first RK4 stage from the centres starts there."""
-    px, pz = center_points(shape2[0], shape1[1], hx, hz)
-    stage = _stage(shape1, shape2, px, pz, hx, hz, periodic, Lx)
-    for cells, wall in stage:
-        for a in cells + (wall or ()):
+    stage = _stage(nz, *center_points(nx, nz, hx, hz), hx, hz, periodic, Lx)
+    for cells in stage:
+        for a in cells:
             a.flags.writeable = False
     return stage
 
@@ -206,9 +193,10 @@ def _as_points(px, pz):
 def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
     """Both MAC velocity components at points, each of shape px.shape."""
     px, pz = _as_points(px, pz)
-    stage = _stage(u1.shape, u2.shape, px.ravel(), _clip01(pz.ravel()), hx,
-                   hz, periodic, Lx)
-    v1, v2 = _velocity(_corners(u1, periodic), _corners(u2, periodic), stage)
+    stage = _stage(u1.shape[1], px.ravel(), _clip01(pz.ravel()), hx, hz,
+                   periodic, Lx)
+    v1, v2 = _velocity(_u1_table(u1, periodic), _u2_table(u2, periodic),
+                       stage)
     return v1.reshape(px.shape), v2.reshape(px.shape)
 
 
@@ -216,23 +204,30 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     """Cell-centered data at points; an (nx, nz, k) array samples every
     channel from one set of weights and returns shape px.shape + (k,)."""
     px, pz = _as_points(px, pz)
-    _, q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
-    nx, nz = c.shape[:2]
-    idx, tx, tz = _cells(q - 0.5, w - 0.5, nx, nz, periodic)
+    q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
+    q -= 0.5
+    w -= 0.5
+    idx, tx, tz = _cells(q, w, c.shape[1])
     channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
     out = np.empty((len(channels), q.size))
     for k, ch in enumerate(channels):
-        v00, v01, v10, v11 = (row.take(idx, mode="clip")
-                              for row in _corners(ch, periodic))
+        v00, v01, v10, v11 = v = _gather(_table(ch, periodic), idx)
         # rounding can push the blend past the corner hull by an ulp; scalar
         # data carries an exact range-preservation contract, so clamp
         lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
         hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
-        res = _blend(tx, _blend(tz, v00, v01), _blend(tz, v10, v11))
-        np.minimum(np.maximum(res, lo), hi, out=out[k])
+        np.minimum(np.maximum(_sample(v, tz, tx), lo), hi, out=out[k])
     if c.ndim == 2:
         return out[0].reshape(px.shape)
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
+
+
+def _per_field(build, fields, periodic):
+    """One table per distinct field array, checked by identity, listed in
+    the order of fields."""
+    distinct = {id(c): c for c in fields}
+    tables = {k: build(c, periodic) for k, c in distinct.items()}
+    return [tables[id(c)] for c in fields]
 
 
 def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx,
@@ -243,16 +238,13 @@ def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx,
     takes its located cells from the per-grid cache.
     """
     grid = (hx, hz, periodic, Lx)
-    shapes = (u1a.shape, u2a.shape)
-    # one corner table per distinct field array, checked by identity
-    fields = (u1a, u2a, u1b, u2b, u1c, u2c)
-    distinct = {id(c): c for c in fields}
-    tables = {k: _corners(c, periodic) for k, c in distinct.items()}
-    t1a, t2a, t1b, t2b, t1c, t2c = (tables[id(c)] for c in fields)
+    nx, nz = u2a.shape[0], u1a.shape[1]
+    t1a, t1b, t1c = _per_field(_u1_table, (u1a, u1b, u1c), periodic)
+    t2a, t2b, t2c = _per_field(_u2_table, (u2a, u2b, u2c), periodic)
     if from_centers:
-        stage = _center_stage(*shapes, *grid)
+        stage = _center_stage(nx, nz, *grid)
     else:
-        stage = _stage(*shapes, px, _clip01(pz), *grid)
+        stage = _stage(nz, px, _clip01(pz), *grid)
     # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
     # + 2 k3 + k4), the sum accumulated left to right as the stages finish
     tableau = (((t1a, t2a), 0.5, 1.0), ((t1b, t2b), 0.5, 2.0),
@@ -260,8 +252,8 @@ def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx,
     for s, (tabs, c, w) in enumerate(tableau):
         kx, kz = _velocity(*tabs, stage)
         if c:
-            stage = _stage(*shapes, px + c * h * kx,
-                           _clip01(pz + c * h * kz), *grid)
+            stage = _stage(nz, px + c * h * kx, _clip01(pz + c * h * kz),
+                           *grid)
         if w != 1.0:
             kx *= w
             kz *= w

@@ -2,8 +2,11 @@
 
 These are the sampling and RK4 kernels exactly as they stood before the
 shared-index rewrite of ``stokestransport._kernels``.  They are kept here,
-unchanged, as the oracle the tests compare against with ``np.array_equal``:
-the production kernels must reproduce every bit of them.
+unchanged, as the oracle the tests compare against.  The production kernels
+reproduce every bit of them outside the wall half-cells.  Inside one, where
+these samplers scale the row next to a no-slip wall by its distance to the
+wall and the production kernels blend it with a negated ghost row, the two
+differ by the rounding of the cell-unit coordinate only.
 """
 
 import numpy as np

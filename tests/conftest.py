@@ -22,6 +22,4 @@ def random_center_field(grid, dom, rng, smooth: bool = False) -> ScalarField:
     if smooth:
         for axis in (0, 1):
             vals = (np.roll(vals, 1, axis) + vals + np.roll(vals, -1, axis)) / 3.0
-        if not dom.periodic:
-            pass  # roll wraps; fine for test data either way
     return ScalarField(grid, dom, vals)

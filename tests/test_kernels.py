@@ -1,13 +1,16 @@
 """The transport kernels against their reference, and sampling semantics.
 
 ``_reference_kernels`` holds the original vectorized arithmetic, with one
-sampler per staggering.  The production kernels locate every staggering
-with one per-axis rule and blend both velocity components through one face
-sampler (``sample_velocity`` returns u1 and u2 together); they share index
-work across fields and channels but keep every floating-point expression,
-so everything here demands bitwise equality, not approximate closeness.
-Non-finite points must come back as NaN or a clamped wall value, without
-raising or hanging.
+sampler per staggering and a separate wall rule.  The production kernels
+sample every staggering by one rule, through corner tables padded with
+ghost lines (minus the edge line where a velocity component is tangential
+to a no-slip wall, a copy elsewhere), and keep every floating-point
+expression of the reference.  So samples outside the wall half-cells must
+equal the reference bit for bit; inside one they may differ by the
+rounding of the cell-unit coordinate, 4 n eps max|field| for n cells along
+the wall's axis.  The RK4 steps are compared bit for bit with the
+reference step driven by the production sampler.  Non-finite points must
+come back as NaN or a clamped wall value, without raising or hanging.
 """
 
 import numpy as np
@@ -73,6 +76,33 @@ def _case(kind, L, nx, nz, seed=7):
     return dom, grid, rng, u1, u2, px, pz
 
 
+def _bands(grid, periodic, L, px, pz):
+    """Wall half-cell bands of the reference's cell-unit coordinates, each
+    with the cell count along its axis: z (u1 and centre data) and, on the
+    rectangle, x (u2 and centre data)."""
+    fz = np.clip(pz, 0.0, 1.0) / grid.hz - 0.5
+    fx = np.clip(px, 0.0, L) / grid.hx - 0.5
+    z = ((fz < 0) | (fz > grid.nz - 1), grid.nz)
+    x = (np.zeros(px.shape, bool) if periodic
+         else (fx < 0) | (fx > grid.nx - 1), grid.nx)
+    return x, z
+
+
+def _assert_parity(got, want, field, *bands):
+    """Bitwise equal outside the bands.  Inside one, the ghost blend
+    (1 - t)(-r) + t r replaces the reference's wall scale s r: both weights
+    come from the cell-unit coordinate, whose float64 rounding is about
+    n eps for n cells, so they may differ by 4 n eps max|field|."""
+    inside = np.zeros(got.shape, bool)
+    n = np.zeros(got.shape)
+    for band, cells in bands:
+        inside |= band
+        n[band] = np.maximum(n[band], cells)
+    assert np.array_equal(got[~inside], want[~inside])
+    tol = 4 * n * np.finfo(float).eps * np.abs(field).max()
+    assert np.all(np.abs(got - want) <= tol)
+
+
 @pytest.mark.parametrize("kind, L, nx, nz", _GRIDS, ids=_IDS)
 class TestReferenceParity:
     def test_point_samples_bitwise_equal(self, kind, L, nx, nz):
@@ -81,28 +111,32 @@ class TestReferenceParity:
         # which the clamp in sample_center must undo
         c = rng.choice([0.1, 0.7, 1.3], size=(nx, nz))
         args = (px, pz, grid.hx, grid.hz, dom.periodic, L)
+        xband, zband = _bands(grid, dom.periodic, L, px, pz)
         v1, v2 = _kernels.sample_velocity(u1, u2, *args)
-        assert np.array_equal(v1, ref._np_sample_u1(u1, *args))
-        assert np.array_equal(v2, ref._np_sample_u2(u2, *args))
-        assert np.array_equal(_kernels.sample_center(c, *args),
-                              ref._np_sample_center(c, *args))
+        _assert_parity(v1, ref._np_sample_u1(u1, *args), u1, zband)
+        _assert_parity(v2, ref._np_sample_u2(u2, *args), u2, xband)
+        _assert_parity(_kernels.sample_center(c, *args),
+                       ref._np_sample_center(c, *args), c, xband, zband)
 
     def test_channels_sampled_together_bitwise_equal(self, kind, L, nx, nz):
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
         c = rng.standard_normal((nx, nz, 2))
         px, pz = px[:4000].reshape(40, 100), pz[:4000].reshape(40, 100)
         args = (px, pz, grid.hx, grid.hz, dom.periodic, L)
+        bands = _bands(grid, dom.periodic, L, px, pz)
         both = _kernels.sample_center(c, *args)
         assert both.shape == (40, 100, 2)
         for k in range(2):
             alone = _kernels.sample_center(c[:, :, k], *args)
             assert np.array_equal(both[..., k], alone)
-            assert np.array_equal(both[..., k],
-                                  ref._np_sample_center(c[:, :, k], *args))
+            _assert_parity(both[..., k],
+                           ref._np_sample_center(c[:, :, k], *args),
+                           c[:, :, k], *bands)
 
-    def test_rk4_steps_bitwise_equal(self, kind, L, nx, nz):
+    def test_rk4_steps_bitwise_equal(self, kind, L, nx, nz, monkeypatch):
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
         args = (grid.hx, grid.hz, dom.periodic, L)
+        _production_samplers(monkeypatch, nx)
         # distinct stage fields, then one steady field (u1a is u1b is u1c)
         # whose corner tables every stage shares
         for fields in ((u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2),
@@ -116,10 +150,11 @@ class TestReferenceParity:
                 assert np.array_equal(new_z, ref_z)
 
     def test_rk4_step_from_cached_centers_bitwise_equal(self, kind, L, nx,
-                                                         nz):
+                                                         nz, monkeypatch):
         dom, grid, rng, u1, u2, _, _ = _case(kind, L, nx, nz)
         fields = (u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2)
         args = (grid.hx, grid.hz, dom.periodic, L)
+        _production_samplers(monkeypatch, nx)
         seeds = _kernels.center_points(nx, nz, grid.hx, grid.hz)
         cached, plain, oracle = ([s.copy() for s in seeds] for _ in range(3))
         _kernels.rk4_step(*cached, 0.3, *fields, *args, from_centers=True)
@@ -130,20 +165,28 @@ class TestReferenceParity:
             assert np.array_equal(a, c)
 
 
-def _arrays(tree):
-    if isinstance(tree, np.ndarray):
-        yield tree
-    elif tree is not None:
-        for item in tree:
-            yield from _arrays(item)
+def _production_samplers(monkeypatch, nx):
+    """Make ``ref._np_rk4_step`` sample through ``sample_velocity``, so that
+    it pins the RK4 tableau, the per-field tables and the centre-stage cache
+    of ``rk4_step`` bit for bit; the other component's field is zero."""
+    def u1_only(u1, px, pz, hx, hz, periodic, Lx):
+        u2 = np.zeros((nx, u1.shape[1] + 1))
+        return _kernels.sample_velocity(u1, u2, px, pz, hx, hz, periodic,
+                                        Lx)[0]
+
+    def u2_only(u2, px, pz, hx, hz, periodic, Lx):
+        u1 = np.zeros((nx if periodic else nx + 1, u2.shape[1] - 1))
+        return _kernels.sample_velocity(u1, u2, px, pz, hx, hz, periodic,
+                                        Lx)[1]
+
+    monkeypatch.setattr(ref, "_np_sample_u1", u1_only)
+    monkeypatch.setattr(ref, "_np_sample_u2", u2_only)
 
 
 def _center_stage(kind, L, nx, nz):
     dom = DomainSpec(kind, L)
     grid = make_grid(dom, nx, nz)
-    nf = nx if dom.periodic else nx + 1
-    return _kernels._center_stage((nf, nz), (nx, nz + 1), grid.hx, grid.hz,
-                                  dom.periodic, L)
+    return _kernels._center_stage(nx, nz, grid.hx, grid.hz, dom.periodic, L)
 
 
 class TestCenterCache:
@@ -151,9 +194,11 @@ class TestCenterCache:
                                          (DomainKind.RECTANGLE, 1.5)],
                              ids=["strip", "rectangle"])
     def test_cached_arrays_are_read_only(self, kind, L):
-        arrays = [*_arrays(_center_stage(kind, L, 16, 8)),
+        # index and two weights per velocity component, and the centres
+        arrays = [*(a for cells in _center_stage(kind, L, 16, 8)
+                    for a in cells),
                   *_kernels.center_points(16, 8, L / 16, 1 / 8)]
-        assert len(arrays) >= 12
+        assert len(arrays) == 8
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
@@ -167,8 +212,7 @@ class TestCenterCache:
         info = _kernels._center_stage.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
         # the u1 corner-table index of each entry covers its own grid
-        assert [s[0][0][0].size for s in (strip, finer, box)] == [128, 256, 128]
-        assert box[1][1] is not None and strip[1][1] is None
+        assert [s[0][0].size for s in (strip, finer, box)] == [128, 256, 128]
 
 
 @pytest.mark.parametrize("which", ["rect", "strip"])
@@ -184,6 +228,43 @@ def test_flow_maps_bitwise_equal(which, rect, strip, monkeypatch):
 
     monkeypatch.setattr(_kernels, "rk4_step", reference_step)
     assert np.array_equal(new, integrate_flow(u, 1.0, 0.0, cfg).displacement)
+
+
+# (kind, x_extent, nx, nz, exact): on the dyadic grids n h rounds back to the
+# extent, so the ghost blend at a wall is exactly 0; elsewhere it is zero to
+# the rounding of the cell-unit coordinate, 4 n eps max|u| for n cells
+_WALL_GRIDS = [
+    *((k, L, nx, nz, True) for k, L in ((DomainKind.STRIP, 8.0),
+                                        (DomainKind.RECTANGLE, 1.0))
+      for nx, nz in ((16, 8), (64, 16), (128, 128))),
+    *((k, L, 16, nz, False) for k, L in ((DomainKind.STRIP, 8.0),
+                                         (DomainKind.RECTANGLE, 1.0))
+      for nz in (49, 98, 103)),
+    (DomainKind.RECTANGLE, 1.0, 93, 16, False),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, L, nx, nz, exact", _WALL_GRIDS,
+    ids=[f"{k.value}-{nx}x{nz}" for k, _, nx, nz, _ in _WALL_GRIDS])
+def test_tangential_velocity_vanishes_on_walls(kind, L, nx, nz, exact):
+    # u1 on z = 0, 1 and, on the rectangle, u2 on x = 0, Lx: no-slip
+    dom, grid, rng, u1, u2, _, _ = _case(kind, L, nx, nz)
+    args = (grid.hx, grid.hz, dom.periodic, L)
+    xs = np.concatenate([rng.uniform(0.0, L, 200), np.arange(nx) * grid.hx,
+                         (np.arange(nx) + 0.5) * grid.hx])
+    zs = np.concatenate([rng.uniform(0.0, 1.0, 200), np.arange(nz) * grid.hz,
+                         (np.arange(nz) + 0.5) * grid.hz])
+    eps = np.finfo(float).eps
+    walls = [(_kernels.sample_velocity(u1, u2, xs, np.full_like(xs, z),
+                                       *args)[0], nz, u1) for z in (0.0, 1.0)]
+    if not dom.periodic:
+        walls += [(_kernels.sample_velocity(u1, u2, np.full_like(zs, x), zs,
+                                            *args)[1], nx, u2)
+                  for x in (0.0, L)]
+    for got, n, u in walls:
+        tol = 0.0 if exact else 4 * n * eps * np.abs(u).max()
+        assert np.all(np.abs(got) <= tol)
 
 
 class TestSamplingSemantics:
