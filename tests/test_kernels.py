@@ -233,15 +233,13 @@ def test_flow_maps_bitwise_equal(which, rect, strip, monkeypatch):
 # (kind, x_extent, nx, nz, exact): on the dyadic grids n h rounds back to the
 # extent, so the ghost blend at a wall is exactly 0; elsewhere it is zero to
 # the rounding of the cell-unit coordinate, 4 n eps max|u| for n cells
-_WALL_GRIDS = [
-    *((k, L, nx, nz, True) for k, L in ((DomainKind.STRIP, 8.0),
-                                        (DomainKind.RECTANGLE, 1.0))
-      for nx, nz in ((16, 8), (64, 16), (128, 128))),
-    *((k, L, 16, nz, False) for k, L in ((DomainKind.STRIP, 8.0),
-                                         (DomainKind.RECTANGLE, 1.0))
-      for nz in (49, 98, 103)),
-    (DomainKind.RECTANGLE, 1.0, 93, 16, False),
-]
+_WALL_GRIDS = [(k, L, nx, nz, exact)
+               for k, L in ((DomainKind.STRIP, 8.0),
+                            (DomainKind.RECTANGLE, 1.0))
+               for nx, nz, exact in ((16, 8, True), (64, 16, True),
+                                     (128, 128, True), (16, 49, False),
+                                     (16, 98, False), (16, 103, False))]
+_WALL_GRIDS.append((DomainKind.RECTANGLE, 1.0, 93, 16, False))
 
 
 @pytest.mark.parametrize(
