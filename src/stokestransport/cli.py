@@ -12,7 +12,8 @@ and prints a short summary block.  Numeric output uses 17 significant
 digits so values round-trip through text exactly.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error (nothing
-is written in that case).
+is written in that case).  simulate writes each state of its march as the
+state is made, and a failed march removes what the run wrote.
 """
 
 from __future__ import annotations
@@ -70,17 +71,61 @@ def _fmt(x) -> str:
 
 _SERIES_COLUMNS = ("t", "rho_l2", "rho_linf", "u_linf", "u_h1", "flux",
                    "potential_energy")
+_SERIES_HEADER = ",".join(_SERIES_COLUMNS) + "\n"
+
+
+def _series_row(state) -> str:
+    row = [state.t] + [state.norms[c] for c in _SERIES_COLUMNS[1:]]
+    return ",".join(_fmt(v) for v in row) + "\n"
 
 
 def emit_series(states) -> str:
     """Render a state series as CSV with the fixed column order."""
     if not states:
         raise ValueError("history must be non-empty")
-    lines = [",".join(_SERIES_COLUMNS)]
-    for s in states:
-        row = [s.t] + [s.norms[c] for c in _SERIES_COLUMNS[1:]]
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _SERIES_HEADER + "".join(_series_row(s) for s in states)
+
+
+class _MarchWriter:
+    """The output sink of ``simulate``: writes each state as it is made.
+
+    Creating it creates ``out`` and writes the series header.  ``append``
+    writes a state's series row, and its snapshot when the step index is a
+    multiple of ``every`` (none when ``every`` is 0); only the state count
+    and the last norms are kept, for the summary lines.  ``discard`` undoes
+    the run: it removes every file written, then the directories that
+    creating the sink made.
+    """
+
+    def __init__(self, out: Path, every: int):
+        self._out = out
+        self._every = every
+        self.count = 0
+        self.norms = None
+        self._made = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        self._written = [out / "series.csv"]
+        self._series = open(self._written[0], "w")
+        self._series.write(_SERIES_HEADER)
+
+    def append(self, state) -> None:
+        k = self.count
+        if self._every and k % self._every == 0:
+            self._written.append(self._out / f"rho_{k:06d}.stf")
+            write_field(self._written[-1], state.rho)
+        self._series.write(_series_row(state))
+        self.count = k + 1
+        self.norms = state.norms
+
+    def close(self) -> None:
+        self._series.close()
+
+    def discard(self) -> None:
+        self.close()
+        for path in self._written:
+            path.unlink(missing_ok=True)
+        for d in self._made:  # deepest first
+            d.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +390,18 @@ def _cmd_transport(cfg: dict, out: Path) -> list[str]:
 def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
     dom, grid = _build_domain(cfg)
     _check_dt(cfg)
-    every = cfg["snapshot_every"]
     rho0 = _build_density(cfg, grid, dom)
-    states = time_march(rho0, cfg["t_final"], cfg["dt"])
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out, "series.csv", emit_series(states))
-    if every:
-        for k in range(0, len(states), every):
-            write_field(out / f"rho_{k:06d}.stf", states[k].rho)
-    last = states[-1]
-    return [f"steps = {len(states) - 1}",
-            f"rho_linf = {_fmt(last.norms['rho_linf'])}",
-            f"u_linf = {_fmt(last.norms['u_linf'])}"]
+    sink = _MarchWriter(out, cfg["snapshot_every"])
+    try:
+        time_march(rho0, cfg["t_final"], cfg["dt"], sink)
+        sink.close()
+    except BaseException:  # a failed run leaves nothing behind
+        sink.discard()
+        raise
+    return [f"steps = {sink.count - 1}",
+            f"rho_linf = {_fmt(sink.norms['rho_linf'])}",
+            f"u_linf = {_fmt(sink.norms['u_linf'])}"]
 
 
 def _cmd_picard(cfg: dict, out: Path) -> list[str]:

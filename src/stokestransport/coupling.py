@@ -16,8 +16,11 @@ pure transport of rho.  Two drivers are provided:
 
 Both return SimulationState records of time, density and norms only.  The
 velocity and pressure are the Stokes response to -rho e_z, so the density
-is the whole state: each solve is read for its norms and then let go, and a
-march keeps one density field per step.
+is the whole state: each solve is read for its norms and then let go.
+time_march hands each state to an output sink as soon as it is made: by
+default a list, which keeps one density field per step, while the CLI's
+sink writes the state's series row and snapshot and keeps none, so a CLI
+march holds one live density whatever its step count.
 
 Strip-mode density differences are measured in the windowed dual norm
 with the solve widened by (measured max speed) x (elapsed time), a
@@ -208,11 +211,14 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     return states, trace
 
 
-def time_march(rho0: ScalarField, T: float, dt: float):
+def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     """March the coupled system to time T with velocity frozen per step.
 
-    The returned states sample every step boundary, t = 0 included.  The
-    density is always pulled back from rho0 through one composed map.
+    The states sample every step boundary, t = 0 included.  Each is passed
+    to ``states.append`` as soon as it is made, and ``states`` is returned
+    (a new list when it is None); a sink that writes each state out and
+    keeps none lets a march hold one live density.  The density is always
+    pulled back from rho0 through one composed map.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
@@ -227,18 +233,20 @@ def time_march(rho0: ScalarField, T: float, dt: float):
     back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
                    displacement=np.zeros((g.nx, g.nz, 2)))
     rho = rho0
-    states = []
+    if states is None:
+        states = []
     warned = False
     for k in range(nsteps + 1):
         sol = solve_buoyancy(rho)
-        states.append(_make_state(bounds[k], rho, sol))
+        state = _make_state(bounds[k], rho, sol)
+        states.append(state)
         if k == nsteps:
             break
         h = bounds[k + 1] - bounds[k]
-        if not warned and h * states[-1].norms["u_linf"] > hmin:
+        if not warned and h * state.norms["u_linf"] > hmin:
             warnings.warn(
                 "advective step exceeds one cell; accuracy may suffer "
-                f"(dt |u| = {h * states[-1].norms['u_linf']:.3g} > h = {hmin:.3g})",
+                f"(dt |u| = {h * state.norms['u_linf']:.3g} > h = {hmin:.3g})",
                 stacklevel=2)
             warned = True
         step = integrate_flow(sol.u, bounds[k + 1], bounds[k],

@@ -1,19 +1,22 @@
 import configparser
 import csv
+import gc
 import io
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokestransport import cli
+from stokestransport import cli, coupling
 from stokestransport.coupling import time_march
 from stokestransport.scenarios import make_density
+from stokestransport.stokes import StokesSolveError
 
 
 def write_cfg(tmp_path, body, name="run.ini"):
@@ -315,6 +318,65 @@ class TestSimulateCommand:
         cli.main(["simulate", "--config", cfg, "--out", str(a)])
         cli.main(["simulate", "--config", cfg, "--out", str(b)])
         assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
+
+    def test_live_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        # each state is written as it is made and let go: the peak traced
+        # memory of a run grows by far less than one density per extra step
+        dt = 0.015625
+
+        def peak(nsteps, tag):
+            cfg = write_cfg(
+                tmp_path, f"[simulate]\nnx = 64\nnz = 32\nt_final = "
+                f"{nsteps * dt}\ndt = {dt}\nsnapshot_every = 1\n",
+                name=f"{tag}.ini")
+            out = tmp_path / tag
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", "--config", cfg,
+                                 "--out", str(out)]) == 0
+                size = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(list(out.glob("rho_*.stf"))) == nsteps + 1
+            return size
+
+        peak(10, "warm")  # fill the solver and kernel caches
+        per_step = (peak(40, "long") - peak(10, "short")) / 30
+        assert per_step <= 0.25 * 64 * 32 * 8
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new_out", "existing_out"])
+    def test_solver_failure_exits_1_and_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys, existing):
+        # three states are written before the fourth solve fails; the run
+        # removes them, and the directories it created
+        solve = coupling.solve_buoyancy
+        calls = []
+
+        def failing_solve(rho, *args, **kwargs):
+            calls.append(rho)
+            if len(calls) == 4:
+                raise StokesSolveError("injected failure")
+            return solve(rho, *args, **kwargs)
+
+        monkeypatch.setattr(coupling, "solve_buoyancy", failing_solve)
+        top = tmp_path / "runs"
+        out = top / "sim"
+        if existing:
+            out.mkdir(parents=True)
+        cfg = write_cfg(
+            tmp_path,
+            "[simulate]\nnx = 32\nnz = 16\nt_final = 0.5\ndt = 0.0625\n"
+            "snapshot_every = 1\n")
+        rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert len(calls) == 4
+        assert "solver failure" in capsys.readouterr().err
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert not top.exists()
 
 
 class TestOtherCommands:

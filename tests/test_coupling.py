@@ -99,6 +99,19 @@ class TestPicard:
         assert trace.converged
 
 
+class _AppendOnly:
+    """An output sink that can be appended to and iterated, not indexed."""
+
+    def __init__(self):
+        self._states = []
+
+    def append(self, state):
+        self._states.append(state)
+
+    def __iter__(self):
+        return iter(self._states)
+
+
 class TestTimeMarch:
     def test_state_times(self, strip):
         dom, grid = strip
@@ -147,6 +160,29 @@ class TestTimeMarch:
         rho0 = make_density("patch", grid, dom, delta=40.0)
         with pytest.warns(UserWarning, match="step"):
             time_march(rho0, T=10.0, dt=5.0)
+
+    def test_advisory_warning_with_an_append_only_sink(self, strip):
+        # the warning reads the state just made, not states[-1], which a
+        # sink without indexing does not have
+        dom, grid = strip
+        rho0 = make_density("patch", grid, dom, delta=40.0)
+        with pytest.warns(UserWarning, match="step"):
+            time_march(rho0, T=10.0, dt=5.0, states=_AppendOnly())
+
+    @pytest.mark.parametrize("sink", [list, _AppendOnly],
+                             ids=["list", "append_only_sink"])
+    def test_sink_receives_the_states_in_order(self, strip, sink):
+        dom, grid = strip
+        rho0 = make_density("patch", grid, dom, delta=5.0)
+        expected = time_march(rho0, T=0.25, dt=0.05)
+        out = sink()
+        assert time_march(rho0, T=0.25, dt=0.05, states=out) is out
+        got = list(out)
+        assert len(got) == len(expected) == 6
+        for a, b in zip(got, expected):
+            assert a.t == b.t
+            assert a.norms == b.norms
+            assert np.array_equal(a.rho.values, b.rho.values)
 
     def test_potential_energy_logged(self, strip):
         dom, grid = strip
