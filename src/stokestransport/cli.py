@@ -315,6 +315,8 @@ def _resolve_out(cfg: dict, flag_value: str | None) -> Path:
     out = flag_value or cfg["out"]
     if not out:
         raise ConfigError("no output directory; pass --out or set out=")
+    if any(d.exists() and not d.is_dir() for d in (Path(out), *Path(out).parents)):
+        raise ConfigError(f"output directory {out} is, or lies under, a file")
     return Path(out)
 
 
@@ -327,8 +329,7 @@ def _write_resolved(out: Path, cmd: str, cfg: dict) -> None:
 
 def _write(out: Path, name: str, text: str) -> Path:
     p = out / name
-    with open(p, "w") as fh:
-        fh.write(text)
+    p.write_text(text)
     return p
 
 
@@ -358,8 +359,7 @@ def _cmd_stokes(cfg: dict, out: Path) -> list[str]:
     write_field(out / "u2.stf", sol.u.u2)
     write_field(out / "p.stf", sol.p)
     prof = flux_profile(sol.u)
-    rows = ["index,flux"]
-    rows += [f"{i},{_fmt(v)}" for i, v in enumerate(prof)]
+    rows = ["index,flux", *(f"{i},{_fmt(v)}" for i, v in enumerate(prof))]
     _write(out, "flux.csv", "\n".join(rows) + "\n")
     _write(out, "summary.txt", solver_stats_text(sol))
     return [f"residual = {_fmt(sol.residual_norm)}",
@@ -433,8 +433,7 @@ def _cmd_stability(cfg: dict, out: Path) -> list[str]:
     rep = stability_experiment(rho1, rho2, T=cfg["t_final"], dt=cfg["dt"])
     out.mkdir(parents=True, exist_ok=True)
     col = "abs_diff" if rep.absolute else "G"
-    rows = [f"t,{col}"]
-    rows += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(rep.times, rep.values)]
+    rows = [f"t,{col}", *(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(rep.times, rep.values))]
     _write(out, "stability.csv", "\n".join(rows) + "\n")
     return [f"mode = {rep.mode}", f"absolute = {rep.absolute}",
             f"slope = {_fmt(rep.slope)}",
@@ -452,12 +451,9 @@ def _cmd_norms(cfg: dict, out: Path) -> list[str]:
         raise ConfigError("sweep_fields needs domain = strip")
     part = _partition(grid, dom) if want_uloc or sweep_n else None
 
-    rows = []
-    rows.append(f"l1,{_fmt(lq_norm(field, 1))}")
-    rows.append(f"l2,{_fmt(lq_norm(field, 2))}")
-    rows.append(f"linf,{_fmt(lq_norm(field, np.inf))}")
-    rows.append(f"h1,{_fmt(h1_norm(field))}")
-    rows.append(f"hneg1,{_fmt(hneg1_norm(field))}")
+    rows = [f"l1,{_fmt(lq_norm(field, 1))}", f"l2,{_fmt(lq_norm(field, 2))}",
+            f"linf,{_fmt(lq_norm(field, np.inf))}", f"h1,{_fmt(h1_norm(field))}",
+            f"hneg1,{_fmt(hneg1_norm(field))}"]
     summary = [f"l2 = {_fmt(lq_norm(field, 2))}"]
     if want_uloc:
         for m in (-1, 0, 1):
@@ -468,16 +464,15 @@ def _cmd_norms(cfg: dict, out: Path) -> list[str]:
     sweep_worst = None
     if sweep_n:
         rng = np.random.default_rng(cfg["seed"])
-        worst = 0.0
+        sweep_worst = 0.0
         for _ in range(sweep_n):
             f = ScalarField(grid, dom, rng.standard_normal((grid.nx, grid.nz)))
             rep = uloc_norm(f, 0, part)
             plain = max(lq_norm(_windowed_plain(f, part, k), 2)
                         for k in range(part.period))
             if plain > 0:
-                worst = max(worst, rep.value / plain)
-        sweep_worst = worst
-        summary.append(f"sweep_ratio_max = {_fmt(worst)} (C_chi = {_fmt(C_CHI)})")
+                sweep_worst = max(sweep_worst, rep.value / plain)
+        summary.append(f"sweep_ratio_max = {_fmt(sweep_worst)} (C_chi = {_fmt(C_CHI)})")
 
     out.mkdir(parents=True, exist_ok=True)
     _write(out, "norms.csv", "\n".join(rows) + "\n")

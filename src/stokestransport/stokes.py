@@ -22,16 +22,17 @@ capacitance matrix of those rows undoes.  A solve is one forward transform,
 the wall defect of the free-slip answer, the capacitance solve, a low-rank
 change of the transformed forcing, and one inverse transform per field.
 
-On the rectangle the r = 2(nx-1) + 2(nz-1) wall rows couple every mode, so
-the r x r capacitance is assembled from 1D transform matrices and factored
-once per grid; the constant mode (0, 0) is 0, which fixes the pressure mean
-without a pin.  On the strip each nonzero wavenumber keeps its own two u1
-wall rows, so its capacitance is 2 x 2.  The zero wavenumber is
-rank-deficient exactly along the parabolic profile and is closed by
-prescribing the volume flux in a small dense bordered system; its pressure
-gains a linear slope in x, stored separately from the periodic pressure
-samples (constant f1 with zero flux is balanced by pressure alone: f = e_x
-gives u = 0 and slope 1).
+On the rectangle the u1 rows at the z walls and the u2 rows at the x walls
+each have a 2 x 2 capacitance per sine mode along their walls; the larger
+family is eliminated by those inverses, and the Schur complement on the
+smaller, 2(min(nx, nz) - 1) rows, is factored once per grid.  The constant
+mode (0, 0) is 0, which fixes the pressure mean without a pin.  On the strip
+each nonzero wavenumber keeps its own two u1 wall rows, so its capacitance
+is 2 x 2.  The zero wavenumber is rank-deficient exactly along the parabolic
+profile and is closed by prescribing the volume flux in a small dense
+bordered system; its pressure gains a linear slope in x, stored separately
+from the periodic pressure samples (constant f1 with zero flux is balanced
+by pressure alone: f = e_x gives u = 0 and slope 1).
 """
 
 from __future__ import annotations
@@ -146,16 +147,20 @@ _dct = functools.partial(scipy.fft.dct, type=2, norm="ortho")
 _idct = functools.partial(scipy.fft.idct, type=2, norm="ortho")
 
 
+def _symbol(n: int, h: float) -> np.ndarray:
+    """The gradient symbol g[k] = -2 sin(pi k / 2n) / h of a walled axis of n cells."""
+    return -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
+
+
 def _transforms(n: int, h: float):
     """(S, C, g) of a walled axis of n cells; the rows of S and C are modes.
 
     S is the orthonormal DST-I on the n - 1 interior faces, C the orthonormal
-    DCT-II on the n centers and g[k] = -2 sin(pi k / 2n) / h the gradient
-    symbol: S.T diag(g[1:]) C[1:] is ``Axis.grad``, S.T diag(g[1:]**2) S is
-    ``Axis.faces`` and C.T diag(g**2) C the free-slip center Laplacian.
+    DCT-II on the n centers and g = ``_symbol``: S.T diag(g[1:]) C[1:] is
+    ``Axis.grad``, S.T diag(g[1:]**2) S is ``Axis.faces`` and C.T diag(g**2) C
+    the free-slip center Laplacian.
     """
-    S, C = _dst(np.eye(n - 1), axis=0), _dct(np.eye(n), axis=0)
-    return S, C, -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
+    return _dst(np.eye(n - 1), axis=0), _dct(np.eye(n), axis=0), _symbol(n, h)
 
 
 def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
@@ -167,53 +172,54 @@ def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
     return rows
 
 
+def _wall_modes(axis: _mac.Axis, h: float):
+    """(q, r): the DCT-II of a unit in the first and last cell, and ``_wall_rows`` in DCT-II."""
+    units = np.zeros((axis.centers.shape[0], 2))
+    units[[0, -1], [0, 1]] = 1.0
+    return _dct(units, axis=0), _dct(_wall_rows(axis, h).T, axis=0).T
+
+
 class _RectFactor(NamedTuple):
-    gx: np.ndarray   # (nx, 1) gradient symbol
-    gz: np.ndarray   # (1, nz)
-    inv: np.ndarray  # 1 / (gx^2 + gz^2), 0 for the constant mode
-    Sx: np.ndarray   # (nx - 1, nx - 1) DST-I matrix along x
-    Sz: np.ndarray   # (nz - 1, nz - 1)
-    qx: np.ndarray   # (nx, 2) DCT-II of a unit in the first and last x cell
-    qz: np.ndarray   # (nz, 2)
-    rx: np.ndarray   # (2, nx) the two x wall-row corrections, in DCT-II
-    rz: np.ndarray   # (2, nz)
-    cap: tuple       # lu_factor of the capacitance matrix
-
-
-def _tile(blocks: np.ndarray) -> np.ndarray:
-    """(2, 2, n, m) wall-pair blocks -> the (2n, 2m) matrix they tile."""
-    a, b, n, m = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(a * n, b * m)
+    gx: np.ndarray      # (nx, 1) gradient symbol
+    gz: np.ndarray      # (1, nz)
+    inv: np.ndarray     # 1 / (gx^2 + gz^2), 0 for the constant mode
+    qx: np.ndarray      # (nx, 2) DCT-II of a unit in the first and last x cell
+    qz: np.ndarray      # (nz, 2)
+    rx: np.ndarray      # (2, nx) the two x wall-row corrections, in DCT-II
+    rz: np.ndarray      # (2, nz)
+    elim: int           # the larger wall family, eliminated per mode: 0 u1, 1 u2
+    inv2x2: np.ndarray  # (m, 2, 2) its inverse 2 x 2 capacitance per mode
+    across: np.ndarray  # (2m, 2k) inv2x2 times the kept family's pull on it, mode-major
+    back: np.ndarray    # (2k, 2m) its pull on the kept family
+    schur: tuple        # lu_factor of the dense (2k, 2k) Schur complement on the kept one
 
 
 @functools.lru_cache(maxsize=4)
 def _rect_factor(grid: GridSpec) -> _RectFactor:
     """Mode symbols and the factored wall capacitance of the rectangle.
 
-    No-slip is free-slip plus U V^T, where U picks the r wall-adjacent
-    tangential rows and V^T holds their ghost corrections; the capacitance is
-    I + V^T A_free^-1 U.  Each block reads one wall family's rows of the
-    free-slip response to a unit force on another family's rows; in the mode
-    basis both are a DST-I along the wall times a fixed DCT-II vector across
-    it, so a block is S^T diag(w) S within a family and Sx^T H Sz across.
+    The capacitance I + V^T A_free^-1 U acts on wall forces in DST-I modes
+    along each wall, a pair of walls per mode: I + r diag(w) q per mode within
+    a family, as on the strip, and w12 * q * r entrywise across the families.
     """
     X, Z = _mac.axes(grid, False)
-    Sx, Cx, gx = _transforms(grid.nx, grid.hx)
-    Sz, Cz, gz = _transforms(grid.nz, grid.hz)
-    gx, gz = gx[:, None], gz[None, :]
+    gx, gz = _symbol(grid.nx, grid.hx)[:, None], _symbol(grid.nz, grid.hz)[None, :]
     lam = gx * gx + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    qx, qz = Cx[:, [0, -1]], Cz[:, [0, -1]]
-    rx, rz = _wall_rows(X, grid.hx) @ Cx.T, _wall_rows(Z, grid.hz) @ Cz.T
+    (qx, rx), (qz, rz) = _wall_modes(X, grid.hx), _wall_modes(Z, grid.hz)
     inv2 = inv * inv
-    w11, w12, w22 = gz * gz * inv2, (-gx * gz * inv2)[1:, 1:], gx * gx * inv2
-    b11 = Sx.T @ (((rz[:, None] * qz.T) @ w11[1:].T)[..., None] * Sx)
-    b22 = Sz.T @ (((rx[:, None] * qx.T) @ w22[:, 1:])[..., None] * Sz)
-    b12 = Sx.T @ (w12 * qx[1:].T[None, :, :, None] * rz[:, None, None, 1:]) @ Sz
-    b21 = Sz.T @ (w12.T * qz[1:].T[None, :, :, None] * rx[:, None, None, 1:]) @ Sx
-    cap = np.block([[_tile(b11), _tile(b12)], [_tile(b21), _tile(b22)]])
-    cap[np.diag_indices_from(cap)] += 1.0
-    return _RectFactor(gx, gz, inv, Sx, Sz, qx, qz, rx, rz, scipy.linalg.lu_factor(cap))
+    w12 = (-gx * gz * inv2)[1:, 1:]
+    own = [np.eye(2) + (rz * (gz * gz * inv2)[1:, None, :]) @ qz,
+           np.eye(2) + (rx * (gx * gx * inv2).T[1:, None, :]) @ qx]
+    pull = [(r[None, :, 1:, None] * (w[:, None, :, None] * q[1:, None, None, :]))
+            .reshape(2 * len(w), -1) for r, w, q in ((rz, w12, qx), (rx, w12.T, qz))]
+    e, k = int(grid.nz > grid.nx), int(grid.nz <= grid.nx)  # eliminated, kept
+    inv2x2, m = np.linalg.inv(own[e]), len(own[k])
+    across = np.einsum("nab,nbj->naj", inv2x2, pull[e].reshape(-1, 2, 2 * m)).reshape(-1, 2 * m)
+    schur, i = -pull[k] @ across, np.arange(m)
+    schur.reshape(m, 2, m, 2)[i, :, i] += own[k]  # the kept family's own 2 x 2 blocks
+    return _RectFactor(gx, gz, inv, qx, qz, rx, rz, e, inv2x2, across, pull[k],
+                       scipy.linalg.lu_factor(schur))
 
 
 def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
@@ -250,20 +256,21 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     f1, f2 = np.zeros((nx, nz)), np.zeros((nx, nz))
     f1[1:] = _dst(_dct(f.f1[1:-1], axis=1), axis=0)
     f2[:, 1:] = _dct(_dst(f.f2[:, 1:-1], axis=1), axis=0)
-    # free-slip solve, its no-slip defect in the wall rows, the capacitance
-    # weights of the wall forces that cancel it, and the corrected solve
+    # free-slip solve, its no-slip defect per wall mode, the wall forces that
+    # cancel it (the kept family's by the Schur solve), and the corrected solve
     u1, u2, _ = _free_slip(fac, f1, f2)
-    defect = np.concatenate([(fac.rz @ u1[1:].T @ fac.Sx).ravel(),
-                             (fac.rx @ u2[:, 1:] @ fac.Sz).ravel()])
-    c = scipy.linalg.lu_solve(fac.cap, defect, check_finite=False)
-    f1[1:] -= fac.Sx @ c[:2 * (nx - 1)].reshape(2, nx - 1).T @ fac.qz.T
-    f2[:, 1:] -= fac.qx @ (c[2 * (nx - 1):].reshape(2, nz - 1) @ fac.Sz.T)
+    d, e = [(fac.rz @ u1[1:].T).T, (fac.rx @ u2[:, 1:]).T], fac.elim
+    de = np.einsum("nab,nb->na", fac.inv2x2, d[e]).ravel()
+    ck = scipy.linalg.lu_solve(fac.schur, d[1 - e].ravel() - fac.back @ de, check_finite=False)
+    c = {e: de - fac.across @ ck, 1 - e: ck}
+    f1[1:] -= c[0].reshape(nx - 1, 2) @ fac.qz.T
+    f2[:, 1:] -= fac.qx @ c[1].reshape(nz - 1, 2).T
     u1, u2, p = _free_slip(fac, f1, f2)
     a1 = np.zeros((nx + 1, nz))
     a1[1:-1] = _dst(_idct(u1[1:], axis=1), axis=0)
     return _finish(f, config, a1, _idct(_dst(u2[:, 1:], axis=1), axis=0),
                    _idct(_idct(p, axis=0), axis=1), 0.0,
-                   {"solver": "transform-capacitance", "capacitance": c.size,
+                   {"solver": "transform-capacitance", "capacitance": 2 * (nx + nz - 2),
                     "unknowns": (nx - 1) * nz + nx * (nz - 1) + nx * nz})
 
 
@@ -407,9 +414,7 @@ def poiseuille(phi: float, grid: GridSpec, domain: DomainSpec) -> StokesSolution
 
 def solver_stats_text(sol: StokesSolution) -> str:
     """Plain key=value block describing a solve."""
-    lines = []
-    for k in sorted(sol.stats):
-        lines.append(f"{k}={sol.stats[k]}")
+    lines = [f"{k}={sol.stats[k]}" for k in sorted(sol.stats)]
     lines.append(f"residual={sol.residual_norm:.17g}")
     if sol.flux is not None:
         lines.append(f"flux={sol.flux:.17g}")

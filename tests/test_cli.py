@@ -27,6 +27,14 @@ def write_cfg(tmp_path, body, name="run.ini"):
 
 _SMALL = "nx = 32\nnz = 16\n"
 _STRIP_NORMS = "domain = strip\nx_extent = 8\nnx = 32\nnz = 8\n"
+# a small valid section for each command
+_QUICK = {
+    "stokes": _SMALL, "norms": _SMALL, "ledger": "families = 3\n",
+    "transport": _SMALL + "t_final = 0.1\ndt = 0.05\n",
+    "simulate": _SMALL + "t_final = 0.1\ndt = 0.05\n",
+    "picard": _SMALL + "t_final = 0.1\nn_time_nodes = 3\n",
+    "stability": _SMALL + "t_final = 0.1\ndt = 0.05\n",
+}
 
 
 def read_csv(path):
@@ -238,6 +246,20 @@ class TestConfigErrors:
         assert rc == 2
         assert list(out.iterdir()) == []
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+    def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys, cmd, under):
+        work = tmp_path / "work"
+        work.mkdir()
+        afile = work / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + _QUICK[cmd])
+        rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert list(work.iterdir()) == [afile] and afile.read_text() == "kept\n"
+        assert f"config error: output directory {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["stokes", "transport", "simulate",
                                      "picard", "stability"])

@@ -33,3 +33,15 @@ def test_comparison_sees_a_small_change(tmp_path):
     snapshots.write_raster(got / "u1.stf", dom, grid.nx, grid.nz, code, u1)
     assert [m.split(":")[0] for m in _golden.compare_dirs(got, want)] == [
         "summary.txt", "u1.stf"]
+    # a closed box's column fluxes are all rounding, so they are compared at
+    # the scale of max|u1|: 1e-8 of it is caught, 1e-12 of it is not
+    want = _golden.GOLDEN / "stokes_rect"
+    got = tmp_path / "stokes_rect"
+    shutil.copytree(want, got)
+    scale = float(np.max(np.abs(snapshots.read_field(want / "u1.stf").values)))
+    rows = (want / "flux.csv").read_text().splitlines()
+    i, v = rows[5].split(",")
+    for rel, found in ((1e-8, ["flux.csv"]), (1e-12, [])):
+        (got / "flux.csv").write_text("\n".join(
+            rows[:5] + [f"{i},{float(v) + rel * scale!r}"] + rows[6:]) + "\n")
+        assert [m.split(":")[0] for m in _golden.compare_dirs(got, want)] == found

@@ -175,8 +175,8 @@ class TestPinnedPressure:
         assert abs(sol.p.values.mean()) <= 1e-13
 
     def test_factor_fill_is_bounded(self):
-        # the only factored matrix is the dense wall capacitance, one row
-        # per wall-adjacent tangential velocity row
+        # the capacitance stat counts the wall-adjacent tangential velocity
+        # rows, of which only the smaller wall family's are factored densely
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
         grid = make_grid(dom, 64, 64)
         rho = make_density("stratified_perturbed", grid, dom)
@@ -185,13 +185,26 @@ class TestPinnedPressure:
         assert sol.stats["unknowns"] == 63 * 64 + 64 * 63 + 64 * 64
         assert f"capacitance={sol.stats['capacitance']}" in solver_stats_text(sol)
 
+    @pytest.mark.parametrize("nx, nz", [(1024, 16), (16, 1024)])
+    def test_factor_size_is_the_grid_plus_the_smaller_wall_family(self, nx, nz):
+        # the larger wall family is eliminated per mode, whichever it is, so
+        # the factor holds O(nx nz) doubles plus the dense Schur complement on
+        # the 2 (min(nx, nz) - 1) rows of the smaller one
+        fac = stokes._rect_factor(make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz))
+        small = 2 * (min(nx, nz) - 1)
+        assert fac.schur[0].shape == (small, small)
+        held = sum(np.size(a) for a in (*fac[:-1], *fac.schur))
+        assert held <= 12 * (nx * nz + small * small)
+
 
 class TestRectangleTransform:
     """The transform-and-capacitance solve against the SuperLU saddle solve."""
 
     @pytest.mark.parametrize("x_extent, nx, nz", [(1.5, 24, 16), (1.0, 64, 64),
-                                                   (1.0, 128, 128)])
+                                                   (1.0, 128, 128), (6.0, 96, 16),
+                                                   (1 / 6, 16, 96)])
     def test_agrees_with_sparse_lu(self, x_extent, nx, nz):
+        # the wide and the tall box each eliminate a different wall family
         dom = DomainSpec(DomainKind.RECTANGLE, x_extent)
         grid = make_grid(dom, nx, nz)
         rng = np.random.default_rng(nx + nz)
