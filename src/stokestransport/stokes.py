@@ -24,15 +24,18 @@ change of the transformed forcing, and one inverse transform per field.
 
 On the rectangle the u1 rows at the z walls and the u2 rows at the x walls
 each have a 2 x 2 capacitance per sine mode along their walls; the larger
-family is eliminated by those inverses, and the Schur complement on the
-smaller, 2(min(nx, nz) - 1) rows, is factored once per grid.  The constant
+family is eliminated by those inverses.  The box's two reflections make the
+Schur complement on the smaller family, 2(min(nx, nz) - 1) rows,
+block-diagonal in the sum and difference of its two walls times its even and
+odd wall modes; the four blocks are inverted once per grid.  The constant
 mode (0, 0) is 0, which fixes the pressure mean without a pin.  On the strip
-each nonzero wavenumber keeps its own two u1 wall rows, so its capacitance
-is 2 x 2.  The zero wavenumber is rank-deficient exactly along the parabolic
-profile and is closed by prescribing the volume flux in a small dense
-bordered system; its pressure gains a linear slope in x, stored separately
-from the periodic pressure samples (constant f1 with zero flux is balanced
-by pressure alone: f = e_x gives u = 0 and slope 1).
+each wavenumber, zero included, keeps its own two u1 wall rows, so its
+capacitance is 2 x 2.  At the zero wavenumber gx = 0 and the constant u1
+mode is free: it is set to the prescribed volume flux in both free-slip
+passes, the constant part of the wall-corrected f1 is balanced by a linear
+pressure slope in x, stored separately from the periodic pressure samples
+(f = e_x gives u = 0 and slope 1), and u2 is 0, as continuity and the walls
+force.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from . import _mac
 from .domain import (
@@ -152,17 +154,6 @@ def _symbol(n: int, h: float) -> np.ndarray:
     return -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
 
 
-def _transforms(n: int, h: float):
-    """(S, C, g) of a walled axis of n cells; the rows of S and C are modes.
-
-    S is the orthonormal DST-I on the n - 1 interior faces, C the orthonormal
-    DCT-II on the n centers and g = ``_symbol``: S.T diag(g[1:]) C[1:] is
-    ``Axis.grad``, S.T diag(g[1:]**2) S is ``Axis.faces`` and C.T diag(g**2) C
-    the free-slip center Laplacian.
-    """
-    return _dst(np.eye(n - 1), axis=0), _dct(np.eye(n), axis=0), _symbol(n, h)
-
-
 def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
     """The two wall rows of ``axis.centers`` minus their free-slip rows."""
     rows = axis.centers[[0, -1]].toarray()
@@ -179,6 +170,10 @@ def _wall_modes(axis: _mac.Axis, h: float):
     return _dct(units, axis=0), _dct(_wall_rows(axis, h).T, axis=0).T
 
 
+# the wall pair of a mode -> its sum and difference, orthonormal and its own inverse
+_PAIR = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 class _RectFactor(NamedTuple):
     gx: np.ndarray      # (nx, 1) gradient symbol
     gz: np.ndarray      # (1, nz)
@@ -189,18 +184,23 @@ class _RectFactor(NamedTuple):
     rz: np.ndarray      # (2, nz)
     elim: int           # the larger wall family, eliminated per mode: 0 u1, 1 u2
     inv2x2: np.ndarray  # (m, 2, 2) its inverse 2 x 2 capacitance per mode
-    across: np.ndarray  # (2m, 2k) inv2x2 times the kept family's pull on it, mode-major
-    back: np.ndarray    # (2k, 2m) its pull on the kept family
-    schur: tuple        # lu_factor of the dense (2k, 2k) Schur complement on the kept one
+    order: np.ndarray   # (2k,) the kept family's (mode, wall sum | difference) in block order
+    across: np.ndarray  # (2m, 2k) inv2x2 times the kept family's pull on it, block order
+    back: np.ndarray    # (2k, 2m) its pull on the kept family, block order
+    blocks: tuple       # the inverse Schur complement's four diagonal blocks
 
 
 @functools.lru_cache(maxsize=4)
 def _rect_factor(grid: GridSpec) -> _RectFactor:
-    """Mode symbols and the factored wall capacitance of the rectangle.
+    """Mode symbols and the inverted wall capacitance of the rectangle.
 
     The capacitance I + V^T A_free^-1 U acts on wall forces in DST-I modes
     along each wall, a pair of walls per mode: I + r diag(w) q per mode within
     a family, as on the strip, and w12 * q * r entrywise across the families.
+    Reflecting the box across its midlines swaps a family's two walls and
+    flips the sign of its odd modes, so the Schur complement couples neither
+    the walls' sum with their difference nor even with odd modes: only its
+    four diagonal blocks in that basis are built and inverted.
     """
     X, Z = _mac.axes(grid, False)
     gx, gz = _symbol(grid.nx, grid.hx)[:, None], _symbol(grid.nz, grid.hz)[None, :]
@@ -215,11 +215,17 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
             .reshape(2 * len(w), -1) for r, w, q in ((rz, w12, qx), (rx, w12.T, qz))]
     e, k = int(grid.nz > grid.nx), int(grid.nz <= grid.nx)  # eliminated, kept
     inv2x2, m = np.linalg.inv(own[e]), len(own[k])
-    across = np.einsum("nab,nbj->naj", inv2x2, pull[e].reshape(-1, 2, 2 * m)).reshape(-1, 2 * m)
-    schur, i = -pull[k] @ across, np.arange(m)
-    schur.reshape(m, 2, m, 2)[i, :, i] += own[k]  # the kept family's own 2 x 2 blocks
-    return _RectFactor(gx, gz, inv, qx, qz, rx, rz, e, inv2x2, across, pull[k],
-                       scipy.linalg.lu_factor(schur))
+    across = np.einsum("nab,nbj->naj", inv2x2, pull[e].reshape(-1, 2, 2 * m))
+    # (mode, wall) -> (mode, sum | difference), then grouped by (sum |
+    # difference, mode parity); own[k] is diagonal in that basis
+    groups = [2 * np.arange(par, m, 2) + s for s in (0, 1) for par in (0, 1)]
+    order, ends = np.concatenate(groups), np.cumsum([len(g) for g in groups])
+    across = (across.reshape(-1, m, 2) @ _PAIR).reshape(-1, 2 * m)[:, order]
+    back = (_PAIR @ pull[k].reshape(m, 2, -1)).reshape(2 * m, -1)[order]
+    diag = np.einsum("ab,nbc,ca->na", _PAIR, own[k], _PAIR).ravel()[order]
+    blocks = tuple(np.linalg.inv(np.diag(diag[i:j]) - back[i:j] @ across[:, i:j])
+                   for i, j in zip((0, *ends[:-1]), ends))
+    return _RectFactor(gx, gz, inv, qx, qz, rx, rz, e, inv2x2, order, across, back, blocks)
 
 
 def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
@@ -254,15 +260,19 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     nx, nz = f.grid.nx, f.grid.nz
     fac = _rect_factor(f.grid)
     f1, f2 = np.zeros((nx, nz)), np.zeros((nx, nz))
-    f1[1:] = _dst(_dct(f.f1[1:-1], axis=1), axis=0)
+    if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
+        f1[1:] = _dst(_dct(f.f1[1:-1], axis=1), axis=0)
     f2[:, 1:] = _dct(_dst(f.f2[:, 1:-1], axis=1), axis=0)
     # free-slip solve, its no-slip defect per wall mode, the wall forces that
-    # cancel it (the kept family's by the Schur solve), and the corrected solve
+    # cancel it (the kept family's by the Schur blocks), and the corrected solve
     u1, u2, _ = _free_slip(fac, f1, f2)
     d, e = [(fac.rz @ u1[1:].T).T, (fac.rx @ u2[:, 1:]).T], fac.elim
     de = np.einsum("nab,nb->na", fac.inv2x2, d[e]).ravel()
-    ck = scipy.linalg.lu_solve(fac.schur, d[1 - e].ravel() - fac.back @ de, check_finite=False)
-    c = {e: de - fac.across @ ck, 1 - e: ck}
+    rhs = (d[1 - e] @ _PAIR).ravel()[fac.order] - fac.back @ de
+    parts = np.split(rhs, np.cumsum([len(b) for b in fac.blocks[:-1]]))
+    ck, kept = np.concatenate([b @ r for b, r in zip(fac.blocks, parts)]), np.empty_like(rhs)
+    kept[fac.order] = ck
+    c = {e: de - fac.across @ ck, 1 - e: (kept.reshape(-1, 2) @ _PAIR).ravel()}
     f1[1:] -= c[0].reshape(nx - 1, 2) @ fac.qz.T
     f2[:, 1:] -= fac.qx @ c[1].reshape(nz - 1, 2).T
     u1, u2, p = _free_slip(fac, f1, f2)
@@ -311,39 +321,32 @@ def _check_solution(res, u, f, config):
 # ---------------------------------------------------------------------------
 
 class _StripFactor(NamedTuple):
-    gx: np.ndarray   # (nx // 2, 1) gradient symbol of the nonzero wavenumbers
+    gx: np.ndarray   # (nx // 2 + 1, 1) gradient symbol, 0 at the zero wavenumber
     gz: np.ndarray   # (1, nz)
-    inv: np.ndarray  # 1 / (|gx|^2 + gz^2)
+    inv: np.ndarray  # 1 / (|gx|^2 + gz^2), 0 for the constant mode
     qz: np.ndarray   # (nz, 2) DCT-II of a unit in the first and last z cell
     rz: np.ndarray   # (2, nz) the two u1 wall-row corrections, in DCT-II
-    cap: np.ndarray  # (nx // 2, 2, 2) inverse wall capacitance per wavenumber
-    m0: tuple        # lu_factor of the bordered zero-wavenumber system
+    cap: np.ndarray  # (nx // 2 + 1, 2, 2) inverse wall capacitance per wavenumber
 
 
 @functools.lru_cache(maxsize=4)
 def _strip_factor(grid: GridSpec) -> _StripFactor:
-    """Mode symbols, wall capacitances and the zero-mode factor of the strip.
+    """Mode symbols and wall capacitances of the strip.
 
-    A nonzero wavenumber's no-slip operator is its free-slip one plus the two
-    u1 wall rows.  The free-slip u1 response to an f1 mode is gz^2 / lam^2,
-    so the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz.
+    A wavenumber's no-slip operator is its free-slip one plus the two u1
+    wall rows.  The free-slip u1 response to an f1 mode is gz^2 / lam^2, so
+    the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz; the
+    constant mode of the zero wavenumber is prescribed, so it responds with 0.
     """
-    nx, nz, hz = grid.nx, grid.nz, grid.hz
+    nx, nz = grid.nx, grid.nz
     _, Z = _mac.axes(grid, True)
-    _, Cz, gz = _transforms(nz, hz)
-    theta = 2.0 * np.pi * np.arange(1, nx // 2 + 1) / nx
-    gx = ((1.0 - np.exp(-1j * theta)) / grid.hx)[:, None]
-    gz = gz[None, :]
-    inv = 1.0 / (np.abs(gx) ** 2 + gz * gz)
-    qz, rz = Cz[:, [0, -1]], _wall_rows(Z, hz) @ Cz.T
+    theta = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
+    gx, gz = ((1.0 - np.exp(-1j * theta)) / grid.hx)[:, None], _symbol(nz, grid.hz)[None, :]
+    lam = np.abs(gx) ** 2 + gz * gz
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+    qz, rz = _wall_modes(Z, grid.hz)
     cap = np.linalg.inv(np.eye(2) + (rz * (gz * gz * inv * inv)[:, None, :]) @ qz)
-
-    # zero mode: unknowns (u1 profile, pressure slope); closed by the flux row
-    m0 = np.zeros((nz + 1, nz + 1))
-    m0[:nz, :nz] = Z.centers.toarray()
-    m0[:nz, nz] = 1.0
-    m0[nz, :nz] = hz
-    return _StripFactor(gx, gz, inv, qz, rz, cap, scipy.linalg.lu_factor(m0))
+    return _StripFactor(gx, gz, inv, qz, rz, cap)
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -351,33 +354,30 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     config = config or StokesConfig()
     if not f.domain.periodic:
         raise ValueError("solve_stokes_strip expects a strip forcing")
-    nx, nz, hz = f.grid.nx, f.grid.nz, f.grid.hz
+    nx, nz = f.grid.nx, f.grid.nz
     fac = _strip_factor(f.grid)
+    # rfft coefficients are unnormalized: the zero wavenumber holds the sum of
+    # nx columns, each of flux hz sqrt(nz) times its constant DCT-II mode
+    flux_mode = config.flux_target * nx / (f.grid.hz * np.sqrt(nz))
 
-    f1hat = scipy.fft.rfft(f.f1, axis=0)
-    f2hat = scipy.fft.rfft(f.f2[:, 1:-1], axis=0)
-
-    # zero mode: rfft coefficients are unnormalized; the flux row must see the
-    # physical flux, and the slope never passes through irfft, so scale by nx
-    sol0 = scipy.linalg.lu_solve(fac.m0, np.append(f1hat[0].real, config.flux_target * nx))
-    p0 = np.append(0.0, hz * np.cumsum(f2hat[0].real))
-
-    # nonzero modes: free-slip solve, the defect of its u1 wall rows, the
-    # wall forces that cancel it, and the corrected solve
-    f1 = _dct(f1hat[1:], axis=1)
+    f1 = np.zeros((nx // 2 + 1, nz), dtype=complex)
+    if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
+        f1 = _dct(scipy.fft.rfft(f.f1, axis=0), axis=1)
     f2 = np.zeros_like(f1)
-    f2[:, 1:] = _dst(f2hat[1:], axis=1)
+    f2[:, 1:] = _dst(scipy.fft.rfft(f.f2[:, 1:-1], axis=0), axis=1)
+    # free-slip solve, the defect of its u1 wall rows, the wall forces that
+    # cancel it, and the corrected solve; the flux mode is set in both
     u1, _, _ = _free_slip(fac, f1, f2)
+    u1[0, 0] = flux_mode
     c = (fac.cap @ (u1 @ fac.rz.T)[..., None])[..., 0]
     f1 -= c @ fac.qz.T
     u1, u2, p = _free_slip(fac, f1, f2)
-
-    u1hat = np.vstack([sol0[:nz], _idct(u1, axis=1)])
-    u2hat = np.vstack([np.zeros(nz - 1), _dst(u2[:, 1:], axis=1)])
-    phat = np.vstack([p0, _idct(p, axis=1)])
-    u1, u2, p = (scipy.fft.irfft(a, n=nx, axis=0) for a in (u1hat, u2hat, phat))
-    return _finish(f, config, u1, u2, p, float(sol0[nz]) / nx,
-                   {"solver": "fft-transform-capacitance", "modes": len(u1hat)})
+    u1[0, 0], u2[0] = flux_mode, 0.0  # continuity and the walls force the x-mean of u2 to 0
+    u1, u2, p = (scipy.fft.irfft(a, n=nx, axis=0)
+                 for a in (_idct(u1, axis=1), _dst(u2[:, 1:], axis=1), _idct(p, axis=1)))
+    # the constant part of the corrected f1 is balanced by the pressure slope
+    return _finish(f, config, u1, u2, p, float(f1[0, 0].real) / (np.sqrt(nz) * nx),
+                   {"solver": "fft-transform-capacitance", "modes": nx // 2 + 1})
 
 
 def solve_buoyancy(rho: ScalarField, config: StokesConfig | None = None) -> StokesSolution:

@@ -13,7 +13,12 @@ per-column scale would turn last-bit noise into a 100 % difference.  A
 ``flux.csv`` is the exception: its values are ``hz * sum(u1)`` over each
 column, so their rounding scales with the case's max |u1|, and in a closed
 box every value is that rounding; its floats must match to ``RTOL`` times
-the max |u1| of the golden ``u1.stf`` beside it.  STF1 snapshots are read
+the max |u1| of the golden ``u1.stf`` beside it.  The ``residual=`` of a
+``stokes`` summary is the solve's momentum residual, rounding that the
+solve gate accepts up to 10 * linear_solver_tolerance * max(|f|,
+|flux_target|); it must match to that tolerance, with the forcing f rebuilt
+from the golden ``resolved.ini`` (the file scale would be the residual
+itself).  STF1 snapshots are read
 back through ``snapshots.read_field`` (the flow map, which is not a scalar
 field, through ``read_raster``) and their values compared to ``RTOL`` times
 the largest magnitude of the field.
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stokestransport import cli, snapshots
+from stokestransport import cli, snapshots, stokes
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-10
@@ -69,21 +74,24 @@ _INT = re.compile(r"[+-]?\d+\Z")
 _FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 
 
-def _compare_text(got: str, want: str, scale: float | None = None) -> str | None:
+def _compare_text(got: str, want: str, scale: float | None = None,
+                  keyed: dict | None = None) -> str | None:
     """Token-wise comparison; floats to ``RTOL`` times ``scale``, by default
-    the largest float magnitude of ``want``."""
+    the largest float magnitude of ``want``, and a ``key=`` value named in
+    ``keyed`` to the tolerance given there."""
     a, b = _SEP.split(got), _SEP.split(want)
     if len(a) != len(b):
         return f"{len(a)} tokens, want {len(b)}"
     if scale is None:
         floats = [abs(float(t)) for t in b if _FLOAT.match(t) and not _INT.match(t)]
         scale = max(floats, default=0.0)
-    tol = RTOL * scale
-    for x, y in zip(a, b):
+    keyed = keyed or {}
+    for n, (x, y) in enumerate(zip(a, b)):
         if _INT.match(x) and _INT.match(y):
             if x != y:
                 return f"integer {x!r}, want {y!r}"
         elif _FLOAT.match(x) and _FLOAT.match(y):
+            tol = keyed.get(b[n - 2], RTOL * scale) if b[n - 1] == "=" else RTOL * scale
             if abs(float(x) - float(y)) > tol:
                 return f"float {x}, want {y} (tolerance {tol:.3g})"
         elif x != y:
@@ -107,6 +115,16 @@ def _compare_stf(got: Path, want: Path) -> str | None:
     return None if err <= tol else f"max deviation {err:.3g} > {tol:.3g}"
 
 
+def residual_tolerance(case: Path) -> float:
+    """The solve gate's tolerance for the buoyancy ``stokes`` run in ``case``."""
+    raw, _ = cli._load_section("stokes", str(case / "resolved.ini"))
+    cfg = cli._convert(raw)
+    dom, grid = cli._build_domain(cfg)
+    f = stokes.buoyancy_forcing(cli._build_density(cfg, grid, dom))
+    scale = max(float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))), abs(cfg["flux"]))
+    return 10.0 * stokes.StokesConfig.linear_solver_tolerance * scale
+
+
 def compare_dirs(got: Path, want: Path) -> list[str]:
     """One message per file of ``got`` that differs from its golden twin."""
     names = sorted(p.name for p in want.iterdir())
@@ -121,7 +139,9 @@ def compare_dirs(got: Path, want: Path) -> list[str]:
             # a column flux is hz * sum(u1), so it rounds at the scale of u1
             scale = (float(np.max(np.abs(snapshots.read_field(want / "u1.stf").values)))
                      if name == "flux.csv" else None)
-            msg = _compare_text((got / name).read_text(), (want / name).read_text(), scale)
+            # only the stokes command writes a summary.txt
+            keyed = {"residual": residual_tolerance(want)} if name == "summary.txt" else None
+            msg = _compare_text((got / name).read_text(), (want / name).read_text(), scale, keyed)
         if msg:
             problems.append(f"{name}: {msg}")
     return problems

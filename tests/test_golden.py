@@ -38,6 +38,15 @@ def test_comparison_sees_a_small_change(tmp_path):
     want = _golden.GOLDEN / "stokes_rect"
     got = tmp_path / "stokes_rect"
     shutil.copytree(want, got)
+    # the solve's residual is compared at the gate's tolerance, 1e-9 here: a
+    # rounding-level change passes, a residual beyond the gate's scale does not
+    text = (want / "summary.txt").read_text()
+    token = text.split("residual=")[1].split()[0]
+    res, tol = float(token), _golden.residual_tolerance(want)
+    for new, found in ((0.99 * res, []), (res + 2 * tol, ["summary.txt"])):
+        (got / "summary.txt").write_text(text.replace(token, repr(new)))
+        assert [m.split(":")[0] for m in _golden.compare_dirs(got, want)] == found
+    (got / "summary.txt").write_text(text)
     scale = float(np.max(np.abs(snapshots.read_field(want / "u1.stf").values)))
     rows = (want / "flux.csv").read_text().splitlines()
     i, v = rows[5].split(",")

@@ -188,12 +188,13 @@ class TestPinnedPressure:
     @pytest.mark.parametrize("nx, nz", [(1024, 16), (16, 1024)])
     def test_factor_size_is_the_grid_plus_the_smaller_wall_family(self, nx, nz):
         # the larger wall family is eliminated per mode, whichever it is, so
-        # the factor holds O(nx nz) doubles plus the dense Schur complement on
-        # the 2 (min(nx, nz) - 1) rows of the smaller one
+        # the factor holds O(nx nz) doubles plus the four dense parity blocks
+        # of the Schur complement on the 2 (min(nx, nz) - 1) rows of the smaller one
         fac = stokes._rect_factor(make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz))
         small = 2 * (min(nx, nz) - 1)
-        assert fac.schur[0].shape == (small, small)
-        held = sum(np.size(a) for a in (*fac[:-1], *fac.schur))
+        assert len(fac.blocks) == 4 and all(b.shape == (len(b), len(b)) for b in fac.blocks)
+        assert sum(len(b) for b in fac.blocks) == small
+        held = sum(np.size(a) for a in (*fac[:-1], *fac.blocks))
         assert held <= 12 * (nx * nz + small * small)
 
 
@@ -202,9 +203,12 @@ class TestRectangleTransform:
 
     @pytest.mark.parametrize("x_extent, nx, nz", [(1.5, 24, 16), (1.0, 64, 64),
                                                    (1.0, 128, 128), (6.0, 96, 16),
-                                                   (1 / 6, 16, 96)])
+                                                   (1 / 6, 16, 96), (2.0, 33, 17),
+                                                   (0.5, 17, 33)])
     def test_agrees_with_sparse_lu(self, x_extent, nx, nz):
-        # the wide and the tall box each eliminate a different wall family
+        # the wide and the tall box each eliminate a different wall family; a
+        # box whose smaller cell count is even has parity blocks one row
+        # apart in size, one whose count is odd (33 x 17, 17 x 33) equal ones
         dom = DomainSpec(DomainKind.RECTANGLE, x_extent)
         grid = make_grid(dom, nx, nz)
         rng = np.random.default_rng(nx + nz)
@@ -220,6 +224,18 @@ class TestRectangleTransform:
             err = np.max(np.abs(got.p.values - want.p.values))
             assert err <= 1e-10 * np.max(np.abs(want.p.values))
 
+    @pytest.mark.parametrize("nx, nz", [(24, 16), (33, 17), (16, 96)])
+    def test_schur_complement_is_block_diagonal_in_the_parity_basis(self, nx, nz):
+        # the off-block couplings that the four inverted blocks leave out are
+        # rounding next to the kept ones
+        fac = stokes._rect_factor(make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz))
+        coupling = np.abs(fac.back @ fac.across)
+        ends = np.cumsum([len(b) for b in fac.blocks])
+        off = np.ones(coupling.shape, dtype=bool)
+        for i, j in zip((0, *ends[:-1]), ends):
+            off[i:j, i:j] = False
+        assert np.max(coupling[off]) <= 1e-14 * np.max(coupling)
+
     @pytest.mark.parametrize("name, n, h", [("x", 24, 1.5 / 24), ("z", 16, 1.0 / 16),
                                             ("strip", 32, 8.0 / 32)])
     def test_symbols_diagonalize_the_mac_factors(self, name, n, h):
@@ -234,13 +250,16 @@ class TestRectangleTransform:
             grid = make_grid(DomainSpec(DomainKind.STRIP, n * h), n, 16)
             axis, _ = _mac.axes(grid, True)
             gx = stokes._strip_factor(grid).gx
-            F = scipy.fft.rfft(np.eye(n), axis=0)[1:]
-            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.toarray(), axis=0)[1:])
-            close(gx * F, scipy.fft.rfft(axis.grad.toarray(), axis=0)[1:])
+            F = scipy.fft.rfft(np.eye(n), axis=0)
+            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.toarray(), axis=0))
+            close(gx * F, scipy.fft.rfft(axis.grad.toarray(), axis=0))
             return
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 1.5), 24, 16)
         axis = dict(zip("xz", _mac.axes(grid, False)))[name]
-        S, C, g = stokes._transforms(n, h)
+        # the orthonormal DST-I on the n - 1 interior faces and DCT-II on the
+        # n centers, with the modes as rows
+        S, C = stokes._dst(np.eye(n - 1), axis=0), stokes._dct(np.eye(n), axis=0)
+        g = stokes._symbol(n, h)
         walls = np.zeros((n, n))
         walls[[0, -1]] = stokes._wall_rows(axis, h)
 
@@ -262,15 +281,34 @@ class TestStripTransform:
         f2[:, [0, -1]] = 0.0
         f = Forcing(grid, dom, rng.standard_normal(expected_shape(grid, dom, XFACE)), f2)
         buoy = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
-        config = StokesConfig(flux_target=0.37)
         for force in (f, buoy):
-            got = solve_stokes_strip(force, config)
-            want = ref.solve_stokes_strip(force, config)
-            for a, b in ((got.u.u1.values, want.u.u1.values),
-                         (got.u.u2.values, want.u.u2.values),
-                         (got.p.values, want.p.values)):
-                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
-            assert got.pressure_slope == pytest.approx(want.pressure_slope, rel=1e-10)
+            _assert_strip_agrees(force, StokesConfig(flux_target=0.37))
+
+    @pytest.mark.parametrize("flux_target", [0.0, 0.5, -2.0])
+    @pytest.mark.parametrize("nz", [15, 16, 17])
+    def test_zero_wavenumber_agrees_with_the_bordered_solve(self, flux_target, nz):
+        # x-independent data lands in the zero wavenumber alone, which the
+        # oracle solves with the flux as the last row of a bordered system
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+        grid = make_grid(dom, 24, nz)
+        rng = np.random.default_rng(nz)
+        f1 = np.tile(rng.standard_normal(nz), (grid.nx, 1))
+        f2 = np.tile(rng.standard_normal(nz + 1), (grid.nx, 1))
+        f2[:, [0, -1]] = 0.0
+        config = StokesConfig(flux_target=flux_target)
+        _assert_strip_agrees(Forcing(grid, dom, f1, f2), config)
+        if flux_target != 0.0:  # the flux alone drives the channel profile
+            _assert_strip_agrees(Forcing(grid, dom, 0.0 * f1, 0.0 * f2), config)
+
+
+def _assert_strip_agrees(force, config):
+    got, want = solve_stokes_strip(force, config), ref.solve_stokes_strip(force, config)
+    for a, b in ((got.u.u1.values, want.u.u1.values),
+                 (got.u.u2.values, want.u.u2.values),
+                 (got.p.values, want.p.values)):
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+    assert got.pressure_slope == pytest.approx(want.pressure_slope, rel=1e-10)
+    assert got.flux == pytest.approx(config.flux_target, abs=1e-10)
 
 
 @pytest.mark.parametrize("domain", ["rectangle", "strip"])
