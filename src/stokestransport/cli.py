@@ -12,8 +12,8 @@ and prints a short summary block.  Numeric output uses 17 significant
 digits so values round-trip through text exactly.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error (nothing
-is written in that case).  simulate writes each state of its march as the
-state is made, and a failed march removes what the run wrote.
+is written in that case).  A failed run of any command removes every file
+it wrote, a same-name file it overwrote included, and the directories it made.
 """
 
 from __future__ import annotations
@@ -86,46 +86,72 @@ def emit_series(states) -> str:
     return _SERIES_HEADER + "".join(_series_row(s) for s in states)
 
 
+class _Output:
+    """The output directory of a run, and every file written into it.
+
+    Opening it makes ``out`` and its missing parents one level at a time and
+    records each; an ``OSError`` there is a configuration error.  ``file``
+    names and records a file of the run.  ``discard`` removes every recorded
+    file, then the directories it made, deepest first.
+    """
+
+    def __init__(self, out: str):
+        if not out:
+            raise ConfigError("no output directory; pass --out or set out=")
+        self.dir = Path(out)
+        self._made: list[Path] = []
+        self._files: list[Path] = []
+        try:
+            for d in (*reversed(self.dir.parents), self.dir):
+                try:
+                    d.mkdir()
+                    self._made.append(d)
+                except FileExistsError:
+                    if not d.is_dir():
+                        raise
+        except OSError as exc:
+            self.discard()
+            raise ConfigError(f"output directory {out} cannot be made: "
+                              f"{exc.filename}: {exc.strerror}") from None
+
+    def file(self, name: str) -> Path:
+        self._files.append(self.dir / name)
+        return self._files[-1]
+
+    def discard(self) -> None:
+        for path in self._files:
+            path.unlink(missing_ok=True)
+        for d in reversed(self._made):
+            d.rmdir()
+
+
 class _MarchWriter:
     """The output sink of ``simulate``: writes each state as it is made.
 
-    Creating it creates ``out`` and writes the series header.  ``append``
+    Creating it opens ``series.csv`` and writes its header.  ``append``
     writes a state's series row, and its snapshot when the step index is a
     multiple of ``every`` (none when ``every`` is 0); only the state count
-    and the last norms are kept, for the summary lines.  ``discard`` undoes
-    the run: it removes every file written, then the directories that
-    creating the sink made.
+    and the last norms are kept, for the summary lines.
     """
 
-    def __init__(self, out: Path, every: int):
+    def __init__(self, out: _Output, every: int):
         self._out = out
         self._every = every
         self.count = 0
         self.norms = None
-        self._made = [d for d in (out, *out.parents) if not d.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        self._written = [out / "series.csv"]
-        self._series = open(self._written[0], "w")
+        self._series = open(out.file("series.csv"), "w")
         self._series.write(_SERIES_HEADER)
 
     def append(self, state) -> None:
         k = self.count
         if self._every and k % self._every == 0:
-            self._written.append(self._out / f"rho_{k:06d}.stf")
-            write_field(self._written[-1], state.rho)
+            write_field(self._out.file(f"rho_{k:06d}.stf"), state.rho)
         self._series.write(_series_row(state))
         self.count = k + 1
         self.norms = state.norms
 
     def close(self) -> None:
         self._series.close()
-
-    def discard(self) -> None:
-        self.close()
-        for path in self._written:
-            path.unlink(missing_ok=True)
-        for d in self._made:  # deepest first
-            d.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +276,8 @@ def _load_section(cmd: str, config_path: str | None):
             raise ConfigError(f"config file not found: {config_path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {config_path}: {exc}") from exc
         if parser.has_section(cmd):
             for key, value in parser.items(cmd):
@@ -311,28 +337,6 @@ def _stokes_solution(cfg: dict, grid, dom):
     return solve_buoyancy(rho, StokesConfig(flux_target=cfg["flux"]))
 
 
-def _resolve_out(cfg: dict, flag_value: str | None) -> Path:
-    out = flag_value or cfg["out"]
-    if not out:
-        raise ConfigError("no output directory; pass --out or set out=")
-    if any(d.exists() and not d.is_dir() for d in (Path(out), *Path(out).parents)):
-        raise ConfigError(f"output directory {out} is, or lies under, a file")
-    return Path(out)
-
-
-def _write_resolved(out: Path, cmd: str, cfg: dict) -> None:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser[cmd] = {k: str(v) for k, v in sorted(cfg.items())}
-    with open(out / "resolved.ini", "w") as fh:
-        parser.write(fh)
-
-
-def _write(out: Path, name: str, text: str) -> Path:
-    p = out / name
-    p.write_text(text)
-    return p
-
-
 def _check_dt(cfg: dict) -> None:
     if cfg["dt"] > cfg["t_final"]:
         raise ConfigError(f"need dt <= t_final, got dt = {cfg['dt']}")
@@ -350,24 +354,23 @@ def _partition(grid, dom) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stokes(cfg: dict, out: Path) -> list[str]:
+def _cmd_stokes(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     sol = _stokes_solution(cfg, grid, dom)
 
-    out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "u1.stf", sol.u.u1)
-    write_field(out / "u2.stf", sol.u.u2)
-    write_field(out / "p.stf", sol.p)
+    write_field(out.file("u1.stf"), sol.u.u1)
+    write_field(out.file("u2.stf"), sol.u.u2)
+    write_field(out.file("p.stf"), sol.p)
     prof = flux_profile(sol.u)
     rows = ["index,flux", *(f"{i},{_fmt(v)}" for i, v in enumerate(prof))]
-    _write(out, "flux.csv", "\n".join(rows) + "\n")
-    _write(out, "summary.txt", solver_stats_text(sol))
+    out.file("flux.csv").write_text("\n".join(rows) + "\n")
+    out.file("summary.txt").write_text(solver_stats_text(sol))
     return [f"residual = {_fmt(sol.residual_norm)}",
             f"flux = {_fmt(prof[0])}",
             f"pressure_slope = {_fmt(sol.pressure_slope)}"]
 
 
-def _cmd_transport(cfg: dict, out: Path) -> list[str]:
+def _cmd_transport(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     T = cfg["t_final"]
     rho0 = _build_density(cfg, grid, dom)
@@ -375,19 +378,18 @@ def _cmd_transport(cfg: dict, out: Path) -> list[str]:
     fm = integrate_flow(u, T, 0.0, TransportConfig(dt=cfg["dt"]))
     rho_T = _pull_back(rho0, fm)
 
-    out.mkdir(parents=True, exist_ok=True)
-    write_field(out / "rho0.stf", rho0)
-    write_field(out / "rho_final.stf", rho_T)
-    write_flowmap(out / "flowmap.stf", fm)
+    write_field(out.file("rho0.stf"), rho0)
+    write_field(out.file("rho_final.stf"), rho_T)
+    write_flowmap(out.file("flowmap.stf"), fm)
     rows = ["t,rho_l2,rho_linf"]
     for t, r in ((0.0, rho0), (T, rho_T)):
         rows.append(f"{_fmt(t)},{_fmt(lq_norm(r, 2))},{_fmt(lq_norm(r, np.inf))}")
-    _write(out, "transport.csv", "\n".join(rows) + "\n")
+    out.file("transport.csv").write_text("\n".join(rows) + "\n")
     return [f"rho_linf(0) = {_fmt(lq_norm(rho0, np.inf))}",
             f"rho_linf(T) = {_fmt(lq_norm(rho_T, np.inf))}"]
 
 
-def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
+def _cmd_simulate(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     _check_dt(cfg)
     rho0 = _build_density(cfg, grid, dom)
@@ -395,35 +397,32 @@ def _cmd_simulate(cfg: dict, out: Path) -> list[str]:
     sink = _MarchWriter(out, cfg["snapshot_every"])
     try:
         time_march(rho0, cfg["t_final"], cfg["dt"], sink)
+    finally:
         sink.close()
-    except BaseException:  # a failed run leaves nothing behind
-        sink.discard()
-        raise
     return [f"steps = {sink.count - 1}",
             f"rho_linf = {_fmt(sink.norms['rho_linf'])}",
             f"u_linf = {_fmt(sink.norms['u_linf'])}"]
 
 
-def _cmd_picard(cfg: dict, out: Path) -> list[str]:
+def _cmd_picard(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     rho0 = _build_density(cfg, grid, dom)
     states, trace = picard_solve(rho0, T=cfg["t_final"],
                                  n_time_nodes=cfg["n_time_nodes"],
                                  tol=cfg["tol"], max_picard=cfg["max_picard"])
-    out.mkdir(parents=True, exist_ok=True)
     rows = ["N,delta,ratio"]
     for i, d in enumerate(trace.diffs):
         ratio = "" if i == 0 else _fmt(trace.diffs[i] / trace.diffs[i - 1])
         rows.append(f"{i},{_fmt(d)},{ratio}")
-    _write(out, "picard.csv", "\n".join(rows) + "\n")
-    _write(out, "series.csv", emit_series(states))
+    out.file("picard.csv").write_text("\n".join(rows) + "\n")
+    out.file("series.csv").write_text(emit_series(states))
     return [f"converged = {trace.converged}",
             f"iterations = {trace.iterations}",
             f"B = {_fmt(trace.B)}",
             f"contraction_estimate = {_fmt(trace.contraction_estimate)}"]
 
 
-def _cmd_stability(cfg: dict, out: Path) -> list[str]:
+def _cmd_stability(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     if dom.periodic:
         _partition(grid, dom)  # the strip measures differences in unit windows
@@ -431,16 +430,15 @@ def _cmd_stability(cfg: dict, out: Path) -> list[str]:
     rho1 = _build_density(cfg, grid, dom, key="scenario")
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
     rep = stability_experiment(rho1, rho2, T=cfg["t_final"], dt=cfg["dt"])
-    out.mkdir(parents=True, exist_ok=True)
     col = "abs_diff" if rep.absolute else "G"
     rows = [f"t,{col}", *(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(rep.times, rep.values))]
-    _write(out, "stability.csv", "\n".join(rows) + "\n")
+    out.file("stability.csv").write_text("\n".join(rows) + "\n")
     return [f"mode = {rep.mode}", f"absolute = {rep.absolute}",
             f"slope = {_fmt(rep.slope)}",
             f"initial_diff = {_fmt(rep.initial_diff)}"]
 
 
-def _cmd_norms(cfg: dict, out: Path) -> list[str]:
+def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
     field = _build_density(cfg, grid, dom)
     want_uloc = cfg["uloc"]
@@ -474,16 +472,15 @@ def _cmd_norms(cfg: dict, out: Path) -> list[str]:
                 sweep_worst = max(sweep_worst, rep.value / plain)
         summary.append(f"sweep_ratio_max = {_fmt(sweep_worst)} (C_chi = {_fmt(C_CHI)})")
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out, "norms.csv", "\n".join(rows) + "\n")
+    out.file("norms.csv").write_text("\n".join(rows) + "\n")
     if sweep_worst is not None:
-        _write(out, "sweep.txt",
-               f"fields={sweep_n}\nratio_max={_fmt(sweep_worst)}\n"
-               f"c_chi={_fmt(C_CHI)}\n")
+        out.file("sweep.txt").write_text(
+            f"fields={sweep_n}\nratio_max={_fmt(sweep_worst)}\n"
+            f"c_chi={_fmt(C_CHI)}\n")
     return summary
 
 
-def _cmd_ledger(cfg: dict, out: Path) -> list[str]:
+def _cmd_ledger(cfg: dict, out: _Output) -> list[str]:
     families = cfg["families"]
     rng = np.random.default_rng(cfg["seed"])
     rows = ["family,verdict,C0,k0,bound"]
@@ -499,8 +496,7 @@ def _cmd_ledger(cfg: dict, out: Path) -> list[str]:
         rows.append(f"{i},{res.verdict},"
                     f"{'' if res.C0 is None else _fmt(res.C0)},"
                     f"{'' if res.k0 is None else res.k0},{bound}")
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out, "ledger.csv", "\n".join(rows) + "\n")
+    out.file("ledger.csv").write_text("\n".join(rows) + "\n")
     if n_pass != families:
         raise RuntimeError(f"{families - n_pass} of {families} families failed")
     return [f"families = {families}", f"passed = {n_pass}"]
@@ -576,9 +572,16 @@ def main(argv=None) -> int:
         unread = {"poiseuille": "flux", "buoyancy": "phi"}.get(cfg.get("problem"))
         if unread in given:
             raise ConfigError(f"{unread} is not read by problem = {cfg['problem']}")
-        out = _resolve_out(cfg, args.out)
-        summary = _COMMANDS[cmd](cfg, out)
-        _write_resolved(out, cmd, raw)
+        out = _Output(args.out or cfg["out"])
+        try:
+            summary = _COMMANDS[cmd](cfg, out)
+            resolved = configparser.ConfigParser(interpolation=None)
+            resolved[cmd] = {k: str(v) for k, v in sorted(raw.items())}
+            with open(out.file("resolved.ini"), "w") as fh:
+                resolved.write(fh)
+        except BaseException:  # a failed run leaves nothing behind
+            out.discard()
+            raise
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -589,7 +592,7 @@ def main(argv=None) -> int:
     print(f"[{cmd}] done")
     for line in summary:
         print(f"  {line}")
-    print(f"  outputs: {out}")
+    print(f"  outputs: {out.dir}")
     return 0
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokestransport import cli, coupling
-from stokestransport.coupling import time_march
+from stokestransport.coupling import LedgerCheckResult, time_march
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import StokesSolveError
 
@@ -149,6 +149,15 @@ class TestConfigErrors:
         assert rc == 2
         assert not out.exists()
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[stokes]\nnx = 16\xff\n")
+        rc = cli.main(["stokes", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"config error: cannot parse {cfg}" in capsys.readouterr().err
+
     def test_missing_out_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "[stokes]\nnx = 32\n")
         assert cli.main(["stokes", "--config", cfg]) == 2
@@ -259,6 +268,18 @@ class TestConfigErrors:
         rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
         assert rc == 2
         assert list(work.iterdir()) == [afile] and afile.read_text() == "kept\n"
+        assert f"config error: output directory {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys, cmd):
+        # the parent is made, then the name is too long for a directory
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "x" / ("n" * 300)
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + _QUICK[cmd])
+        rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert list(work.iterdir()) == []
         assert f"config error: output directory {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["stokes", "transport", "simulate",
@@ -395,10 +416,36 @@ class TestSimulateCommand:
         assert rc == 1
         assert len(calls) == 4
         assert "solver failure" in capsys.readouterr().err
-        if existing:
-            assert list(out.iterdir()) == []
-        else:
-            assert not top.exists()
+        _assert_nothing_left(top, out, existing)
+
+
+def _assert_nothing_left(top, out, existing):
+    if existing:
+        assert list(out.iterdir()) == []
+    else:
+        assert not top.exists()
+
+
+@pytest.mark.parametrize("existing", [False, True],
+                         ids=["new_out", "existing_out"])
+@pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+def test_failed_last_write_leaves_nothing(tmp_path, monkeypatch, cmd,
+                                          existing):
+    # resolved.ini is the last file of every command; every file the run
+    # wrote before it, and the directories it created, are removed
+    def failing_write(self, fh, *args, **kwargs):
+        fh.write("[partial")
+        raise OSError("injected failure")
+
+    top = tmp_path / "runs"
+    out = top / cmd
+    if existing:
+        out.mkdir(parents=True)
+    cfg = write_cfg(tmp_path, f"[{cmd}]\n" + _QUICK[cmd])
+    monkeypatch.setattr(configparser.ConfigParser, "write", failing_write)
+    with pytest.raises(OSError, match="injected failure"):
+        cli.main([cmd, "--config", cfg, "--out", str(out)])
+    _assert_nothing_left(top, out, existing)
 
 
 class TestOtherCommands:
@@ -470,6 +517,20 @@ class TestOtherCommands:
         rows = read_csv(out / "ledger.csv")
         assert len(rows) == 21
         assert all(r[1] == "pass" for r in rows[1:])
+
+    def test_ledger_failure_exits_1_and_leaves_nothing(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def failing_check(ledger):
+            return LedgerCheckResult(verdict="fail", C0=None, k0=None,
+                                     bound=None, failures=(), scan=())
+
+        monkeypatch.setattr(cli, "energy_ledger_check", failing_check)
+        out = tmp_path / "le"
+        cfg = write_cfg(tmp_path, "[ledger]\nfamilies = 3\n")
+        rc = cli.main(["ledger", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "solver failure: 3 of 3 families failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_changes_stream(self, tmp_path):
         def run(seed, tag):
