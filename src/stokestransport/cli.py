@@ -271,12 +271,14 @@ def _load_section(cmd: str, config_path: str | None):
     scen_keys: dict[str, str] = {}
     given: set[str] = set()
     if config_path is not None:
-        path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            parser.read(path, encoding="utf-8")
+            with open(config_path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {config_path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read {config_path}: {exc.strerror}") from exc
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {config_path}: {exc}") from exc
         if parser.has_section(cmd):
@@ -454,11 +456,11 @@ def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
             f"hneg1,{_fmt(hneg1_norm(field))}"]
     summary = [f"l2 = {_fmt(lq_norm(field, 2))}"]
     if want_uloc:
-        for m in (-1, 0, 1):
-            rows.append(uloc_norm(field, m, part).to_csv_row())
+        reps = [uloc_norm(field, m, part) for m in (-1, 0, 1)]
+        rows.extend(rep.to_csv_row() for rep in reps)
         web = window_energy_bound(field, 1, part)
         rows.append(f"window_energy_n1,{_fmt(web.left)}")
-        summary.append(f"uloc_l2 = {_fmt(uloc_norm(field, 0, part).value)}")
+        summary.append(f"uloc_l2 = {_fmt(reps[1].value)}")
     sweep_worst = None
     if sweep_n:
         rng = np.random.default_rng(cfg["seed"])

@@ -103,32 +103,35 @@ def lq_norm(f: ScalarField, q) -> float:
 
 def _dx(vals: np.ndarray, hx: float, periodic: bool) -> np.ndarray:
     if periodic:
-        return (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2.0 * hx)
-    return np.gradient(vals, hx, axis=0, edge_order=2)
+        return (np.roll(vals, -1, axis=-2) - np.roll(vals, 1, axis=-2)) / (2.0 * hx)
+    return np.gradient(vals, hx, axis=-2, edge_order=2)
 
 
 def _dz(vals: np.ndarray, hz: float) -> np.ndarray:
-    return np.gradient(vals, hz, axis=1, edge_order=2)
+    return np.gradient(vals, hz, axis=-1, edge_order=2)
 
 
-def _to_centers(f: ScalarField) -> np.ndarray:
-    v = f.values
+def _to_centers(f: ScalarField, v: np.ndarray | None = None) -> np.ndarray:
+    """f's values, or v staggered like f with x, z on its last two axes, at the cell centers."""
+    v = f.values if v is None else v
     if f.staggering == CENTER:
         return v
     if f.staggering == XFACE:
         if f.domain.periodic:
-            return 0.5 * (v + np.roll(v, -1, axis=0))
-        return 0.5 * (v[:-1, :] + v[1:, :])
-    return 0.5 * (v[:, :-1] + v[:, 1:])
+            return 0.5 * (v + np.roll(v, -1, axis=-2))
+        return 0.5 * (v[..., :-1, :] + v[..., 1:, :])
+    return 0.5 * (v[..., :-1] + v[..., 1:])
 
 
-def _h1_sq(vals: np.ndarray, grid: GridSpec, domain: DomainSpec) -> float:
-    w = grid.hx * grid.hz
+def _h1_sq(vals: np.ndarray, hx: float, hz: float, periodic: bool) -> np.ndarray:
+    """Squared H1 norm over the last two axes of cell data, one value per leading index."""
+    w = hx * hz
     with np.errstate(over="ignore"):
-        gx = _dx(vals, grid.hx, domain.periodic)
-        gz = _dz(vals, grid.hz)
-        s = w * float((vals * vals).sum() + (gx * gx).sum() + (gz * gz).sum())
-    if not math.isfinite(s):
+        gx = _dx(vals, hx, periodic)
+        gz = _dz(vals, hz)
+        s = w * ((vals * vals).sum(axis=(-2, -1)) + (gx * gx).sum(axis=(-2, -1))
+                 + (gz * gz).sum(axis=(-2, -1)))
+    if not np.all(np.isfinite(s)):
         raise RuntimeError("H1 sum overflowed")
     return s
 
@@ -139,11 +142,10 @@ def h1_norm(f) -> float:
     Face-staggered data (velocity components included) is averaged to the
     centers first; a velocity field contributes both components.
     """
-    if isinstance(f, VelocityField):
-        g, dom = f.grid, f.domain
-        s = _h1_sq(_to_centers(f.u1), g, dom) + _h1_sq(_to_centers(f.u2), g, dom)
-        return math.sqrt(s)
-    return math.sqrt(_h1_sq(_to_centers(f), f.grid, f.domain))
+    g = f.grid
+    parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
+    s = sum(_h1_sq(_to_centers(p), g.hx, g.hz, f.domain.periodic) for p in parts)
+    return math.sqrt(s)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +237,16 @@ def w1inf_norm(u: VelocityField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _periodic_cutoff(coords, k, L: float) -> np.ndarray:
-    """Window k's cutoff at coords, its profile translated modulo the period L."""
-    return cutoff_profile(np.mod(coords - k + 0.5 * L, L) - 0.5 * L)
-
-
 @functools.lru_cache(maxsize=4)
-def _chi_table(grid: GridSpec, domain: DomainSpec) -> np.ndarray:
-    """Cell-center cutoffs of every window, one row per window (read-only)."""
-    k = np.arange(int(domain.x_extent))[:, None]
-    chi = _periodic_cutoff(x_centers(grid), k, domain.x_extent)
+def _chi_table(grid: GridSpec, domain: DomainSpec, faces: bool) -> np.ndarray:
+    """Cutoffs of every window at the x-faces or cell centers, one row per window (read-only).
+
+    Each row is the profile translated modulo the period L.
+    """
+    L = domain.x_extent
+    xs = x_faces(grid, domain) if faces else x_centers(grid)
+    k = np.arange(int(L))[:, None]
+    chi = cutoff_profile(np.mod(xs - k + 0.5 * L, L) - 0.5 * L)
     chi.flags.writeable = False
     return chi
 
@@ -277,17 +279,8 @@ class Partition:
     def cells_per_unit(self) -> int:
         return self.grid.nx // self.period
 
-    def chi_center(self, k: int) -> np.ndarray:
-        return _periodic_cutoff(x_centers(self.grid), k, self.domain.x_extent)
-
-    def chi_face(self, k: int) -> np.ndarray:
-        return _periodic_cutoff(x_faces(self.grid, self.domain), k, self.domain.x_extent)
-
     def chi_sum(self) -> np.ndarray:
-        s = np.zeros(self.grid.nx)
-        for k in range(self.period):
-            s += self.chi_center(k)
-        return s
+        return _chi_table(self.grid, self.domain, False).sum(axis=0)
 
 
 def _windowed_plain(f: ScalarField, part: Partition, k: int) -> ScalarField:
@@ -319,72 +312,64 @@ class NormReport:
         return ",".join(parts)
 
 
-def _window_dual_norms(f: ScalarField, part: Partition, margin: float) -> np.ndarray:
-    """Dual norm of chi_k * f for every window k, all windows in one batched sum.
+def _window_sq(f: ScalarField, m: int, part: Partition, pad: int) -> np.ndarray:
+    """Squared (m, 2)-norm of chi_k * f for every window k, all windows in one batched sum.
 
-    Window k's norm is taken on its support widened by ``margin`` (in
-    x-units), Dirichlet all around.  The screening term gives the resolvent
-    an O(1) decay length, so the truncation error falls off exponentially
-    in ``margin``.  Once the widened support covers the period, the
-    periodic norm over the whole strip is used instead.
+    Window k keeps its support, 3 cells_per_unit columns from x = k - 1,
+    plus ``pad`` columns at each end.  For m = -1 the pad is the margin and
+    the window is Dirichlet all around; the screening term gives the
+    resolvent an O(1) decay length, so the truncation error falls off
+    exponentially in the margin.  For m = 0, 1 one pad column of zero
+    cutoff makes the periodic centred differences inside the window equal
+    to those over the whole strip.  Once the padded window covers the
+    period, the whole strip is used.
     """
     g = f.grid
     cpu = part.cells_per_unit
-    mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
-    ncols = 3 * cpu + 2 * mcells
-    chi = _chi_table(g, f.domain)
+    ncols = 3 * cpu + 2 * pad
+    chi = _chi_table(g, f.domain, f.staggering == XFACE)
     periodic = ncols >= g.nx
     if periodic:
         b = f.values * chi[:, :, None]
     else:
-        idx = (np.arange(ncols) + (np.arange(part.period)[:, None] - 1) * cpu - mcells) % g.nx
+        idx = (np.arange(ncols) + (np.arange(part.period)[:, None] - 1) * cpu - pad) % g.nx
         b = f.values[idx] * np.take_along_axis(chi, idx, axis=1)[:, :, None]
-    return np.sqrt(_dual_sq(b, g.hx, g.hz, periodic))
-
-
-def _window_scalar(f: ScalarField, part: Partition, k: int) -> ScalarField:
-    chi = part.chi_center(k) if f.staggering != XFACE else part.chi_face(k)
-    return f.with_values(f.values * chi[:, None])
+    if m == -1:
+        return _dual_sq(b, g.hx, g.hz, periodic)
+    if m == 1:
+        return _h1_sq(_to_centers(f, b), g.hx, g.hz, True)
+    with np.errstate(over="ignore"):
+        s = g.hx * g.hz * (b * b).sum(axis=(-2, -1))
+    if not np.all(np.isfinite(s)):
+        raise RuntimeError("L2 sum overflowed")
+    return s
 
 
 def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormReport:
     """Sup over unit windows of the windowed (m, 2)-norm, m in {-1, 0, 1}.
 
-    For m = -1 all windows are summed at once, in one batched transform.
-    margin widens that restricted dual norm beyond the window support (in
-    x-units); it has no effect for m = 0, 1.
+    Every m is one batched sum over all windows; a velocity adds the sums
+    of its two components.  margin widens the restricted dual norm of
+    m = -1 beyond the window support (in x-units; inf, like any margin that
+    covers the period, gives the periodic norm over the whole strip); it
+    has no effect for m = 0, 1.
     """
     if m not in (-1, 0, 1):
         raise ValueError("m must be -1, 0, or 1")
-    if isinstance(f, VelocityField):
-        if m == -1:
-            raise ValueError("the dual window norm needs a cell-centered field")
-        dom = f.domain
-    else:
-        dom = f.domain
-        if m == -1 and f.staggering != CENTER:
-            raise ValueError("the dual window norm needs a cell-centered field")
-    if not dom.periodic:
+    parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
+    if m == -1 and (len(parts) > 1 or f.staggering != CENTER):
+        raise ValueError("the dual window norm needs a cell-centered field")
+    if not f.domain.periodic:
         raise ValueError("uniformly-local norms are defined on the strip")
-    if (partition.grid, partition.domain) != (f.grid, dom):
+    if (partition.grid, partition.domain) != (f.grid, f.domain):
         raise ValueError("partition was built for a different grid")
-
+    if not margin >= 0.0:
+        raise ValueError(f"margin must be >= 0, got {margin!r}")
+    pad = 1
     if m == -1:
-        per = _window_dual_norms(f, partition, margin)
-        return NormReport(name="uloc_hneg1", value=float(per.max()), per_window=per)
-    per = np.empty(partition.period)
-    for k in range(partition.period):
-        if isinstance(f, VelocityField):
-            w1 = _window_scalar(f.u1, partition, k)
-            w2 = _window_scalar(f.u2, partition, k)
-            if m == 0:
-                per[k] = math.sqrt(lq_norm(w1, 2) ** 2 + lq_norm(w2, 2) ** 2)
-            else:
-                per[k] = math.sqrt(h1_norm(w1) ** 2 + h1_norm(w2) ** 2)
-        else:
-            wf = _window_scalar(f, partition, k)
-            per[k] = lq_norm(wf, 2) if m == 0 else h1_norm(wf)
-    name = {0: "uloc_l2", 1: "uloc_h1"}[m]
+        pad = math.ceil(min(margin, partition.period) * partition.cells_per_unit)
+    per = np.sqrt(sum(_window_sq(p, m, partition, pad) for p in parts))
+    name = {-1: "uloc_hneg1", 0: "uloc_l2", 1: "uloc_h1"}[m]
     return NormReport(name=name, value=float(per.max()), per_window=per)
 
 

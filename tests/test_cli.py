@@ -140,7 +140,7 @@ class TestConfigErrors:
                        "--out", str(out)])
         assert rc == 2
         assert not out.exists()
-        assert "error" in capsys.readouterr().err.lower()
+        assert "config error: config file not found" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -281,6 +281,15 @@ class TestConfigErrors:
         assert rc == 2
         assert list(work.iterdir()) == []
         assert f"config error: output directory {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
+    def test_config_that_cannot_be_opened_exits_2(self, tmp_path, capsys, cmd):
+        out = tmp_path / "o"
+        cfg = tmp_path / ("a" * 300 + ".ini")
+        rc = cli.main([cmd, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"config error: cannot read {cfg}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["stokes", "transport", "simulate",
                                      "picard", "stability"])

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,11 +13,15 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
 from stokestransport.domain import (
+    XFACE,
+    ZFACE,
     DomainKind,
     DomainSpec,
     ScalarField,
     VelocityField,
     make_grid,
+    x_centers,
+    x_faces,
 )
 from stokestransport.norms import (
     C_CHI,
@@ -358,6 +363,13 @@ def test_hneg1_matches_sparse_solve(kind, extent, nx, nz):
     assert hneg1_norm(f) == pytest.approx(want, rel=1e-13)
 
 
+def _chi(f, k):
+    """Window k's cutoff at the x positions of f's samples, straight from the profile."""
+    L = f.domain.x_extent
+    xs = x_faces(f.grid, f.domain) if f.staggering == XFACE else x_centers(f.grid)
+    return cutoff_profile(np.mod(xs - k + 0.5 * L, L) - 0.5 * L)
+
+
 def _windowed_hneg1(f, part, k, margin):
     """Dual norm of chi_k * f via a solve restricted to the window support.
 
@@ -368,7 +380,7 @@ def _windowed_hneg1(f, part, k, margin):
     cpu = part.cells_per_unit
     mcells = int(math.ceil(margin * cpu)) if margin > 0 else 0
     ncols = 3 * cpu + 2 * mcells
-    vals = f.values * part.chi_center(k)[:, None]
+    vals = f.values * _chi(f, k)[:, None]
     if ncols >= g.nx:
         return _sparse_hneg1(vals, g, True)
     idx = (np.arange(ncols) + (k - 1) * cpu - mcells) % g.nx
@@ -390,6 +402,76 @@ def test_batched_dual_windows_match_one_solve_per_window(period, nx, nz, margin)
     assert rep.value == max(rep.per_window)
 
 
+def _window_norms_one_at_a_time(f, part, m):
+    """The windowed L2 (m = 0) or H1 (m = 1) norms, chi_k * f on the whole strip per window."""
+    per = []
+    for k in range(part.period):
+        s = 0.0
+        for p in ((f.u1, f.u2) if isinstance(f, VelocityField) else (f,)):
+            w = p.with_values(p.values * _chi(p, k)[:, None])
+            s += lq_norm(w, 2) ** 2 if m == 0 else h1_norm(w) ** 2
+        per.append(math.sqrt(s))
+    return per
+
+
+def _random_fields(grid, dom, rng):
+    """Random cell-center, x-face and z-face fields and a velocity, by name."""
+    a2 = rng.standard_normal((grid.nx, grid.nz + 1))
+    a2[:, [0, -1]] = 0.0
+    return {
+        "center": random_center_field(grid, dom, rng),
+        "xface": ScalarField(grid, dom, rng.standard_normal((grid.nx, grid.nz)), XFACE),
+        "zface": ScalarField(grid, dom, a2, ZFACE),
+        "velocity": VelocityField.from_arrays(
+            grid, dom, rng.standard_normal((grid.nx, grid.nz)), a2),
+    }
+
+
+@pytest.mark.parametrize("period, nx, nz", [(8, 64, 16), (32, 512, 16)])
+@pytest.mark.parametrize("m", [0, 1])
+def test_batched_windows_match_one_window_at_a_time(period, nx, nz, m):
+    dom = DomainSpec(DomainKind.STRIP, float(period))
+    grid = make_grid(dom, nx, nz)
+    part = Partition(grid, dom)
+    for name, f in _random_fields(grid, dom, np.random.default_rng(nx + m)).items():
+        rep = uloc_norm(f, m, part)
+        want = _window_norms_one_at_a_time(f, part, m)
+        np.testing.assert_allclose(rep.per_window, want, rtol=1e-13, atol=0.0,
+                                   err_msg=name)
+        assert rep.value == max(rep.per_window)
+
+
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_window_norms_keep_no_whole_period_stack(m):
+    # a (period, nx, nz) stack of chi_k * f alone is 32 fields; the padded
+    # windows hold 3 cells per unit plus the pads, about 3.1 fields each
+    dom = DomainSpec(DomainKind.STRIP, 32.0)
+    grid = make_grid(dom, 512, 16)
+    part = Partition(grid, dom)
+    f = random_center_field(grid, dom, np.random.default_rng(7))
+    uloc_norm(f, m, part)  # fills the cutoff cache
+    tracemalloc.start()
+    try:
+        uloc_norm(f, m, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * f.values.nbytes
+
+
+def test_margin_must_be_a_non_negative_number(strip):
+    dom, grid = strip
+    part = Partition(grid, dom)
+    f = random_center_field(grid, dom, np.random.default_rng(46))
+    for margin in (math.nan, -0.5, -math.inf):
+        with pytest.raises(ValueError, match="margin"):
+            uloc_norm(f, -1, part, margin=margin)
+    # an infinite margin, like one that covers the period, is the whole strip
+    whole = uloc_norm(f, -1, part, margin=dom.x_extent)
+    assert np.array_equal(uloc_norm(f, -1, part, margin=math.inf).per_window,
+                          whole.per_window)
+
+
 def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
     # 1e200 is a valid sample, but its squared transform coefficients are not
     # representable; the norm must fail loudly instead of returning inf
@@ -400,9 +482,14 @@ def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
     dom, grid = strip
     part = Partition(grid, dom)
     big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
-    for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
-        with pytest.raises(RuntimeError, match="overflow"):
-            uloc_norm(big, -1, part, margin=margin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
+            with pytest.raises(RuntimeError, match="overflow"):
+                uloc_norm(big, -1, part, margin=margin)
+        for m in (0, 1):
+            with pytest.raises(RuntimeError, match="overflow"):
+                uloc_norm(big, m, part)
 
 
 def test_l1_l2_and_h1_norms_raise_when_the_sum_overflows(strip, rect):

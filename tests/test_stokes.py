@@ -433,7 +433,7 @@ def test_factor_cache_keeps_four_grids(cached):
         dom = DomainSpec(DomainKind.STRIP, 8.0)
     else:
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
-    extra = {norms._chi_table: (dom,), _mac.axes: (False,)}.get(cached, ())
+    extra = {norms._chi_table: (dom, False), _mac.axes: (False,)}.get(cached, ())
     keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
     cached.cache_clear()
     for key in keys:
