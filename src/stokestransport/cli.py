@@ -6,14 +6,20 @@ subcommand name), applies defaults for anything unset, and lets the
 flag --out, and --seed where the section has a seed key (norms, ledger),
 override their config keys.  Every key has one parser in ``_TYPES``; the
 whole section is converted and range-checked there before any command
-runs, and the commands check only the rules that join two keys.  A run
-writes the resolved key set, as text, to resolved.ini beside the outputs
-and prints a short summary block.  Numeric output uses 17 significant
-digits so values round-trip through text exactly.
+runs.  Past dt <= t_final and the key set, the rules that join keys are
+the library's own: any value it rejects with a ValueError (nx not a
+multiple of the strip period for picard, stability and norms; uloc,
+sweep_fields or the channel profile on the rectangle; a nonzero flux in
+a closed box) is a configuration error.  A run writes the resolved key
+set, as text, to resolved.ini beside the outputs and prints a short
+summary block.  Numeric output uses 17 significant digits so values
+round-trip through text exactly.
 
-Exit codes: 0 success, 1 solver failure, 2 configuration error (nothing
-is written in that case).  A failed run of any command removes every file
-it wrote, a same-name file it overwrote included, and the directories it made.
+Exit codes: 0 success, 1 solver failure (a failed solve gate, a Picard
+divergence, a singular factor, a failed ledger family), 2 configuration
+error (nothing is written in that case).  A failed run of any command
+removes every file it wrote, a same-name file it overwrote included, and
+the directories it made.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import (
-    PicardDivergenceError,
     energy_ledger_check,
     picard_solve,
     random_ledger,
@@ -39,7 +44,6 @@ from .domain import DomainKind, DomainSpec, ScalarField, make_grid
 from .norms import (
     C_CHI,
     Partition,
-    _windowed_plain,
     h1_norm,
     hneg1_norm,
     lq_norm,
@@ -50,7 +54,6 @@ from .scenarios import SCENARIOS, make_density
 from .snapshots import write_field
 from .stokes import (
     StokesConfig,
-    StokesSolveError,
     flux_profile,
     poiseuille,
     solve_buoyancy,
@@ -61,7 +64,7 @@ from .transport import TransportConfig, _pull_back, integrate_flow, write_flowma
 __all__ = ["main", "emit_series", "ConfigError"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -310,31 +313,20 @@ def _convert(raw: dict) -> dict:
 
 def _build_domain(cfg: dict):
     kind = DomainKind.STRIP if cfg["domain"] == "strip" else DomainKind.RECTANGLE
-    try:
-        dom = DomainSpec(kind, cfg["x_extent"])
-        grid = make_grid(dom, cfg["nx"], cfg["nz"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return dom, grid
+    dom = DomainSpec(kind, cfg["x_extent"])
+    return dom, make_grid(dom, cfg["nx"], cfg["nz"])
 
 
 def _build_density(cfg: dict, grid, dom, key: str = "scenario") -> ScalarField:
     params = {k[len(key) + 1:]: v for k, v in cfg.items()
               if k.startswith(key + ".")}
-    try:
-        return make_density(cfg[key], grid, dom, **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make_density(cfg[key], grid, dom, **params)
 
 
 def _stokes_solution(cfg: dict, grid, dom):
     """The Stokes solution named by the problem, phi and flux keys."""
     if cfg["problem"] == "poiseuille":
-        if not dom.periodic:
-            raise ConfigError("the channel profile needs domain = strip")
         return poiseuille(cfg["phi"], grid, dom)
-    if cfg["flux"] != 0.0 and not dom.periodic:
-        raise ConfigError("a nonzero flux needs domain = strip (a closed box carries none)")
     rho = _build_density(cfg, grid, dom)
     return solve_buoyancy(rho, StokesConfig(flux_target=cfg["flux"]))
 
@@ -342,13 +334,6 @@ def _stokes_solution(cfg: dict, grid, dom):
 def _check_dt(cfg: dict) -> None:
     if cfg["dt"] > cfg["t_final"]:
         raise ConfigError(f"need dt <= t_final, got dt = {cfg['dt']}")
-
-
-def _partition(grid, dom) -> Partition:
-    try:
-        return Partition(grid, dom)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +411,6 @@ def _cmd_picard(cfg: dict, out: _Output) -> list[str]:
 
 def _cmd_stability(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
-    if dom.periodic:
-        _partition(grid, dom)  # the strip measures differences in unit windows
     _check_dt(cfg)
     rho1 = _build_density(cfg, grid, dom, key="scenario")
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
@@ -445,11 +428,7 @@ def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
     field = _build_density(cfg, grid, dom)
     want_uloc = cfg["uloc"]
     sweep_n = cfg["sweep_fields"]
-    if want_uloc and not dom.periodic:
-        raise ConfigError("uloc norms need domain = strip")
-    if sweep_n and not dom.periodic:
-        raise ConfigError("sweep_fields needs domain = strip")
-    part = _partition(grid, dom) if want_uloc or sweep_n else None
+    part = Partition(grid, dom) if want_uloc or sweep_n else None
 
     rows = [f"l1,{_fmt(lq_norm(field, 1))}", f"l2,{_fmt(lq_norm(field, 2))}",
             f"linf,{_fmt(lq_norm(field, np.inf))}", f"h1,{_fmt(h1_norm(field))}",
@@ -468,8 +447,10 @@ def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
         for _ in range(sweep_n):
             f = ScalarField(grid, dom, rng.standard_normal((grid.nx, grid.nz)))
             rep = uloc_norm(f, 0, part)
-            plain = max(lq_norm(_windowed_plain(f, part, k), 2)
-                        for k in range(part.period))
+            # window k holds units k - 1, k and k + 1 of the period
+            units = (f.values ** 2).reshape(part.period, -1).sum(axis=1)
+            windows = units + np.roll(units, 1) + np.roll(units, -1)
+            plain = math.sqrt(grid.hx * grid.hz * float(windows.max()))
             if plain > 0:
                 sweep_worst = max(sweep_worst, rep.value / plain)
         summary.append(f"sweep_ratio_max = {_fmt(sweep_worst)} (C_chi = {_fmt(C_CHI)})")
@@ -570,10 +551,15 @@ def main(argv=None) -> int:
         if seed is not None:
             raw["seed"] = str(seed)
         cfg = _convert(raw)
-        # phi is the channel profile's flux, flux the buoyancy flux target
-        unread = {"poiseuille": "flux", "buoyancy": "phi"}.get(cfg.get("problem"))
-        if unread in given:
-            raise ConfigError(f"{unread} is not read by problem = {cfg['problem']}")
+        # phi is the channel profile's flux, flux the buoyancy flux target;
+        # stokes's channel profile reads no density
+        problem = cfg.get("problem")
+        unread = {"poiseuille": ["flux"], "buoyancy": ["phi"]}.get(problem, [])
+        if cmd == "stokes" and problem == "poiseuille":
+            unread.append("scenario")
+        for key in sorted(given):
+            if key.partition(".")[0] in unread:
+                raise ConfigError(f"{key} is not read by problem = {problem}")
         out = _Output(args.out or cfg["out"])
         try:
             summary = _COMMANDS[cmd](cfg, out)
@@ -584,12 +570,14 @@ def main(argv=None) -> int:
         except BaseException:  # a failed run leaves nothing behind
             out.discard()
             raise
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (StokesSolveError, PicardDivergenceError, RuntimeError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # first: LinAlgError is a ValueError, but a singular factor is a
+        # solver failure
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # any value the library rejects
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"[{cmd}] done")
     for line in summary:

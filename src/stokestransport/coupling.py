@@ -278,10 +278,10 @@ def stability_experiment(rho0_1: ScalarField, rho0_2: ScalarField, T: float,
         raise ValueError("both data sets must live on one grid")
     if dt is None:
         dt = T / 16.0
-    s1 = time_march(rho0_1, T, dt)
-    s2 = time_march(rho0_2, T, dt)
     dom = rho0_1.domain
     partition = Partition(rho0_1.grid, dom) if dom.periodic else None
+    s1 = time_march(rho0_1, T, dt)
+    s2 = time_march(rho0_2, T, dt)
     speed = max(st.norms["u_linf"] for st in s1 + s2)
     times = np.array([st.t for st in s1])
     gaps = np.array([

@@ -163,10 +163,9 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
                     f"(t = {t + h:.6g})")
             fa = fc
             t = t0 + (k + 1) * h
-    disp = np.empty((g.nx, g.nz, 2))
-    disp[:, :, 0] = (px - seeds_x).reshape(g.nx, g.nz)
-    disp[:, :, 1] = (pz - seeds_z).reshape(g.nx, g.nz)
-    return FlowMap(t0=t0, t1=t1, grid=g, domain=dom, displacement=disp)
+    disp = np.stack((px - seeds_x, pz - seeds_z), axis=-1)
+    return FlowMap(t0=t0, t1=t1, grid=g, domain=dom,
+                   displacement=disp.reshape(g.nx, g.nz, 2))
 
 
 def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
@@ -178,14 +177,10 @@ def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
             f"cannot compose: inner ends at t = {inner.t1}, outer starts at "
             f"t = {outer.t0}")
     g, dom = outer.grid, outer.domain
-    qx, qz = inner.map_centers()
-    d = _kernels.sample_center(outer.displacement, qx.ravel(), qz.ravel(),
+    d = _kernels.sample_center(outer.displacement, *inner.map_centers(),
                                g.hx, g.hz, dom.periodic, dom.x_extent)
-    disp = np.empty_like(inner.displacement)
-    disp[:, :, 0] = inner.displacement[:, :, 0] + d[:, 0].reshape(qx.shape)
-    disp[:, :, 1] = inner.displacement[:, :, 1] + d[:, 1].reshape(qz.shape)
     return FlowMap(t0=inner.t0, t1=outer.t1, grid=inner.grid,
-                   domain=inner.domain, displacement=disp)
+                   domain=inner.domain, displacement=inner.displacement + d)
 
 
 def _pull_back(rho0: ScalarField, back: FlowMap) -> ScalarField:
@@ -193,10 +188,9 @@ def _pull_back(rho0: ScalarField, back: FlowMap) -> ScalarField:
     if not back.displacement.any():
         return rho0.with_values(rho0.values)
     g, dom = rho0.grid, rho0.domain
-    qx, qz = back.map_centers()
-    vals = _kernels.sample_center(rho0.values, qx.ravel(), qz.ravel(),
+    vals = _kernels.sample_center(rho0.values, *back.map_centers(),
                                   g.hx, g.hz, dom.periodic, dom.x_extent)
-    return rho0.with_values(vals.reshape(g.nx, g.nz))
+    return rho0.with_values(vals)
 
 
 def backward_flow_maps(u, times, config: TransportConfig):

@@ -9,12 +9,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokestransport import cli, coupling
 from stokestransport.coupling import LedgerCheckResult, time_march
+from stokestransport.domain import DomainKind, DomainSpec, ScalarField, make_grid
+from stokestransport.norms import Partition, _windowed_plain, lq_norm, uloc_norm
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import StokesSolveError
 
@@ -27,6 +30,7 @@ def write_cfg(tmp_path, body, name="run.ini"):
 
 _SMALL = "nx = 32\nnz = 16\n"
 _STRIP_NORMS = "domain = strip\nx_extent = 8\nnx = 32\nnz = 8\n"
+_RECT_NORMS = "domain = rectangle\nx_extent = 1\nnx = 32\nnz = 8\n"
 # a small valid section for each command
 _QUICK = {
     "stokes": _SMALL, "norms": _SMALL, "ledger": "families = 3\n",
@@ -228,6 +232,16 @@ class TestConfigErrors:
         ("stokes", _SMALL + "problem = poiseuille\nflux = 0\n", []),
         ("stokes", _SMALL + "problem = buoyancy\nflux = 0.5\n",
          ["--poiseuille", "1.0"]),
+        ("picard", "x_extent = 8\nnx = 36\nnz = 16\n", []),
+        ("norms", _RECT_NORMS + "uloc = 1\n", []),
+        ("norms", _RECT_NORMS + "sweep_fields = 2\n", []),
+        ("stokes", _SMALL + "domain = rectangle\nx_extent = 1\n"
+                   "problem = poiseuille\n", []),
+        ("transport", _SMALL + "domain = rectangle\nx_extent = 1\n"
+                      "problem = poiseuille\n", []),
+        ("stokes", _SMALL + "problem = poiseuille\nscenario = patch\n", []),
+        ("stokes", _SMALL + "problem = buoyancy\nscenario.delta = 3\n",
+         ["--poiseuille", "1.0"]),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -245,7 +259,11 @@ class TestConfigErrors:
             "transport_rectangle_flux", "stokes_poiseuille_flux",
             "stokes_poiseuille_negative_flux", "transport_poiseuille_flux",
             "stokes_buoyancy_phi", "transport_buoyancy_default_phi",
-            "stokes_poiseuille_zero_flux", "stokes_poiseuille_flag_flux"])
+            "stokes_poiseuille_zero_flux", "stokes_poiseuille_flag_flux",
+            "picard_nx_off_period", "norms_uloc_rectangle",
+            "norms_sweep_rectangle", "stokes_poiseuille_rectangle",
+            "transport_poiseuille_rectangle", "stokes_poiseuille_scenario",
+            "stokes_poiseuille_flag_scenario_param"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"
@@ -255,6 +273,26 @@ class TestConfigErrors:
         assert rc == 2
         assert list(out.iterdir()) == []
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, body, message", [
+        ("picard", "x_extent = 8\nnx = 36\nnz = 16\n",
+         "nx = 36 must be a multiple of the period 8"),
+        ("norms", _RECT_NORMS + "sweep_fields = 2\n",
+         "partitions are defined on the strip"),
+        ("transport", _SMALL + "domain = rectangle\nx_extent = 1\n",
+         "the channel profile lives on the strip"),
+        ("stokes", _SMALL + "domain = rectangle\nx_extent = 1\n"
+                   "problem = buoyancy\nflux = 5.0\n",
+         "a closed rectangle carries no net flux"),
+    ], ids=["picard_partition", "norms_partition", "transport_channel",
+            "stokes_rectangle_flux"])
+    def test_library_message_is_the_config_error(self, tmp_path, capsys,
+                                                 cmd, body, message):
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + body)
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
     @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
@@ -427,6 +465,21 @@ class TestSimulateCommand:
         assert "solver failure" in capsys.readouterr().err
         _assert_nothing_left(top, out, existing)
 
+    def test_singular_factor_exits_1_and_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet a singular factor is a
+        # solver failure, not a configuration error
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected singular factor")
+
+        monkeypatch.setattr(cli, "time_march", singular)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "[simulate]\n" + _QUICK["simulate"])
+        rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "solver failure: injected singular factor" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _assert_nothing_left(top, out, existing):
     if existing:
@@ -554,6 +607,31 @@ class TestOtherCommands:
 
         assert run(1, "s1") != run(2, "s2")
         assert run(7, "s7") == run(7, "s7b")
+
+    @pytest.mark.parametrize("period, nx, nz", [(8, 32, 8), (32, 512, 16)],
+                             ids=["32x8", "512x16"])
+    def test_sweep_ratio_matches_one_window_at_a_time(self, tmp_path, period,
+                                                      nx, nz):
+        # reference: the plain L2 norm of each window's restriction, one
+        # full-size copy per window, for the same seeded fields
+        out = tmp_path / "sw"
+        cfg = write_cfg(tmp_path, f"[norms]\ndomain = strip\nx_extent = {period}\n"
+                                  f"nx = {nx}\nnz = {nz}\nsweep_fields = 4\n")
+        assert cli.main(["norms", "--config", cfg, "--seed", "11",
+                         "--out", str(out)]) == 0
+        dom = DomainSpec(DomainKind.STRIP, period)
+        grid = make_grid(dom, nx, nz)
+        part = Partition(grid, dom)
+        rng = np.random.default_rng(11)
+        want = 0.0
+        for _ in range(4):
+            f = ScalarField(grid, dom, rng.standard_normal((nx, nz)))
+            plain = max(lq_norm(_windowed_plain(f, part, k), 2)
+                        for k in range(period))
+            want = max(want, uloc_norm(f, 0, part).value / plain)
+        lines = (out / "sweep.txt").read_text().split()
+        got = float(dict(line.split("=") for line in lines)["ratio_max"])
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestResolvedManifest:

@@ -299,6 +299,19 @@ class TestStabilityExperiment:
         with pytest.raises(ValueError):
             stability_experiment(r1, r2, T=0.25)
 
+    def test_off_period_strip_rejected_before_any_march(self, monkeypatch):
+        # the unit windows that measure the gap need nx a multiple of 8
+        def no_march(*args, **kwargs):
+            raise AssertionError("time_march reached on an off-period strip")
+
+        monkeypatch.setattr(coupling, "time_march", no_march)
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+        grid = make_grid(dom, 36, 8)
+        r1 = make_density("stratified", grid, dom)
+        r2 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        with pytest.raises(ValueError, match="multiple of the period 8"):
+            stability_experiment(r1, r2, T=0.25)
+
 
 class TestContractionWindow:
     def test_lambertw_oracle(self):
