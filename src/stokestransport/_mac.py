@@ -24,6 +24,12 @@ divergence.  u1 sits on faces in x and on centers in z, u2 the other way
 round.  On a walled axis the stored faces are the interior ones (the wall
 values are zero) and the center operator carries the quadratic ghost; on
 the periodic axis both operators are the circulant second difference.
+
+Each factor is stored in band form: its weights per row and the column
+offset of each band.  All rows but the edge rows, where the wall ghost,
+a dropped wall column or the periodic wrap lives, share one set of
+weights, so a factor applies as shifted slices over those rows; the edge
+rows are written after from a small dense block.
 """
 
 from __future__ import annotations
@@ -32,33 +38,117 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .domain import GridSpec
 
-__all__ = ["Axis", "axes"]
+__all__ = ["Axis", "Band", "axes"]
 
 _GHOST_NEAR = 4.0       # diagonal weight of a wall-adjacent tangential row, / h^2
 _GHOST_FAR = 4.0 / 3.0  # neighbor weight of that row, / h^2
 
 
-def _stencil(nrows: int, ncols: int, offsets, weights, periodic: bool):
-    """CSR matrix whose row r holds weights[r, k] (or weights[k]) in column r + offsets[k].
+class Band(NamedTuple):
+    """A banded 1D factor: row r holds weights[r, k] in column r + offsets[k].
 
     Periodic columns wrap modulo ncols; otherwise those outside are dropped.
+    The rows ``lo`` to ``hi`` share one set of weights and reach no column
+    outside.  ``terms`` pairs their bands of equal weight magnitude as
+    (w, offset, second offset or None, np.add or np.subtract), so that a
+    Laplacian row is w (x[r - 1] + x[r + 1]) + w' x[r] and a gradient row
+    w (x[r - 1] - x[r]).  Every other row is an edge row: its weights over
+    the few columns that edge rows read are the rows of ``edge_weights``.
     """
-    cols = np.arange(nrows)[:, None] + np.asarray(offsets)
-    if periodic:
-        cols %= ncols
-    keep = (cols >= 0) & (cols < ncols)
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    vals = np.broadcast_to(weights, cols.shape)[keep]
-    m = scipy.sparse.csr_matrix((vals, cols[keep], indptr), shape=(nrows, ncols))
-    m.sort_indices()  # a wrapped column moves to the other end of its row
-    return m
+
+    offsets: tuple
+    weights: np.ndarray       # (nrows, len(offsets))
+    ncols: int
+    lo: int
+    hi: int
+    terms: tuple
+    edge_rows: np.ndarray     # (e,)
+    edge_cols: np.ndarray     # (c,)
+    edge_weights: np.ndarray  # (e, c)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.weights), self.ncols
+
+    def dense(self) -> np.ndarray:
+        """The factor as a dense (nrows, ncols) matrix."""
+        m = np.zeros(self.shape)
+        rows = np.arange(self.lo, self.hi)[:, None]
+        m[rows, rows + self.offsets] = self.weights[self.lo:self.hi]
+        m[np.ix_(self.edge_rows, self.edge_cols)] = self.edge_weights
+        return m
+
+    def apply(self, x: np.ndarray, axis: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The factor times the C-ordered 2D ``x`` along ``axis`` (0 or 1).
+
+        ``out`` and ``scratch`` are C-ordered with the shape of ``x``; the
+        product fills the first nrows lines of ``out`` along ``axis`` and is
+        returned as a view, and ``scratch`` is overwritten.  Each band of
+        the shared rows is one shifted slice of ``x``.  Along axis 1 the
+        slices are taken of the flat arrays, where the rows of ``x`` follow
+        one another: the values that straddle two rows land on edge rows,
+        which are written after, or beyond nrows.
+        """
+        lo, hi = self.lo, self.hi
+        if axis == 0:
+            xs, inner, tmp = x, out[lo:hi], scratch[lo:hi]
+        else:
+            xs, hi = x.reshape(-1), x.size - x.shape[1] + hi
+            inner, tmp = out.reshape(-1)[lo:hi], scratch.reshape(-1)[lo:hi]
+        for i, (w, a, b, op) in enumerate(self.terms):
+            dst = tmp if i else inner
+            if b is None:
+                np.multiply(xs[lo + a:hi + a], w, out=dst)
+            else:
+                op(xs[lo + a:hi + a], xs[lo + b:hi + b], out=dst)
+                dst *= w
+            if i:
+                inner += tmp
+        nrows = len(self.weights)
+        if axis == 0:
+            if len(self.edge_rows):
+                out[self.edge_rows] = self.edge_weights @ x[self.edge_cols]
+            return out[:nrows]
+        if len(self.edge_rows):
+            out[:, self.edge_rows] = x[:, self.edge_cols] @ self.edge_weights.T
+        return out[:, :nrows]
 
 
-def _center_laplacian(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matrix:
+def _stencil(nrows: int, ncols: int, offsets, weights, periodic: bool) -> Band:
+    """Band whose row r holds weights[r, k] (or weights[k]) in column r + offsets[k]."""
+    weights = np.array(np.broadcast_to(weights, (nrows, len(offsets))), dtype=float)
+    bulk = weights[nrows // 2]
+    cols = np.add.outer(np.arange(nrows), offsets)
+    shared = np.all((weights == bulk) & (cols >= 0) & (cols < ncols), axis=1)
+    lo, hi = int(np.argmax(shared)), nrows - int(np.argmax(shared[::-1]))
+    groups = {}
+    for o, w in zip(offsets, bulk):
+        groups.setdefault(abs(w), []).append((o, float(w)))
+    terms = tuple((w, a, None, None) if len(g) == 1 else
+                  (w, a, g[1][0], np.add if g[1][1] == w else np.subtract)
+                  for g in groups.values() for (a, w) in g[:1])
+    edges = [*range(lo), *range(hi, nrows)]
+    entries = {}  # (edge row, column) -> weight, columns wrapped or dropped
+    for r in edges:
+        for o, w in zip(offsets, weights[r]):
+            c = (r + o) % ncols if periodic else r + o
+            if 0 <= c < ncols:
+                entries[r, c] = entries.get((r, c), 0.0) + w
+    edge_cols = sorted({c for _, c in entries})
+    edge_weights = np.zeros((len(edges), len(edge_cols)))
+    for (r, c), w in entries.items():
+        edge_weights[edges.index(r), edge_cols.index(c)] = w
+    edges, edge_cols = np.array(edges, dtype=int), np.array(edge_cols, dtype=int)
+    band = Band(tuple(offsets), weights, ncols, lo, hi, terms, edges, edge_cols, edge_weights)
+    for a in (band.weights, band.edge_rows, band.edge_cols, band.edge_weights):
+        a.flags.writeable = False
+    return band
+
+
+def _center_laplacian(n: int, h: float, periodic: bool) -> Band:
     """-d2/dx2 on n cell centers: circulant, or with the quadratic wall ghost."""
     h2 = h * h
     w = np.tile([-1.0 / h2, 2.0 / h2, -1.0 / h2], (n, 1))
@@ -68,13 +158,13 @@ def _center_laplacian(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matr
     return _stencil(n, n, (-1, 0, 1), w, periodic)
 
 
-def _face_laplacian(n: int, h: float) -> scipy.sparse.csr_matrix:
+def _face_laplacian(n: int, h: float) -> Band:
     """-d2/dx2 on the n - 1 interior faces of n cells, zero wall values."""
     h2 = h * h
     return _stencil(n - 1, n - 1, (-1, 0, 1), [-1.0 / h2, 2.0 / h2, -1.0 / h2], False)
 
 
-def _gradient(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matrix:
+def _gradient(n: int, h: float, periodic: bool) -> Band:
     """(p[i] - p[i-1]) / h on each stored face: n periodic faces, or n - 1 interior."""
     if periodic:
         return _stencil(n, n, (-1, 0), [-1.0 / h, 1.0 / h], True)
@@ -84,18 +174,14 @@ def _gradient(n: int, h: float, periodic: bool) -> scipy.sparse.csr_matrix:
 class Axis(NamedTuple):
     """The three 1D factors of one axis (read-only, shared through the cache)."""
 
-    centers: scipy.sparse.csr_matrix  # -d2 on cell centers
-    faces: scipy.sparse.csr_matrix    # -d2 on the stored faces
-    grad: scipy.sparse.csr_matrix     # cell centers -> stored faces
+    centers: Band  # -d2 on cell centers
+    faces: Band    # -d2 on the stored faces
+    grad: Band     # cell centers -> stored faces
 
 
 def _axis(n: int, h: float, periodic: bool) -> Axis:
     lap = _center_laplacian(n, h, periodic)
-    factors = Axis(lap, lap if periodic else _face_laplacian(n, h), _gradient(n, h, periodic))
-    for m in factors:
-        for a in (m.data, m.indices, m.indptr):
-            a.flags.writeable = False
-    return factors
+    return Axis(lap, lap if periodic else _face_laplacian(n, h), _gradient(n, h, periodic))
 
 
 @functools.lru_cache(maxsize=4)

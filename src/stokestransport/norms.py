@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
+from ._transforms import dst2
 from .domain import (
     CENTER,
     XFACE,
@@ -162,12 +162,12 @@ def _dual_sq(b: np.ndarray, hx: float, hz: float, periodic: bool) -> np.ndarray:
     Raises RuntimeError when the sum overflows.
     """
     nx, nz = b.shape[-2:]
-    bh = scipy.fft.dst(b, type=2, axis=-1, norm="ortho")
+    bh = dst2(b, axis=-1)
     if periodic:
-        bh = scipy.fft.fft(bh, axis=-2, norm="ortho")
+        bh = np.fft.fft(bh, axis=-2, norm="ortho")
         lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
     else:
-        bh = scipy.fft.dst(bh, type=2, axis=-2, norm="ortho")
+        bh = dst2(bh, axis=-2)
         lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
     lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
     with np.errstate(over="ignore"):

@@ -94,6 +94,8 @@ def patch(grid: GridSpec, domain: DomainSpec, cx: float | None = None,
         L = domain.x_extent
         dx = dx - L * np.round(dx / L)
     d = np.sqrt(dx ** 2 + (zs - float(cz)) ** 2)
+    if not np.any(d < r_outer):
+        raise ValueError("the grid does not resolve the patch: no cell centre lies within r_outer")
     core = 1.0 - smoothstep((d - r_inner) / (r_outer - r_inner))
     return ScalarField(grid, domain, float(background) + float(delta) * core)
 

@@ -1,10 +1,11 @@
 """Steady Stokes solvers on the MAC grid.
 
-Every operator is built from the 1D factors in ``_mac``, whose docstring
-holds the discretization notes.  Both solvers end in one finisher,
-``_finish``, which pads the wall rows, centres the pressure, rejects
-non-finite output, applies the residual and divergence gate and builds the
-``StokesSolution``.
+Every operator is built from the band-form 1D factors in ``_mac``, whose
+docstring holds the discretization notes.  Every transform is a numpy FFT;
+the sine and cosine transforms come from ``_transforms``.  Both solvers end
+in one finisher, ``_finish``, which pads the wall rows, centres the
+pressure, rejects non-finite output, applies the residual and divergence
+gate and builds the ``StokesSolution``.
 
 Both domains are solved by fast diagonalization (Lynch, Rice & Thomas
 1964) with a capacitance correction (Buzbee, Golub & Nielson 1970).  With
@@ -20,7 +21,9 @@ wall-adjacent tangential rows (+3/h^2 on the diagonal, -1/(3h^2) on the
 neighbour, from ``_mac``'s quadratic ghost), a low-rank change that a
 capacitance matrix of those rows undoes.  A solve is one forward transform,
 the wall defect of the free-slip answer, the capacitance solve, a low-rank
-change of the transformed forcing, and one inverse transform per field.
+change of the transformed forcing, and one inverse transform per field.  On
+the strip the z transforms act on real samples, before the x rfft and after
+the x irfft, so one irfft inverts all three fields.
 
 On the rectangle the u1 rows at the z walls and the u2 rows at the x walls
 each have a 2 x 2 capacitance per sine mode along their walls; the larger
@@ -45,9 +48,10 @@ from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-import scipy.fft
+from numpy.fft import irfft, rfft
 
 from . import _mac
+from ._transforms import dct, dst1, idct
 from .domain import (
     CENTER,
     DomainSpec,
@@ -125,13 +129,27 @@ def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None
     """
     X, Z = _mac.axes(u.grid, u.domain.periodic)
     inner = slice(None) if u.domain.periodic else slice(1, -1)
-    a1, a2, pv = u.u1.values[inner], u.u2.values[:, 1:-1], p.values
-    r1 = X.faces @ a1 + (Z.centers @ a1.T).T + X.grad @ pv + pressure_slope
-    r2 = X.centers @ a2 + (Z.faces @ a2.T).T + (Z.grad @ pv.T).T
+    # the factors read C-ordered arrays; the inner u2 columns are a strided view
+    a1, a2, pv = u.u1.values[inner], np.ascontiguousarray(u.u2.values[:, 1:-1]), p.values
+    # three work arrays of the pressure's size hold each component's sum, a
+    # term and a product in turn; x-momentum is reduced before z-momentum
+    work = np.empty((3, pv.size))
+    r, t, s = (w[:a1.size].reshape(a1.shape) for w in work)
+    tp, sp = (w.reshape(pv.shape) for w in work[1:])
+    X.faces.apply(a1, 0, r, s)
+    r += Z.centers.apply(a1, 1, t, s)
+    r += X.grad.apply(pv, 0, tp, sp)
+    r += pressure_slope
     if f is not None:
-        r1 -= f.f1[inner]
-        r2 -= f.f2[:, 1:-1]
-    return max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2))))
+        r -= f.f1[inner]
+    res = max(r.max(), -r.min())
+    r, t, s = (w[:a2.size].reshape(a2.shape) for w in work)
+    X.centers.apply(a2, 0, r, s)
+    r += Z.faces.apply(a2, 1, t, s)
+    r += Z.grad.apply(pv, 1, tp, sp)
+    if f is not None:
+        r -= f.f2[:, 1:-1]
+    return float(max(res, r.max(), -r.min()))
 
 
 def flux_profile(u: VelocityField) -> np.ndarray:
@@ -143,12 +161,6 @@ def flux_profile(u: VelocityField) -> np.ndarray:
 # rectangle: free-slip modes by fast transforms, no-slip walls by capacitance
 # ---------------------------------------------------------------------------
 
-# orthonormal transforms along one axis; DST-I is its own inverse
-_dst = functools.partial(scipy.fft.dst, type=1, norm="ortho")
-_dct = functools.partial(scipy.fft.dct, type=2, norm="ortho")
-_idct = functools.partial(scipy.fft.idct, type=2, norm="ortho")
-
-
 def _symbol(n: int, h: float) -> np.ndarray:
     """The gradient symbol g[k] = -2 sin(pi k / 2n) / h of a walled axis of n cells."""
     return -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
@@ -156,7 +168,7 @@ def _symbol(n: int, h: float) -> np.ndarray:
 
 def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
     """The two wall rows of ``axis.centers`` minus their free-slip rows."""
-    rows = axis.centers[[0, -1]].toarray()
+    rows = axis.centers.dense()[[0, -1]]
     h2 = h * h
     rows[0, :2] -= 1.0 / h2, -1.0 / h2
     rows[1, -2:] -= -1.0 / h2, 1.0 / h2
@@ -167,7 +179,7 @@ def _wall_modes(axis: _mac.Axis, h: float):
     """(q, r): the DCT-II of a unit in the first and last cell, and ``_wall_rows`` in DCT-II."""
     units = np.zeros((axis.centers.shape[0], 2))
     units[[0, -1], [0, 1]] = 1.0
-    return _dct(units, axis=0), _dct(_wall_rows(axis, h).T, axis=0).T
+    return dct(units, axis=0), dct(_wall_rows(axis, h).T, axis=0).T
 
 
 # the wall pair of a mode -> its sum and difference, orthonormal and its own inverse
@@ -228,8 +240,9 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
     return _RectFactor(gx, gz, inv, qx, qz, rx, rz, e, inv2x2, order, across, back, blocks)
 
 
-def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
-    """Per-mode free-slip solve on coefficient arrays of either domain.
+def _free_slip(fac: _RectFactor | _StripFactor, f1, f2, out=None):
+    """Per-mode free-slip solve on coefficient arrays of either domain, as one
+    stack (u1, u2, p), written to ``out`` when given.
 
     The divergence symbol is -conj(gx): gx is real on the rectangle and
     complex on the strip.  Column 0 of f2 and u2 is padding, as is row 0 of
@@ -237,17 +250,20 @@ def _free_slip(fac: _RectFactor | _StripFactor, f1, f2):
     """
     # the operations of (conj(gx) f1 + gz f2) inv, (f1 - gx p) inv and
     # (f2 - gz p) inv in their order, so the results are bit for bit the same,
-    # with the temporaries reused in place
-    p = np.conj(fac.gx) * f1
+    # written into one stack so that an inverse transform can take several
+    if out is None:
+        out = np.empty((3, *f1.shape), dtype=np.result_type(f1, fac.gx))
+    u1, u2, p = out
+    np.multiply(np.conj(fac.gx), f1, out=p)
     p += fac.gz * f2
     p *= fac.inv
-    u1 = fac.gx * p
+    np.multiply(fac.gx, p, out=u1)
     np.subtract(f1, u1, out=u1)
     u1 *= fac.inv
-    u2 = fac.gz * p
+    np.multiply(fac.gz, p, out=u2)
     np.subtract(f2, u2, out=u2)
     u2 *= fac.inv
-    return u1, u2, p
+    return out
 
 
 def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -261,12 +277,12 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     fac = _rect_factor(f.grid)
     f1, f2 = np.zeros((nx, nz)), np.zeros((nx, nz))
     if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
-        f1[1:] = _dst(_dct(f.f1[1:-1], axis=1), axis=0)
-    f2[:, 1:] = _dct(_dst(f.f2[:, 1:-1], axis=1), axis=0)
+        dst1(dct(f.f1[1:-1], axis=1), axis=0, out=f1[1:])
+    dct(dst1(f.f2[:, 1:-1], axis=1), axis=0, out=f2[:, 1:])
     # free-slip solve, its no-slip defect per wall mode, the wall forces that
     # cancel it (the kept family's by the Schur blocks), and the corrected solve
-    u1, u2, _ = _free_slip(fac, f1, f2)
-    d, e = [(fac.rz @ u1[1:].T).T, (fac.rx @ u2[:, 1:]).T], fac.elim
+    modes = _free_slip(fac, f1, f2)
+    d, e = [(fac.rz @ modes[0, 1:].T).T, (fac.rx @ modes[1, :, 1:]).T], fac.elim
     de = np.einsum("nab,nb->na", fac.inv2x2, d[e]).ravel()
     rhs = (d[1 - e] @ _PAIR).ravel()[fac.order] - fac.back @ de
     parts = np.split(rhs, np.cumsum([len(b) for b in fac.blocks[:-1]]))
@@ -275,11 +291,15 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     c = {e: de - fac.across @ ck, 1 - e: (kept.reshape(-1, 2) @ _PAIR).ravel()}
     f1[1:] -= c[0].reshape(nx - 1, 2) @ fac.qz.T
     f2[:, 1:] -= fac.qx @ c[1].reshape(nz - 1, 2).T
-    u1, u2, p = _free_slip(fac, f1, f2)
+    u1, u2, p = _free_slip(fac, f1, f2, modes)
+    # the inverses run in place, u1 and p sharing the z inverse and u2 and p
+    # the x inverse; row 0 of u1 and column 0 of u2 are padding and stay 0
+    idct(modes[0::2], axis=-1, out=modes[0::2])
+    dst1(u2[:, 1:], axis=1, out=u2[:, 1:])
+    idct(modes[1:], axis=1, out=modes[1:])
     a1 = np.zeros((nx + 1, nz))
-    a1[1:-1] = _dst(_idct(u1[1:], axis=1), axis=0)
-    return _finish(f, config, a1, _idct(_dst(u2[:, 1:], axis=1), axis=0),
-                   _idct(_idct(p, axis=0), axis=1), 0.0,
+    dst1(u1[1:], axis=0, out=a1[1:-1])
+    return _finish(f, config, a1, u2[:, 1:], p, 0.0,
                    {"solver": "transform-capacitance", "capacitance": 2 * (nx + nz - 2),
                     "unknowns": (nx - 1) * nz + nx * (nz - 1) + nx * nz})
 
@@ -362,21 +382,27 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
 
     f1 = np.zeros((nx // 2 + 1, nz), dtype=complex)
     if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
-        f1 = _dct(scipy.fft.rfft(f.f1, axis=0), axis=1)
-    f2 = np.zeros_like(f1)
-    f2[:, 1:] = _dst(scipy.fft.rfft(f.f2[:, 1:-1], axis=0), axis=1)
+        f1 = rfft(dct(f.f1, axis=1), axis=0)
+    f2 = np.zeros((nx, nz))
+    dst1(f.f2[:, 1:-1], axis=1, out=f2[:, 1:])
+    f2 = rfft(f2, axis=0)
     # free-slip solve, the defect of its u1 wall rows, the wall forces that
     # cancel it, and the corrected solve; the flux mode is set in both
-    u1, _, _ = _free_slip(fac, f1, f2)
-    u1[0, 0] = flux_mode
-    c = (fac.cap @ (u1 @ fac.rz.T)[..., None])[..., 0]
+    modes = _free_slip(fac, f1, f2)
+    modes[0, 0, 0] = flux_mode
+    c = (fac.cap @ (modes[0] @ fac.rz.T)[..., None])[..., 0]
     f1 -= c @ fac.qz.T
-    u1, u2, p = _free_slip(fac, f1, f2)
-    u1[0, 0], u2[0] = flux_mode, 0.0  # continuity and the walls force the x-mean of u2 to 0
-    u1, u2, p = (scipy.fft.irfft(a, n=nx, axis=0)
-                 for a in (_idct(u1, axis=1), _dst(u2[:, 1:], axis=1), _idct(p, axis=1)))
+    _free_slip(fac, f1, f2, modes)
+    # continuity and the walls force the x-mean of u2 to 0
+    modes[0, 0, 0], modes[1, 0] = flux_mode, 0.0
     # the constant part of the corrected f1 is balanced by the pressure slope
-    return _finish(f, config, u1, u2, p, float(f1[0, 0].real) / (np.sqrt(nz) * nx),
+    slope = float(f1[0, 0].real) / (np.sqrt(nz) * nx)
+    fields = irfft(modes, n=nx, axis=1)
+    del modes, f1, f2  # the z inverses below then reuse their memory
+    u1, u2, p = fields
+    idct(fields[0::2], axis=-1, out=fields[0::2])
+    dst1(u2[:, 1:], axis=1, out=u2[:, 1:])
+    return _finish(f, config, u1, u2[:, 1:], p, slope,
                    {"solver": "fft-transform-capacitance", "modes": nx // 2 + 1})
 
 

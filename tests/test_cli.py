@@ -242,6 +242,7 @@ class TestConfigErrors:
         ("stokes", _SMALL + "problem = poiseuille\nscenario = patch\n", []),
         ("stokes", _SMALL + "problem = buoyancy\nscenario.delta = 3\n",
          ["--poiseuille", "1.0"]),
+        ("transport", "nx = 16\nnz = 8\nscenario = patch\nscenario.delta = 3\n", []),
     ], ids=["transport_infinite_t_final", "transport_infinite_dt",
             "picard_one_time_node", "stability_nx_off_period",
             "norms_uloc_nx_off_period", "stability_infinite_t_final",
@@ -263,7 +264,7 @@ class TestConfigErrors:
             "picard_nx_off_period", "norms_uloc_rectangle",
             "norms_sweep_rectangle", "stokes_poiseuille_rectangle",
             "transport_poiseuille_rectangle", "stokes_poiseuille_scenario",
-            "stokes_poiseuille_flag_scenario_param"])
+            "stokes_poiseuille_flag_scenario_param", "transport_unresolved_patch"])
     def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys,
                                                    cmd, body, flags):
         out = tmp_path / "o"

@@ -42,24 +42,29 @@ def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
 
 
-_SIMULATE_THEN_LIST = (
+_RUN_THEN_LIST = (
     "import sys\n"
     "from stokestransport import cli\n"
-    "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
-    "    assert cli.main(['simulate', '--config', config, '--out', out]) == 0\n"
-    "print('scipy.linalg' in sys.modules)\n")
+    "for cmd, config, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):\n"
+    "    assert cli.main([cmd, '--config', config, '--out', out]) == 0\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
 
 
-def test_simulate_leaves_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg brings a second LAPACK beside numpy's and about 6 MB that
-    # neither solve needs; a fresh process, as the test oracle imports it
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # importing any of scipy's fft, sparse or special modules costs about
+    # 27 MB and 0.4 s per run, and the tests import scipy as an oracle, so
+    # the runs go through cli.main in a fresh process
+    march = "t_final = 0.125\ndt = 0.0625\n"
+    runs = {"strip": ("simulate", "domain = strip\nx_extent = 8\n" + march),
+            "rectangle": ("simulate", "domain = rectangle\nx_extent = 1\n" + march),
+            "picard": ("picard", "domain = strip\nx_extent = 8\nt_final = 0.125\n"
+                       "n_time_nodes = 3\n")}
     args = []
-    for domain in ("strip\nx_extent = 8", "rectangle\nx_extent = 1"):
-        config = tmp_path / f"{domain.split()[0]}.ini"
-        config.write_text(f"[simulate]\ndomain = {domain}\nnx = 16\nnz = 8\n"
-                          "scenario = patch\nt_final = 0.125\ndt = 0.0625\n")
-        args += [str(config), str(tmp_path / domain.split()[0])]
+    for name, (cmd, body) in runs.items():
+        config = tmp_path / f"{name}.ini"
+        config.write_text(f"[{cmd}]\nnx = 32\nnz = 8\nscenario = patch\n{body}")
+        args += [cmd, str(config), str(tmp_path / name)]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    r = subprocess.run([sys.executable, "-c", _SIMULATE_THEN_LIST, *args], env=env,
+    r = subprocess.run([sys.executable, "-c", _RUN_THEN_LIST, *args], env=env,
                        capture_output=True, text=True, timeout=120, check=True)
-    assert r.stdout.split()[-1] == "False"
+    assert r.stdout.splitlines()[-1] == "[]"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokestransport.domain import z_centers
+from stokestransport.domain import DomainKind, DomainSpec, make_grid, z_centers
 from stokestransport.scenarios import SCENARIOS, make_density
 
 
@@ -92,6 +92,13 @@ class TestPatch:
             make_density("patch", grid, dom, cz=0.9, r_outer=0.25)
         with pytest.raises(ValueError):
             make_density("patch", grid, dom, r_inner=0.3, r_outer=0.25)
+
+    def test_unresolved_patch_raises(self):
+        # on the 8-period strip at nx = 16 the centres nearest (4, 0.7) lie
+        # exactly r_outer = 0.25 away, so the patch would be all background
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+        with pytest.raises(ValueError, match="does not resolve the patch"):
+            make_density("patch", make_grid(dom, 16, 8), dom, delta=3.0)
 
 
 class TestChecker:

@@ -4,7 +4,7 @@ import scipy.fft
 
 import _reference_stokes as ref
 from _manufactured import manufactured_case, velocity_error_l2
-from stokestransport import _mac, norms, stokes
+from stokestransport import _mac, _transforms, norms, stokes
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -242,7 +242,7 @@ class TestRectangleTransform:
         # the transform symbols are pinned to the one MAC definition in _mac
 
         def close(got, want):
-            want = want.toarray() if hasattr(want, "toarray") else want
+            want = want.dense() if isinstance(want, _mac.Band) else want
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         if name == "strip":
@@ -251,14 +251,14 @@ class TestRectangleTransform:
             axis, _ = _mac.axes(grid, True)
             gx = stokes._strip_factor(grid).gx
             F = scipy.fft.rfft(np.eye(n), axis=0)
-            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.toarray(), axis=0))
-            close(gx * F, scipy.fft.rfft(axis.grad.toarray(), axis=0))
+            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.dense(), axis=0))
+            close(gx * F, scipy.fft.rfft(axis.grad.dense(), axis=0))
             return
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 1.5), 24, 16)
         axis = dict(zip("xz", _mac.axes(grid, False)))[name]
         # the orthonormal DST-I on the n - 1 interior faces and DCT-II on the
         # n centers, with the modes as rows
-        S, C = stokes._dst(np.eye(n - 1), axis=0), stokes._dct(np.eye(n), axis=0)
+        S, C = _transforms.dst1(np.eye(n - 1), axis=0), _transforms.dct(np.eye(n), axis=0)
         g = stokes._symbol(n, h)
         walls = np.zeros((n, n))
         walls[[0, -1]] = stokes._wall_rows(axis, h)
@@ -359,6 +359,22 @@ class TestMacOperator:
             got = momentum_residual(u, p, force, pressure_slope=0.37)
             want = ref.momentum_residual(u, p, force, pressure_slope=0.37)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_band_apply_matches_its_dense_view(self, periodic):
+        # every row of every factor along both axes, edge rows included,
+        # where a max-norm residual could miss a wrong row
+        dom = DomainSpec(DomainKind.STRIP if periodic else DomainKind.RECTANGLE,
+                         8.0 if periodic else 1.5)
+        grid = make_grid(dom, 24, 16)
+        rng = np.random.default_rng(5)
+        for band in (b for axis in _mac.axes(grid, periodic) for b in axis):
+            nrows, ncols = band.shape
+            for axis, shape in ((0, (ncols, 7)), (1, (7, ncols))):
+                x = rng.standard_normal(shape)
+                got = band.apply(x, axis, np.empty(shape), np.empty(shape))
+                want = band.dense() @ x if axis == 0 else x @ band.dense().T
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestResidualGate:
