@@ -4,20 +4,25 @@ One vectorized numpy implementation over whole point arrays, with one
 sampling rule for every staggering.  A query locates its points once: x is
 wrapped into the period (strip) or clamped (rectangle), z is clamped, and
 both are scaled to cell units.  A field is read through its padded corner
-table (``_table``), a copy with one ghost line beyond each end of each
-axis, so every point's cell is ``i = floor(f)`` with weight ``t = f - i``,
-unclamped, and a sample is one flat index, four ``take(mode="clip")``
-calls and three blends (a non-finite point casts to index -2**63, which the
-clip keeps in bounds while its NaN weight still yields NaN).  Each RK4
-stage locates its points once for both velocity components and reads one
-table per distinct field; a first stage from the cell centres takes its
+table (``_padded``), a flat copy with one ghost line beyond each end of
+each axis, so every point's cell is ``i = floor(f)`` with weight
+``t = f - i``, unclamped, and a sample is one flat index, four
+``take(mode="clip")`` calls on overlapping views of the table and three
+blends (a non-finite point casts to index -2**63, which the clip keeps in
+bounds while its NaN weight still yields NaN).  ``rk4_step`` takes its
+three stage velocities as prepared tables (``velocity_tables``), which the
+caller builds once per distinct field; since a table holds only copies and
+exact negations of the field's values, the table of a linear combination
+of fields is that combination of their tables, bit for bit
+(``blend_tables``).  Each RK4 stage locates its points once for both
+velocity components; a first stage from the cell centres takes its
 located cells from a per-grid cache of read-only arrays.  Blends run in
 place on fresh temporaries, but every floating-point operation is the one
 the plain expressions in the docstrings name, in the same order, so outside
 the wall half-cells results match the original arithmetic (kept in
 ``tests/_reference_kernels.py``) bit for bit.
 
-Sampling conventions (the ghost lines of ``_table``):
+Sampling conventions (the ghost lines of ``_padded``):
 
 * strip mode wraps x into [0, L) *before* any index arithmetic, so samples
   at x and x + L are bit-identical whenever x + L is exactly representable;
@@ -39,10 +44,12 @@ import numpy as np
 
 __all__ = [
     "backend_name",
+    "blend_tables",
     "center_points",
     "sample_velocity",
     "sample_center",
     "rk4_step",
+    "velocity_tables",
 ]
 
 
@@ -79,12 +86,11 @@ def _locate(px, z, hx, hz, periodic, Lx):
     return x, z / hz
 
 
-def _table(c, periodic, gx=1.0, gz=1.0):
-    """Corner table of an (n, m) field: rows holding the corners 00, 01, 10
-    and 11 of cell (i, j) at flat index (i + 1)(m + 2) + j + 1.  The rows are
-    overlapping views of one flat copy of the field padded by a ghost line
-    at each end of each axis: the wrapped rows on the strip's x axis, else
-    gx (x) or gz (z) times the edge line."""
+def _padded(c, periodic, gx=1.0, gz=1.0):
+    """Corner table of an (n, m) field: a flat copy of the field padded by a
+    ghost line at each end of each axis, the wrapped rows on the strip's x
+    axis, else gx (x) or gz (z) times the edge line.  Cell (i, j) sits at
+    flat index (i + 1)(m + 2) + j + 1."""
     n, m = c.shape
     p = np.empty((n + 3 if periodic else n + 2, m + 2))
     p[1:n + 1, 1:-1] = c
@@ -93,21 +99,31 @@ def _table(c, periodic, gx=1.0, gz=1.0):
     else:
         p[0, 1:-1], p[-1, 1:-1] = gx * c[0], gx * c[-1]
     p[:, 0], p[:, -1] = gz * p[:, 1], gz * p[:, -2]
-    e = p.ravel()
+    return p.ravel()
+
+
+def _corners(e, m):
+    """The rows of a corner table of a field of m samples along z: views of
+    its flat copy holding the corners 00, 01, 10 and 11 of every cell."""
     s = m + 2
     return e[:-s - 1], e[1:-s], e[s:-1], e[s + 1:]
 
 
-def _u1_table(u1, periodic):
-    """u1's table, negated beyond the z walls, its rows listed x pairs
-    first (00, 10, 01, 11)."""
-    v00, v01, v10, v11 = _table(u1, periodic, gz=-1.0)
-    return v00, v10, v01, v11
+def velocity_tables(u1, u2, periodic):
+    """The prepared corner tables of a MAC velocity (u1, u2): u1's negated
+    beyond the z walls, u2's beyond the rectangle's x walls."""
+    return _padded(u1, periodic, gz=-1.0), _padded(u2, periodic, gx=-1.0)
 
 
-def _u2_table(u2, periodic):
-    """u2's table, negated beyond the rectangle's x walls."""
-    return _table(u2, periodic, gx=-1.0)
+def blend_tables(w, a, b):
+    """The tables of (1 - w) * A + w * B from the tables a of A and b of B,
+    bit for bit equal to building them from that field."""
+    out = []
+    for ea, eb in zip(a, b):
+        e = ea * (1.0 - w)
+        e += eb * w
+        out.append(e)
+    return tuple(out)
 
 
 def _cells(fx, fz, m):
@@ -155,11 +171,14 @@ def _stage(nz, x, z, hx, hz, periodic, Lx):
     return (idx1, tx1, tz1), (idx2, tz2, tx2)
 
 
-def _velocity(table1, table2, stage):
-    """(u1, u2) from their corner tables at a located stage."""
+def _velocity(tables, nz, stage):
+    """(u1, u2) from their prepared tables at a located stage; u1's corner
+    rows are read x pairs first (00, 10, 01, 11)."""
+    e1, e2 = tables
     (idx1, *t1), (idx2, *t2) = stage
-    return (_sample(_gather(table1, idx1), *t1),
-            _sample(_gather(table2, idx2), *t2))
+    v00, v01, v10, v11 = _corners(e1, nz)
+    return (_sample(_gather((v00, v10, v01, v11), idx1), *t1),
+            _sample(_gather(_corners(e2, nz + 1), idx2), *t2))
 
 
 @functools.lru_cache(maxsize=4)
@@ -195,8 +214,7 @@ def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
     px, pz = _as_points(px, pz)
     stage = _stage(u1.shape[1], px.ravel(), _clip01(pz.ravel()), hx, hz,
                    periodic, Lx)
-    v1, v2 = _velocity(_u1_table(u1, periodic), _u2_table(u2, periodic),
-                       stage)
+    v1, v2 = _velocity(velocity_tables(u1, u2, periodic), u1.shape[1], stage)
     return v1.reshape(px.shape), v2.reshape(px.shape)
 
 
@@ -211,7 +229,8 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
     out = np.empty((len(channels), q.size))
     for k, ch in enumerate(channels):
-        v00, v01, v10, v11 = v = _gather(_table(ch, periodic), idx)
+        v00, v01, v10, v11 = v = _gather(
+            _corners(_padded(ch, periodic), c.shape[1]), idx)
         # rounding can push the blend past the corner hull by an ulp; scalar
         # data carries an exact range-preservation contract, so clamp
         lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
@@ -222,35 +241,25 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
 
 
-def _per_field(build, fields, periodic):
-    """One table per distinct field array, checked by identity, listed in
-    the order of fields."""
-    distinct = {id(c): c for c in fields}
-    tables = {k: build(c, periodic) for k, c in distinct.items()}
-    return [tables[id(c)] for c in fields]
-
-
-def rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx,
+def rk4_step(px, pz, h, va, vb, vc, nx, nz, hx, hz, periodic, Lx,
              from_centers=False):
     """Advance all seed positions by one RK4 step of size h, in place.
 
-    from_centers says px, pz hold ``center_points`` of the grid, so stage 1
-    takes its located cells from the per-grid cache.
+    va, vb and vc are the ``velocity_tables`` of the velocity at the start,
+    middle and end of the step, on a grid of nx by nz cells.  from_centers
+    says px, pz hold ``center_points`` of the grid, so stage 1 takes its
+    located cells from the per-grid cache.
     """
     grid = (hx, hz, periodic, Lx)
-    nx, nz = u2a.shape[0], u1a.shape[1]
-    t1a, t1b, t1c = _per_field(_u1_table, (u1a, u1b, u1c), periodic)
-    t2a, t2b, t2c = _per_field(_u2_table, (u2a, u2b, u2c), periodic)
     if from_centers:
         stage = _center_stage(nx, nz, *grid)
     else:
         stage = _stage(nz, px, _clip01(pz), *grid)
     # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
     # + 2 k3 + k4), the sum accumulated left to right as the stages finish
-    tableau = (((t1a, t2a), 0.5, 1.0), ((t1b, t2b), 0.5, 2.0),
-               ((t1b, t2b), 1.0, 2.0), ((t1c, t2c), 0.0, 1.0))
-    for s, (tabs, c, w) in enumerate(tableau):
-        kx, kz = _velocity(*tabs, stage)
+    tableau = ((va, 0.5, 1.0), (vb, 0.5, 2.0), (vb, 1.0, 2.0), (vc, 0.0, 1.0))
+    for s, (tables, c, w) in enumerate(tableau):
+        kx, kz = _velocity(tables, nz, stage)
         if c:
             stage = _stage(nz, px + c * h * kx, _clip01(pz + c * h * kz),
                            *grid)

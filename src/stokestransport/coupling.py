@@ -3,11 +3,16 @@
 The coupled system pairs a steady Stokes solve driven by -rho e_z with
 pure transport of rho.  Two drivers are provided:
 
-* picard_solve alternates the two solves on a fixed time window, keeping
-  whole time series per iterate, and measures the dual-norm distance
-  between consecutive density iterates.  The contraction indicator
-  B T e^{BT} uses the measured operator constant: B is the largest
-  observed W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|.
+* picard_solve alternates the two solves on a fixed time window and
+  measures the dual-norm distance between consecutive density iterates.
+  A sweep visits the time nodes once, in order: it integrates interval i
+  in the old iterate's velocity, composes it onto one running backward
+  map, pulls node i back from rho0, takes its difference to the old node
+  and solves it.  Between sweeps an iterate is one density, velocity and
+  flux per node; interval maps, pressures and old nodes are let go as
+  soon as nothing later reads them.  The contraction indicator B T e^{BT}
+  uses the measured operator constant: B is the largest observed
+  W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|.
 * time_march freezes the velocity over each step and advances a composed
   backward flow map, so the density at every output time is a single
   bilinear sample of the initial data.  Sup bounds therefore never decay:
@@ -47,15 +52,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ScalarField, z_centers
+from .domain import ScalarField, VelocityField, z_centers
 from .norms import Partition, hneg1_norm, lq_norm, h1_norm, uloc_norm, w1inf_norm
-from .stokes import StokesSolution, flux_profile, solve_buoyancy
+from .stokes import flux_profile, solve_buoyancy
 from .transport import (
     FlowMap,
     TransportConfig,
     VelocitySeries,
     _pull_back,
-    backward_flow_maps,
     compose_maps,
     integrate_flow,
 )
@@ -111,21 +115,24 @@ def _potential_energy(rho: ScalarField) -> float:
     return float(rho.grid.hx * rho.grid.hz * (rho.values * zc[None, :]).sum())
 
 
-def _measured_flux(sol: StokesSolution) -> float:
-    if sol.flux is not None:
-        return sol.flux
-    prof = flux_profile(sol.u)
+def _measured_flux(u: VelocityField, flux: float | None) -> float:
+    if flux is not None:
+        return flux
+    prof = flux_profile(u)
     return float(prof[len(prof) // 2])
 
 
-def _make_state(t: float, rho: ScalarField, sol: StokesSolution) -> SimulationState:
+def _make_state(t: float, rho: ScalarField, u: VelocityField,
+                flux: float | None) -> SimulationState:
+    """The state at t of density rho, whose solve gave velocity u and, on
+    the strip, flux (None on the rectangle, where it is measured from u)."""
     norms = {
         "rho_l2": lq_norm(rho, 2),
         "rho_linf": lq_norm(rho, np.inf),
-        "u_linf": max(float(np.abs(sol.u.u1.values).max()),
-                      float(np.abs(sol.u.u2.values).max())),
-        "u_h1": h1_norm(sol.u),
-        "flux": _measured_flux(sol),
+        "u_linf": max(float(np.abs(u.u1.values).max()),
+                      float(np.abs(u.u2.values).max())),
+        "u_h1": h1_norm(u),
+        "flux": _measured_flux(u, flux),
         "potential_energy": _potential_energy(rho),
     }
     return SimulationState(t=float(t), rho=rho, norms=norms)
@@ -154,12 +161,19 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         raise ValueError("need at least two time nodes")
     if max_picard < 1:
         raise ValueError("max_picard must be >= 1")
-    times = np.linspace(0.0, float(T), int(n_time_nodes))
+    n = int(n_time_nodes)
+    times = np.linspace(0.0, float(T), n)
     config = TransportConfig(dt=float(times[1] - times[0]) / 4.0)
-    partition = Partition(rho0.grid, rho0.domain) if rho0.domain.periodic else None
+    g, dom = rho0.grid, rho0.domain
+    partition = Partition(g, dom) if dom.periodic else None
 
-    rho_series = [rho0] * len(times)
-    sols = [solve_buoyancy(rho0)] * len(times)
+    sol = solve_buoyancy(rho0)
+    # the iterate, node by node: its density, and its solve's velocity and
+    # flux, which are all that the next sweep and the states read
+    rhos = [rho0] * n
+    us = [sol.u] * n
+    fluxes = [sol.flux] * n
+    del sol
     rho0_sup = lq_norm(rho0, np.inf)
     ratio_max = 0.0
     speed_max = 0.0
@@ -167,25 +181,36 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     converged = False
 
     for _ in range(max_picard):
-        us = [s.u for s in sols]
-        for r, s in zip(rho_series, sols):
+        for r, u in zip(rhos, us):
             sup = lq_norm(r, np.inf)
             if sup > 0.0:
-                ratio_max = max(ratio_max, w1inf_norm(s.u) / sup)
+                ratio_max = max(ratio_max, w1inf_norm(u) / sup)
             speed_max = max(speed_max,
-                            float(np.abs(s.u.u1.values).max()),
-                            float(np.abs(s.u.u2.values).max()))
-        provider = VelocitySeries(times, us)
-        maps = backward_flow_maps(provider, times, config)
-        new_series = [_pull_back(rho0, m) for m in maps]
+                            float(np.abs(u.u1.values).max()),
+                            float(np.abs(u.u2.values).max()))
         margin = speed_max * float(T)
+        old_us = us[:]
         # node 0 is rho0 through the identity map: its solve is kept and
         # its difference is zero
-        delta = max(_diff_norm(a, b, partition, margin)
-                    for a, b in zip(new_series[1:], rho_series[1:]))
+        back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
+                       displacement=np.zeros((g.nx, g.nz, 2)))
+        for i in range(1, n):
+            # interval i runs from times[i] back to times[i - 1]; its last
+            # stage time can round to just below times[i - 1], where the
+            # velocity blends nodes i - 2 and i - 1
+            lo = max(i - 2, 0)
+            back = compose_maps(back, integrate_flow(
+                VelocitySeries(times[lo:i + 1], old_us[lo:i + 1]),
+                float(times[i]), float(times[i - 1]), config))
+            if i >= 2:
+                old_us[i - 2] = None
+            rho = _pull_back(rho0, back)
+            d = _diff_norm(rho, rhos[i], partition, margin)
+            delta = d if i == 1 else max(delta, d)
+            sol = solve_buoyancy(rho)
+            rhos[i], us[i], fluxes[i] = rho, sol.u, sol.flux
+            del sol
         diffs.append(delta)
-        rho_series = new_series
-        sols = sols[:1] + [solve_buoyancy(r) for r in rho_series[1:]]
         if delta < tol:
             converged = True
             break
@@ -206,7 +231,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         iterations=len(diffs),
         times=times,
     )
-    states = [_make_state(t, r, s) for t, r, s in zip(times, rho_series, sols)]
+    states = [_make_state(*node) for node in zip(times, rhos, us, fluxes)]
     return states, trace
 
 
@@ -237,7 +262,7 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     warned = False
     for k in range(nsteps + 1):
         sol = solve_buoyancy(rho)
-        state = _make_state(bounds[k], rho, sol)
+        state = _make_state(bounds[k], rho, sol.u, sol.flux)
         states.append(state)
         if k == nsteps:
             break

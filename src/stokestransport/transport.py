@@ -13,7 +13,11 @@ between stored time nodes, matching how the fixed-point driver stores
 velocities at discrete times.  The integrator is the classical 4-stage
 Runge-Kutta method with a fixed step; stage points are clamped to the
 closed z-interval, which only absorbs floating-point drift because the
-vertical velocity vanishes at the walls.
+vertical velocity vanishes at the walls.  Every provider reaches the RK4
+kernel as prepared corner tables: a field's are built once and reused
+while the provider returns that field, and a series blends the tables of
+its two bracketing nodes, which equals building the tables of the blended
+field bit for bit.
 
 Container note: flow maps serialize with the raster tag reserved for
 two-channel data; the time endpoints are not part of the container and
@@ -37,7 +41,6 @@ __all__ = [
     "StabilityReport",
     "TransportConfig",
     "VelocitySeries",
-    "backward_flow_maps",
     "compose_maps",
     "flow_stability",
     "integrate_flow",
@@ -107,21 +110,69 @@ class VelocitySeries:
         self.grid = g
         self.domain = dom
 
-    def __call__(self, t: float) -> VelocityField:
+    def _bracket(self, t: float):
+        """(i, w): the velocity at t is node i's when w is None, else the
+        blend (1 - w) node i + w node i + 1."""
         ts = self.times
-        if t <= ts[0] or len(self.fields) == 1:
-            return self.fields[0]
+        if t <= ts[0] or ts.size == 1:
+            return 0, None
         if t >= ts[-1]:
-            return self.fields[-1]
+            return ts.size - 1, None
         i = int(np.searchsorted(ts, t, side="right")) - 1
         if ts[i] == t:
+            return i, None
+        return i, (t - ts[i]) / (ts[i + 1] - ts[i])
+
+    def __call__(self, t: float) -> VelocityField:
+        i, w = self._bracket(t)
+        if w is None:
             return self.fields[i]
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
         ua, ub = self.fields[i], self.fields[i + 1]
         a1 = (1.0 - w) * ua.u1.values + w * ub.u1.values
         a2 = (1.0 - w) * ua.u2.values + w * ub.u2.values
         return VelocityField.from_arrays(self.grid, self.domain, a1, a2,
                                          enforce_walls=False)
+
+
+def _tables(f: VelocityField):
+    return _kernels.velocity_tables(f.u1.values, f.u2.values,
+                                    f.domain.periodic)
+
+
+def _series_tables(series: VelocitySeries):
+    """t -> the tables of series(t): each node's tables are built once, and
+    a time between two nodes blends theirs.  Only the two nodes of the
+    latest query's interval are kept."""
+    nodes = {}
+
+    def node(i):
+        if i not in nodes:
+            nodes[i] = _tables(series.fields[i])
+        return nodes[i]
+
+    def at(t):
+        i, w = series._bracket(t)
+        for k in [k for k in nodes if k not in (i, i + 1)]:
+            del nodes[k]
+        if w is None:
+            return node(i)
+        return _kernels.blend_tables(w, node(i), node(i + 1))
+
+    return at
+
+
+def _field_tables(provider):
+    """t -> the tables of provider(t), built again only when it returns
+    another field than at the last call."""
+    last = [None, None]
+
+    def at(t):
+        f = provider(t)
+        if f is not last[0]:
+            last[:] = f, _tables(f)
+        return last[1]
+
+    return at
 
 
 def _as_provider(u):
@@ -133,10 +184,20 @@ def _as_provider(u):
 
 
 def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
-    """Trace every cell-center seed from t0 to t1 (backward allowed)."""
-    provider = _as_provider(u)
-    f = provider(t0)
-    g, dom = f.grid, f.domain
+    """Trace every cell-center seed from t0 to t1 (backward allowed).
+
+    u is a VelocityField, a VelocitySeries or any callable t ->
+    VelocityField.  Each RK4 step reads the prepared tables of its three
+    stage velocities, and a step's end tables start the next step.
+    """
+    if isinstance(u, VelocitySeries):
+        g, dom = u.grid, u.domain
+        tables = _series_tables(u)
+    else:
+        provider = _as_provider(u)
+        f = provider(t0)
+        g, dom = f.grid, f.domain
+        tables = _field_tables(provider)
     span = t1 - t0
     # the small backoff keeps an exactly-divisible span from gaining a step
     # to floating-point noise in the quotient
@@ -146,22 +207,19 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     px, pz = seeds_x.copy(), seeds_z.copy()
     if nsteps:
         h = span / nsteps
-        fa = f
+        va = tables(t0)
         t = t0
         for k in range(nsteps):
-            fb = provider(t + 0.5 * h)
-            fc = provider(t + h)
-            _kernels.rk4_step(px, pz, h,
-                              fa.u1.values, fa.u2.values,
-                              fb.u1.values, fb.u2.values,
-                              fc.u1.values, fc.u2.values,
+            vb = tables(t + 0.5 * h)
+            vc = tables(t + h)
+            _kernels.rk4_step(px, pz, h, va, vb, vc, g.nx, g.nz,
                               g.hx, g.hz, dom.periodic, dom.x_extent,
                               from_centers=k == 0)
             if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pz))):
                 raise RuntimeError(
                     f"trajectory became non-finite at step {k + 1}/{nsteps} "
                     f"(t = {t + h:.6g})")
-            fa = fc
+            va = vc
             t = t0 + (k + 1) * h
     disp = np.stack((px - seeds_x, pz - seeds_z), axis=-1)
     return FlowMap(t0=t0, t1=t1, grid=g, domain=dom,
@@ -191,30 +249,6 @@ def _pull_back(rho0: ScalarField, back: FlowMap) -> ScalarField:
     vals = _kernels.sample_center(rho0.values, *back.map_centers(),
                                   g.hx, g.hz, dom.periodic, dom.x_extent)
     return rho0.with_values(vals)
-
-
-def backward_flow_maps(u, times, config: TransportConfig):
-    """Composed backward maps times[i] -> times[0] for every node.
-
-    Each interval is integrated once and composed onto the accumulated
-    map, so the cost is linear in the number of nodes and the transported
-    density can always be sampled from its initial state.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("need at least one time node")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
-        raise ValueError("times must be strictly increasing")
-    provider = _as_provider(u)
-    f = provider(times[0])
-    g, dom = f.grid, f.domain
-    maps = [FlowMap(t0=float(times[0]), t1=float(times[0]), grid=g, domain=dom,
-                    displacement=np.zeros((g.nx, g.nz, 2)))]
-    for i in range(1, times.size):
-        step = integrate_flow(provider, float(times[i]), float(times[i - 1]),
-                              config)
-        maps.append(compose_maps(maps[-1], step))
-    return maps
 
 
 # ---------------------------------------------------------------------------

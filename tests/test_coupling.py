@@ -92,6 +92,58 @@ class TestPicard:
         assert all(s.rho is r for s, r in zip(states[1:], calls[-3:], strict=True))
         assert np.array_equal(states[0].rho.values, rho0.values)
 
+    def test_sweep_maps_start_with_identity(self, strip, monkeypatch):
+        # each sweep composes every interval onto one running backward map,
+        # which starts as the identity at t = 0 and, after interval i, runs
+        # from node i back to the window's origin
+        composed = []
+
+        def recorded(outer, inner):
+            out = compose(outer, inner)
+            composed.append((outer, inner, out))
+            return out
+
+        compose = coupling.compose_maps
+        monkeypatch.setattr(coupling, "compose_maps", recorded)
+        dom, grid = strip
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        _, trace = picard_solve(rho0, T=0.5, n_time_nodes=3)
+        assert len(composed) == 2 * trace.iterations
+        for k in range(0, len(composed), 2):
+            (first, step1, back1), (_, step2, back2) = composed[k:k + 2]
+            assert np.all(first.displacement == 0.0)
+            assert first.t0 == first.t1 == 0.0
+            assert (step1.t0, step1.t1) == (0.25, 0.0)
+            assert (step2.t0, step2.t1) == (0.5, 0.25)
+            assert (back1.t0, back1.t1) == (0.25, 0.0)
+            assert (back2.t0, back2.t1) == (0.5, 0.0)
+            assert composed[k + 1][0] is back1
+
+    def test_peak_memory_grows_by_one_node_per_node(self, strip):
+        # a sweep streams its nodes: the run holds each node's density and
+        # velocity, not a whole series of solves (with pressure) and flow
+        # maps next to two density series
+        dom, grid = strip
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        picard_solve(rho0, T=0.5, n_time_nodes=4)  # warm the caches
+
+        def peak(n):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                _, trace = picard_solve(rho0, T=0.5, n_time_nodes=n, tol=0.0,
+                                        max_picard=2)
+                size = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert trace.iterations == 2
+            return size
+
+        u = solve_buoyancy(rho0).u
+        node = rho0.values.nbytes + u.u1.values.nbytes + u.u2.values.nbytes
+        per_node = (peak(16) - peak(4)) / 12
+        assert per_node <= 1.3 * node
+
     def test_rectangle_mode(self, rect):
         dom, grid = rect
         rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)

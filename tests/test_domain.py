@@ -170,6 +170,22 @@ class TestVelocityField:
         assert max_divergence(v) == 0.0
         assert divergence(v).shape == (grid.nx, grid.nz)
 
+    @pytest.mark.parametrize("which", ["rect", "strip"])
+    def test_divergence_bitwise_equal_to_roll_expression(self, which, rect,
+                                                         strip):
+        dom, grid = rect if which == "rect" else strip
+        rng = np.random.default_rng(3)
+        v = VelocityField.from_arrays(
+            grid, dom,
+            rng.standard_normal((grid.nx + (not dom.periodic), grid.nz)),
+            rng.standard_normal((grid.nx, grid.nz + 1)))
+        a1, a2 = v.u1.values, v.u2.values
+        right = np.roll(a1, -1, axis=0) if dom.periodic else a1[1:, :]
+        left = a1 if dom.periodic else a1[:-1, :]
+        want = (right - left) / grid.hx + (a2[:, 1:] - a2[:, :-1]) / grid.hz
+        assert np.array_equal(divergence(v), want)
+        assert max_divergence(v) == float(np.max(np.abs(want)))
+
 
 def interpolate_velocity(u, point):
     """Both velocity components at one point, through the MAC sampler."""

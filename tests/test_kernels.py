@@ -8,9 +8,11 @@ to a no-slip wall, a copy elsewhere), and keep every floating-point
 expression of the reference.  So samples outside the wall half-cells must
 equal the reference bit for bit; inside one they may differ by the
 rounding of the cell-unit coordinate, 4 n eps max|field| for n cells along
-the wall's axis.  The RK4 steps are compared bit for bit with the
-reference step driven by the production sampler.  Non-finite points must
-come back as NaN or a clamped wall value, without raising or hanging.
+the wall's axis.  The RK4 steps, which read prepared corner tables, are
+compared bit for bit with the reference step driven by the production
+sampler, and tables blended in time with the tables of the blended field.
+Non-finite points must come back as NaN or a clamped wall value, without
+raising or hanging.
 """
 
 import numpy as np
@@ -137,14 +139,14 @@ class TestReferenceParity:
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
         args = (grid.hx, grid.hz, dom.periodic, L)
         _production_samplers(monkeypatch, nx)
-        # distinct stage fields, then one steady field (u1a is u1b is u1c)
-        # whose corner tables every stage shares
+        # distinct stage fields, then one steady field
         for fields in ((u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2),
                        (u1, u2) * 3):
+            tables = _tables(fields, dom.periodic)
             new_x, new_z = px.copy(), pz.copy()
             ref_x, ref_z = px.copy(), pz.copy()
             for _ in range(4):
-                _kernels.rk4_step(new_x, new_z, 0.05, *fields, *args)
+                _kernels.rk4_step(new_x, new_z, 0.05, *tables, nx, nz, *args)
                 ref._np_rk4_step(ref_x, ref_z, 0.05, *fields, *args)
                 assert np.array_equal(new_x, ref_x)
                 assert np.array_equal(new_z, ref_z)
@@ -155,19 +157,45 @@ class TestReferenceParity:
         fields = (u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2)
         args = (grid.hx, grid.hz, dom.periodic, L)
         _production_samplers(monkeypatch, nx)
+        tables = _tables(fields, dom.periodic)
         seeds = _kernels.center_points(nx, nz, grid.hx, grid.hz)
         cached, plain, oracle = ([s.copy() for s in seeds] for _ in range(3))
-        _kernels.rk4_step(*cached, 0.3, *fields, *args, from_centers=True)
-        _kernels.rk4_step(*plain, 0.3, *fields, *args)
+        _kernels.rk4_step(*cached, 0.3, *tables, nx, nz, *args,
+                          from_centers=True)
+        _kernels.rk4_step(*plain, 0.3, *tables, nx, nz, *args)
         ref._np_rk4_step(*oracle, 0.3, *fields, *args)
         for a, b, c in zip(cached, plain, oracle):
             assert np.array_equal(a, b)
             assert np.array_equal(a, c)
 
+    def test_blended_tables_bitwise_equal(self, kind, L, nx, nz):
+        # a table holds copies and exact negations of its field, so the
+        # time blend of two node tables is the table of the blended field,
+        # ghost lines included
+        dom, grid, rng, u1, u2, _, _ = _case(kind, L, nx, nz)
+        v1, v2 = 0.9 * u1[::-1], -1.3 * u2[::-1]
+        a = _kernels.velocity_tables(u1, u2, dom.periodic)
+        b = _kernels.velocity_tables(v1, v2, dom.periodic)
+        for w in (0.25, 1.0 / 3.0, 0.7, float(rng.uniform())):
+            blend = _kernels.velocity_tables((1.0 - w) * u1 + w * v1,
+                                             (1.0 - w) * u2 + w * v2,
+                                             dom.periodic)
+            got = _kernels.blend_tables(w, a, b)
+            assert len(got) == 2
+            for x, y in zip(got, blend):
+                assert x.shape == y.shape
+                assert np.array_equal(x, y)
+
+
+def _tables(fields, periodic):
+    """The prepared tables of the stage fields (u1a, u2a, ..., u2c)."""
+    return [_kernels.velocity_tables(u1, u2, periodic)
+            for u1, u2 in zip(fields[::2], fields[1::2])]
+
 
 def _production_samplers(monkeypatch, nx):
     """Make ``ref._np_rk4_step`` sample through ``sample_velocity``, so that
-    it pins the RK4 tableau, the per-field tables and the centre-stage cache
+    it pins the RK4 tableau, the prepared tables and the centre-stage cache
     of ``rk4_step`` bit for bit; the other component's field is zero."""
     def u1_only(u1, px, pz, hx, hz, periodic, Lx):
         u2 = np.zeros((nx, u1.shape[1] + 1))
@@ -216,18 +244,19 @@ class TestCenterCache:
 
 
 @pytest.mark.parametrize("which", ["rect", "strip"])
-def test_flow_maps_bitwise_equal(which, rect, strip, monkeypatch):
+def test_flow_maps_bitwise_equal(which, rect, strip):
     dom, grid = rect if which == "rect" else strip
     rho = make_density("stratified_perturbed", grid, dom, eps=0.05)
     u = solve_buoyancy(rho).u
-    cfg = TransportConfig(dt=0.05)
-    new = integrate_flow(u, 1.0, 0.0, cfg).displacement
-
-    def reference_step(*args, from_centers=False):
-        ref._np_rk4_step(*args)
-
-    monkeypatch.setattr(_kernels, "rk4_step", reference_step)
-    assert np.array_equal(new, integrate_flow(u, 1.0, 0.0, cfg).displacement)
+    new = integrate_flow(u, 1.0, 0.0, TransportConfig(dt=0.05)).displacement
+    # the same 20 steps back from t = 1 by the reference arithmetic
+    seeds = _kernels.center_points(grid.nx, grid.nz, grid.hx, grid.hz)
+    px, pz = (s.copy() for s in seeds)
+    for _ in range(20):
+        ref._np_rk4_step(px, pz, -1.0 / 20, *(u.u1.values, u.u2.values) * 3,
+                         grid.hx, grid.hz, dom.periodic, dom.x_extent)
+    want = np.stack((px - seeds[0], pz - seeds[1]), axis=-1)
+    assert np.array_equal(new, want.reshape(grid.nx, grid.nz, 2))
 
 
 # (kind, x_extent, nx, nz, exact): on the dyadic grids n h rounds back to the

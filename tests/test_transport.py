@@ -13,7 +13,6 @@ from stokestransport.transport import (
     FlowMap,
     TransportConfig,
     VelocitySeries,
-    backward_flow_maps,
     compose_maps,
     flow_stability,
     integrate_flow,
@@ -171,16 +170,6 @@ class TestComposition:
         defects, orders = composition_orders(grid, dom, levels=(0, 1, 2))
         assert min(orders) >= 3.8, (defects, orders)
 
-    def test_backward_maps_start_with_identity(self, strip):
-        dom, grid = strip
-        provider = shear_series(grid, dom)
-        maps = backward_flow_maps(provider, [0.0, 0.25, 0.5],
-                                  TransportConfig(dt=0.05))
-        assert len(maps) == 3
-        assert np.all(maps[0].displacement == 0.0)
-        # each map runs from its node back to the series origin
-        assert maps[2].t0 == 0.5 and maps[2].t1 == 0.0
-
 
 class TestVelocitySeries:
     def _series(self, strip, amps=(0.0, 1.0)):
@@ -203,6 +192,26 @@ class TestVelocitySeries:
         s = self._series(strip)
         assert np.all(s(-5.0).u1.values == 0.0)
         assert np.all(s(7.0).u1.values == 1.0)
+
+    @pytest.mark.parametrize("which", ["rect", "strip"])
+    def test_flow_maps_equal_the_plain_callable(self, which, rect, strip):
+        # integrate_flow blends a series' node tables; a plain callable has
+        # the series build each stage's field, whose tables it then builds
+        dom, grid = rect if which == "rect" else strip
+        rng = np.random.default_rng(5)
+        fields = [VelocityField.from_arrays(
+            grid, dom,
+            0.3 * rng.standard_normal((grid.nx + (not dom.periodic), grid.nz)),
+            0.3 * rng.standard_normal((grid.nx, grid.nz + 1)))
+            for _ in range(5)]
+        series = VelocitySeries(np.linspace(0.0, 1.0, 5), fields)
+        cfg = TransportConfig(dt=0.07)
+        # across three nodes and past both ends, both ways, and from a node
+        for t0, t1 in ((0.1, 0.9), (0.95, 0.05), (-0.2, 1.3), (0.5, 0.0)):
+            a = integrate_flow(series, t0, t1, cfg).displacement
+            b = integrate_flow(lambda t: series(t), t0, t1, cfg).displacement
+            assert np.array_equal(a, b)
+            assert np.abs(a).max() > 0.0
 
     def test_times_must_increase(self, strip):
         dom, grid = strip
