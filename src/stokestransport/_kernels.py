@@ -10,17 +10,18 @@ each axis, so every point's cell is ``i = floor(f)`` with weight
 ``take(mode="clip")`` calls on overlapping views of the table and three
 blends (a non-finite point casts to index -2**63, which the clip keeps in
 bounds while its NaN weight still yields NaN).  ``rk4_step`` takes its
-three stage velocities as prepared tables (``velocity_tables``), which the
-caller builds once per distinct field; since a table holds only copies and
-exact negations of the field's values, the table of a linear combination
-of fields is that combination of their tables, bit for bit
-(``blend_tables``).  Each RK4 stage locates its points once for both
-velocity components; a first stage from the cell centres takes its
-located cells from a per-grid cache of read-only arrays.  Blends run in
-place on fresh temporaries, but every floating-point operation is the one
-the plain expressions in the docstrings name, in the same order, so outside
-the wall half-cells results match the original arithmetic (kept in
-``tests/_reference_kernels.py``) bit for bit.
+three stage velocities as prepared tables (``velocity_tables``), which a
+``VelocityField`` builds once and keeps (``VelocityField.tables``); since
+a table holds only copies and exact negations of the field's values, the
+table of a linear combination of fields is that combination of their
+tables, bit for bit (``blend_tables``).  Each RK4 stage locates its
+points once for both velocity components; a first stage from the cell
+centres takes its located cells from a per-grid cache of read-only
+arrays.  Blends run in place on fresh temporaries, but every
+floating-point operation is the one the plain expressions in the
+docstrings name, in the same order, so outside the wall half-cells results
+match the original arithmetic (kept in ``tests/_reference_kernels.py``)
+bit for bit.
 
 Sampling conventions (the ghost lines of ``_padded``):
 

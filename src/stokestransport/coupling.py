@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ScalarField, VelocityField, z_centers
-from .norms import Partition, hneg1_norm, lq_norm, h1_norm, uloc_norm, w1inf_norm
+from .norms import (Partition, _velocity_sup, grad_inf_norm, h1_norm,
+                    hneg1_norm, lq_norm, uloc_norm)
 from .stokes import flux_profile, solve_buoyancy
 from .transport import (
     FlowMap,
@@ -129,8 +130,7 @@ def _make_state(t: float, rho: ScalarField, u: VelocityField,
     norms = {
         "rho_l2": lq_norm(rho, 2),
         "rho_linf": lq_norm(rho, np.inf),
-        "u_linf": max(float(np.abs(u.u1.values).max()),
-                      float(np.abs(u.u2.values).max())),
+        "u_linf": _velocity_sup(u),
         "u_h1": h1_norm(u),
         "flux": _measured_flux(u, flux),
         "potential_energy": _potential_energy(rho),
@@ -154,11 +154,15 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     iteration record.  Divergence (no decrease in the iterate distance by
     the iteration cap) raises PicardDivergenceError suggesting a shorter
     window.  Each flow map is integrated with a quarter of the node spacing.
+    A sweep converges when its distance falls below tol; tol = 0 runs all
+    max_picard sweeps.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
     if n_time_nodes < 2:
         raise ValueError("need at least two time nodes")
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if max_picard < 1:
         raise ValueError("max_picard must be >= 1")
     n = int(n_time_nodes)
@@ -182,12 +186,12 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
 
     for _ in range(max_picard):
         for r, u in zip(rhos, us):
+            speed = _velocity_sup(u)
+            speed_max = max(speed_max, speed)
             sup = lq_norm(r, np.inf)
             if sup > 0.0:
-                ratio_max = max(ratio_max, w1inf_norm(u) / sup)
-            speed_max = max(speed_max,
-                            float(np.abs(u.u1.values).max()),
-                            float(np.abs(u.u2.values).max()))
+                # max(speed, |grad u|) is w1inf_norm(u)
+                ratio_max = max(ratio_max, max(speed, grad_inf_norm(u)) / sup)
         margin = speed_max * float(T)
         old_us = us[:]
         # node 0 is rho0 through the identity map: its solve is kept and

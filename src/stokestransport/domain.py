@@ -16,6 +16,7 @@ j = 0 and j = nz always, u1 at i = 0 and i = nx in rectangle mode.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,17 @@ class VelocityField:
     @property
     def domain(self) -> DomainSpec:
         return self.u1.domain
+
+    @functools.cached_property
+    def tables(self):
+        """The RK4 kernel's read-only corner tables of this velocity
+        (``_kernels.velocity_tables``), built on first use and kept as long
+        as the field."""
+        tables = _kernels.velocity_tables(self.u1.values, self.u2.values,
+                                          self.domain.periodic)
+        for e in tables:
+            e.flags.writeable = False
+        return tables
 
     @classmethod
     def from_arrays(cls, grid, domain, a1, a2, enforce_walls: bool = True):

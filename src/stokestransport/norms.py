@@ -226,10 +226,15 @@ def grad_inf_norm(u: VelocityField) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _velocity_sup(u: VelocityField) -> float:
+    """sup |u|: the largest |u1| or |u2| sample."""
+    return max(float(np.abs(u.u1.values).max()),
+               float(np.abs(u.u2.values).max()))
+
+
 def w1inf_norm(u: VelocityField) -> float:
     """max(sup |u|, sup |grad u|) over the sampled field."""
-    sup = max(float(np.abs(u.u1.values).max()), float(np.abs(u.u2.values).max()))
-    return max(sup, grad_inf_norm(u))
+    return max(_velocity_sup(u), grad_inf_norm(u))
 
 
 # ---------------------------------------------------------------------------

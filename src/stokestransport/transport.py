@@ -14,10 +14,10 @@ velocities at discrete times.  The integrator is the classical 4-stage
 Runge-Kutta method with a fixed step; stage points are clamped to the
 closed z-interval, which only absorbs floating-point drift because the
 vertical velocity vanishes at the walls.  Every provider reaches the RK4
-kernel as prepared corner tables: a field's are built once and reused
-while the provider returns that field, and a series blends the tables of
-its two bracketing nodes, which equals building the tables of the blended
-field bit for bit.
+kernel as corner tables: a VelocityField builds its own on first use and
+keeps them as long as it lives (``VelocityField.tables``), and a series
+blends the tables of its two bracketing nodes, which equals building the
+tables of the blended field bit for bit.
 
 Container note: flow maps serialize with the raster tag reserved for
 two-channel data; the time endpoints are not part of the container and
@@ -133,71 +133,34 @@ class VelocitySeries:
         return VelocityField.from_arrays(self.grid, self.domain, a1, a2,
                                          enforce_walls=False)
 
-
-def _tables(f: VelocityField):
-    return _kernels.velocity_tables(f.u1.values, f.u2.values,
-                                    f.domain.periodic)
-
-
-def _series_tables(series: VelocitySeries):
-    """t -> the tables of series(t): each node's tables are built once, and
-    a time between two nodes blends theirs.  Only the two nodes of the
-    latest query's interval are kept."""
-    nodes = {}
-
-    def node(i):
-        if i not in nodes:
-            nodes[i] = _tables(series.fields[i])
-        return nodes[i]
-
-    def at(t):
-        i, w = series._bracket(t)
-        for k in [k for k in nodes if k not in (i, i + 1)]:
-            del nodes[k]
+    def tables(self, t: float):
+        """The corner tables of self(t): a node's own, or the blend of its
+        two bracketing nodes' tables, bit for bit the same."""
+        i, w = self._bracket(t)
         if w is None:
-            return node(i)
-        return _kernels.blend_tables(w, node(i), node(i + 1))
-
-    return at
-
-
-def _field_tables(provider):
-    """t -> the tables of provider(t), built again only when it returns
-    another field than at the last call."""
-    last = [None, None]
-
-    def at(t):
-        f = provider(t)
-        if f is not last[0]:
-            last[:] = f, _tables(f)
-        return last[1]
-
-    return at
-
-
-def _as_provider(u):
-    if isinstance(u, VelocityField):
-        return lambda t: u
-    if callable(u):
-        return u
-    raise TypeError("velocity must be a VelocityField or a callable of time")
+            return self.fields[i].tables
+        return _kernels.blend_tables(w, self.fields[i].tables,
+                                     self.fields[i + 1].tables)
 
 
 def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     """Trace every cell-center seed from t0 to t1 (backward allowed).
 
     u is a VelocityField, a VelocitySeries or any callable t ->
-    VelocityField.  Each RK4 step reads the prepared tables of its three
+    VelocityField.  Each RK4 step reads the corner tables of its three
     stage velocities, and a step's end tables start the next step.
     """
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if isinstance(u, VelocitySeries):
-        g, dom = u.grid, u.domain
-        tables = _series_tables(u)
+        g, dom, tables = u.grid, u.domain, u.tables
+    elif isinstance(u, VelocityField):
+        g, dom, tables = u.grid, u.domain, lambda t: u.tables
+    elif callable(u):
+        f = u(t0)
+        g, dom, tables = f.grid, f.domain, lambda t: u(t).tables
     else:
-        provider = _as_provider(u)
-        f = provider(t0)
-        g, dom = f.grid, f.domain
-        tables = _field_tables(provider)
+        raise TypeError("velocity must be a VelocityField or a callable of time")
     span = t1 - t0
     # the small backoff keeps an exactly-divisible span from gaining a step
     # to floating-point noise in the quotient

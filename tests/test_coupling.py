@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stokestransport import coupling
+from stokestransport import _kernels, coupling
 from stokestransport.coupling import (
     EnergyLedger,
     contraction_window,
@@ -91,6 +91,37 @@ class TestPicard:
         assert calls[0] is rho0
         assert all(s.rho is r for s, r in zip(states[1:], calls[-3:], strict=True))
         assert np.array_equal(states[0].rho.values, rho0.values)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+    def test_bad_tol_rejected_before_any_solve(self, strip, monkeypatch, tol):
+        def refused(*args, **kwargs):
+            raise AssertionError("solved before the arguments were checked")
+
+        monkeypatch.setattr(coupling, "solve_buoyancy", refused)
+        dom, grid = strip
+        rho0 = make_density("constant", grid, dom)
+        with pytest.raises(ValueError, match="tol"):
+            picard_solve(rho0, T=1.0, tol=tol)
+
+    def test_each_velocity_builds_its_tables_once(self, strip, monkeypatch):
+        # a field keeps its RK4 corner tables: the first sweep runs in rho0's
+        # velocity alone, node 0 keeps that velocity, and every later sweep
+        # builds the tables of nodes 1..n-1 of the last sweep's solves
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        build = _kernels.velocity_tables
+        monkeypatch.setattr(_kernels, "velocity_tables", counted)
+        dom, grid = strip
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        n = 6
+        _, trace = picard_solve(rho0, T=0.5, n_time_nodes=n, tol=0.0,
+                                max_picard=3)
+        assert trace.iterations == 3
+        assert len(builds) <= 1 + (trace.iterations - 1) * (n - 1)
 
     def test_sweep_maps_start_with_identity(self, strip, monkeypatch):
         # each sweep composes every interval onto one running backward map,

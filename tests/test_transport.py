@@ -81,6 +81,14 @@ class TestIntegrateFlow:
         err = np.abs(fm.displacement[:, :, 0] - expect[None, :])
         assert np.max(err) <= 1e-12 * max(1.0, t * a)
 
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (0.0, np.nan),
+                                        (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_non_finite_endpoints_rejected(self, strip, t0, t1):
+        dom, grid = strip
+        u = poiseuille(1.0, grid, dom).u
+        with pytest.raises(ValueError, match="finite"):
+            integrate_flow(u, t0, t1, TransportConfig(dt=0.1))
+
     def test_step_count_honors_exact_division(self, strip):
         # a span that is an exact multiple of dt must not grow an extra step
         dom, grid = strip
@@ -212,6 +220,14 @@ class TestVelocitySeries:
             b = integrate_flow(lambda t: series(t), t0, t1, cfg).displacement
             assert np.array_equal(a, b)
             assert np.abs(a).max() > 0.0
+
+    def test_tables_are_the_nodes_or_their_blend(self, strip):
+        s = self._series(strip, amps=(0.0, 1.0, 3.0))
+        assert s.tables(0.5) is s.fields[1].tables
+        assert s.tables(-1.0) is s.fields[0].tables
+        assert s.tables(2.0) is s.fields[2].tables
+        for got, want in zip(s.tables(0.625), s(0.625).tables):
+            assert np.array_equal(got, want)
 
     def test_times_must_increase(self, strip):
         dom, grid = strip
