@@ -17,7 +17,15 @@ table of a linear combination of fields is that combination of their
 tables, bit for bit (``blend_tables``).  Each RK4 stage locates its
 points once for both velocity components; a first stage from the cell
 centres takes its located cells from a per-grid cache of read-only
-arrays.  Blends run in place on fresh temporaries, but every
+arrays, two index arrays and each weight as an x column or a z row, which
+broadcast to the full weights.
+
+Arrays live only as long as something still reads them.  A stage's
+located cells are written over its coordinate temporaries and let go
+component by component as their velocities are read; k_s joins the RK4
+sum before stage s + 1 is located; a bilinear sample gathers and blends
+one corner pair at a time, with 1 - t formed in the array that then
+receives the pair's second corner.  Blends run in place, but every
 floating-point operation is the one the plain expressions in the
 docstrings name, in the same order, so outside the wall half-cells results
 match the original arithmetic (kept in ``tests/_reference_kernels.py``)
@@ -73,7 +81,8 @@ def _clip01(a):
 def _locate(px, z, hx, hz, periodic, Lx):
     """Wrap or clamp x and scale both coordinates to cell units.
 
-    z must already lie in [0, 1].  Returns (x / hx, z / hz).
+    z must already lie in [0, 1]; it is scaled in place.  Returns
+    (x / hx, z / hz), x / hx a new array.
     """
     if periodic:
         x = px / Lx
@@ -84,7 +93,8 @@ def _locate(px, z, hx, hz, periodic, Lx):
         x = np.maximum(px, 0.0)
         np.minimum(x, Lx, out=x)
     x /= hx
-    return x, z / hz
+    z /= hz
+    return x, z
 
 
 def _padded(c, periodic, gx=1.0, gz=1.0):
@@ -130,56 +140,95 @@ def blend_tables(w, a, b):
 def _cells(fx, fz, m):
     """Corner-table index of the cells i = floor(fx), j = floor(fz) of
     cell-unit positions in a field of m samples along z, and their weights
-    (tx, tz) = (fx - i, fz - j)."""
+    (tx, tz) = (fx - i, fz - j), written over fx and fz."""
     i = np.floor(fx)
     j = np.floor(fz)
-    tx = fx - i
-    tz = fz - j
+    fx -= i
+    fz -= j
     # (i + 1)(m + 2) + j + 1, exact in floating point
     i *= m + 2
     i += j
+    del j
     i += m + 3
-    return i.astype(np.intp), tx, tz
+    return i.astype(np.intp), fx, fz
 
 
-def _blend(t, a, b):
-    """(1 - t) * a + t * b, overwriting a and b."""
-    a *= 1.0 - t
+def _blend(t, a, b, tmp):
+    """(1 - t) * a + t * b, overwriting a and b; 1 - t is formed in tmp."""
+    a *= np.subtract(1.0, t, out=tmp)
     b *= t
     a += b
     return a
 
 
-def _gather(table, idx):
-    """The corners (a, b, c, d) of a corner table at flat cell indices."""
-    return [row.take(idx, mode="clip") for row in table]
+def _pair(rows, idx, t, tmp):
+    """blend(t, a, b) of two corner-table rows at flat cell indices, in one
+    new array: b is gathered into tmp once its 1 - t has been used."""
+    a = rows[0].take(idx, mode="clip")
+    a *= np.subtract(1.0, t, out=tmp)
+    b = rows[1].take(idx, mode="clip", out=tmp)
+    b *= t
+    a += b
+    return a
 
 
-def _sample(corners, t_in, t_out):
-    """Bilinear blend of gathered corners (a, b, c, d), overwriting them:
-    blend(t_out, blend(t_in, a, b), blend(t_in, c, d))."""
-    a, b, c, d = corners
-    return _blend(t_out, _blend(t_in, a, b), _blend(t_in, c, d))
+def _sample(rows, idx, t_in, t_out):
+    """Bilinear blend of the corner-table rows (a, b, c, d) at flat cell
+    indices, blend(t_out, blend(t_in, a, b), blend(t_in, c, d)), in three
+    arrays of the points' size."""
+    tmp = np.empty(idx.shape)
+    ab = _pair(rows[:2], idx, t_in, tmp)
+    ab *= np.subtract(1.0, t_out, out=tmp)
+    cd = _pair(rows[2:], idx, t_in, tmp)
+    cd *= t_out
+    ab += cd
+    return ab
+
+
+def _hull_sample(rows, idx, t_in, t_out, out):
+    """``_sample`` clamped to the hull of its corners, written to out.
+
+    Rounding can push the blend past the corner hull by an ulp, and scalar
+    data carries an exact range-preservation contract, so the blend is
+    clamped to [min(min(a, b), min(c, d)), max(max(a, b), max(c, d))].
+    Each pair is gathered, bounded and blended before the next, with out as
+    scratch.
+    """
+    pairs = []
+    for pair in (rows[:2], rows[2:]):
+        a, b = (row.take(idx, mode="clip") for row in pair)
+        if pairs:
+            np.minimum(lo, np.minimum(a, b, out=out), out=lo)
+            np.maximum(hi, np.maximum(a, b, out=out), out=hi)
+        else:
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+        pairs.append(_blend(t_in, a, b, out))
+        del a, b
+    v = _blend(t_out, *pairs, out)
+    del pairs
+    np.maximum(v, lo, out=v)
+    return np.minimum(v, hi, out=out)
 
 
 def _stage(nz, x, z, hx, hz, periodic, Lx):
     """Located cells of u1 (blended x pairs first) and u2 (z pairs first)
-    on a grid of nz cells along z, at flat points with z in [0, 1]."""
+    on a grid of nz cells along z, at flat points (x, z), as a list that
+    ``_velocity`` empties.  z must lie in [0, 1] and is overwritten."""
     q, w = _locate(x, z, hx, hz, periodic, Lx)
+    q2 = q - 0.5
     idx1, tx1, tz1 = _cells(q, w - 0.5, nz)
-    q -= 0.5
-    idx2, tx2, tz2 = _cells(q, w, nz + 1)
-    return (idx1, tx1, tz1), (idx2, tz2, tx2)
+    idx2, tx2, tz2 = _cells(q2, w, nz + 1)
+    return [(idx1, tx1, tz1), (idx2, tz2, tx2)]
 
 
 def _velocity(tables, nz, stage):
     """(u1, u2) from their prepared tables at a located stage; u1's corner
-    rows are read x pairs first (00, 10, 01, 11)."""
+    rows are read x pairs first (00, 10, 01, 11).  Each component's cells
+    are taken off the stage list, so they go as soon as they are read."""
     e1, e2 = tables
-    (idx1, *t1), (idx2, *t2) = stage
     v00, v01, v10, v11 = _corners(e1, nz)
-    return (_sample(_gather((v00, v10, v01, v11), idx1), *t1),
-            _sample(_gather(_corners(e2, nz + 1), idx2), *t2))
+    v1 = _sample((v00, v10, v01, v11), *stage.pop(0))
+    return v1, _sample(_corners(e2, nz + 1), *stage.pop(0))
 
 
 @functools.lru_cache(maxsize=4)
@@ -194,8 +243,25 @@ def center_points(nx, nz, hx, hz):
 @functools.lru_cache(maxsize=4)
 def _center_stage(nx, nz, hx, hz, periodic, Lx):
     """The located stage at the cell centres, read-only: it depends only on
-    the grid, and every first RK4 stage from the centres starts there."""
-    stage = _stage(nz, *center_points(nx, nz, hx, hz), hx, hz, periodic, Lx)
+    the grid, and every first RK4 stage from the centres starts there.
+
+    A centre's x weights depend on its column and its z weights on its row
+    alone, so each weight is kept as an (nx, 1) column or a (1, nz) row
+    that broadcasts against the (nx, nz) indices, bit for bit the full
+    weights: O(nx + nz) floats besides the two index arrays.
+    """
+    px, pz = center_points(nx, nz, hx, hz)
+    (i1, tx1, tz1), (i2, tz2, tx2) = _stage(nz, px, _clip01(pz), hx, hz,
+                                            periodic, Lx)
+
+    def col(t):
+        return t.reshape(nx, nz)[:, :1].copy()
+
+    def row(t):
+        return t.reshape(nx, nz)[:1].copy()
+
+    stage = ((i1.reshape(nx, nz), col(tx1), row(tz1)),
+             (i2.reshape(nx, nz), row(tz2), col(tx2)))
     for cells in stage:
         for a in cells:
             a.flags.writeable = False
@@ -230,13 +296,8 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
     out = np.empty((len(channels), q.size))
     for k, ch in enumerate(channels):
-        v00, v01, v10, v11 = v = _gather(
-            _corners(_padded(ch, periodic), c.shape[1]), idx)
-        # rounding can push the blend past the corner hull by an ulp; scalar
-        # data carries an exact range-preservation contract, so clamp
-        lo = np.minimum(np.minimum(v00, v01), np.minimum(v10, v11))
-        hi = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
-        np.minimum(np.maximum(_sample(v, tz, tx), lo), hi, out=out[k])
+        _hull_sample(_corners(_padded(ch, periodic), c.shape[1]), idx, tz,
+                     tx, out[k])
     if c.ndim == 2:
         return out[0].reshape(px.shape)
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
@@ -253,17 +314,21 @@ def rk4_step(px, pz, h, va, vb, vc, nx, nz, hx, hz, periodic, Lx,
     """
     grid = (hx, hz, periodic, Lx)
     if from_centers:
-        stage = _center_stage(nx, nz, *grid)
+        stage = list(_center_stage(nx, nz, *grid))
     else:
         stage = _stage(nz, px, _clip01(pz), *grid)
     # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
-    # + 2 k3 + k4), the sum accumulated left to right as the stages finish
+    # + 2 k3 + k4), the sum accumulated left to right as the stages finish;
+    # k_s joins the sum before stage s + 1 is located, so that only the
+    # sum, the next start and its cells outlive a stage
     tableau = ((va, 0.5, 1.0), (vb, 0.5, 2.0), (vb, 1.0, 2.0), (vc, 0.0, 1.0))
     for s, (tables, c, w) in enumerate(tableau):
-        kx, kz = _velocity(tables, nz, stage)
+        kx, kz = (k.reshape(-1) for k in _velocity(tables, nz, stage))
         if c:
-            stage = _stage(nz, px + c * h * kx, _clip01(pz + c * h * kz),
-                           *grid)
+            x = kx * (c * h)
+            x += px
+            z = kz * (c * h)
+            z += pz
         if w != 1.0:
             kx *= w
             kz *= w
@@ -272,6 +337,10 @@ def rk4_step(px, pz, h, va, vb, vc, nx, nz, hx, hz, periodic, Lx,
         else:
             sx += kx
             sz += kz
+        del kx, kz
+        if c:
+            stage = _stage(nz, x, _clamp(z, 0.0, 1.0), *grid)
+            del x, z
     sx *= h / 6.0
     sz *= h / 6.0
     px += sx

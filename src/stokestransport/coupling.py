@@ -55,7 +55,7 @@ import numpy as np
 from .domain import ScalarField, VelocityField, z_centers
 from .norms import (Partition, _velocity_sup, grad_inf_norm, h1_norm,
                     hneg1_norm, lq_norm, uloc_norm)
-from .stokes import flux_profile, solve_buoyancy
+from .stokes import _column_flux, solve_buoyancy
 from .transport import (
     FlowMap,
     TransportConfig,
@@ -119,8 +119,7 @@ def _potential_energy(rho: ScalarField) -> float:
 def _measured_flux(u: VelocityField, flux: float | None) -> float:
     if flux is not None:
         return flux
-    prof = flux_profile(u)
-    return float(prof[len(prof) // 2])
+    return _column_flux(u, len(u.u1.values) // 2)
 
 
 def _make_state(t: float, rho: ScalarField, u: VelocityField,
@@ -154,8 +153,8 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     iteration record.  Divergence (no decrease in the iterate distance by
     the iteration cap) raises PicardDivergenceError suggesting a shorter
     window.  Each flow map is integrated with a quarter of the node spacing.
-    A sweep converges when its distance falls below tol; tol = 0 runs all
-    max_picard sweeps.
+    A sweep converges when its distance falls below tol or is exactly 0 (a
+    fixed point); otherwise tol = 0 runs all max_picard sweeps.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
@@ -215,7 +214,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
             rhos[i], us[i], fluxes[i] = rho, sol.u, sol.flux
             del sol
         diffs.append(delta)
-        if delta < tol:
+        if delta < tol or delta == 0.0:
             converged = True
             break
 
@@ -277,9 +276,16 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
                 f"(dt |u| = {h * state.norms['u_linf']:.3g} > h = {hmin:.3g})",
                 stacklevel=2)
             warned = True
-        step = integrate_flow(sol.u, bounds[k + 1], bounds[k],
+        # the step reads only the velocity, and the next density only the
+        # composed map: the solve's pressure, the state and each map go as
+        # soon as nothing later reads them
+        u = sol.u
+        del sol, state, rho
+        step = integrate_flow(u, bounds[k + 1], bounds[k],
                               TransportConfig(dt=h))
+        del u
         back = compose_maps(back, step)
+        del step
         rho = _pull_back(rho0, back)
     return states
 

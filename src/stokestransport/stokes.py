@@ -157,6 +157,11 @@ def flux_profile(u: VelocityField) -> np.ndarray:
     return u.grid.hz * u.u1.values.sum(axis=1)
 
 
+def _column_flux(u: VelocityField, k: int) -> float:
+    """Entry k of ``flux_profile(u)``, bit for bit, summing that column alone."""
+    return float(u.grid.hz * u.u1.values[k].sum())
+
+
 # ---------------------------------------------------------------------------
 # rectangle: free-slip modes by fast transforms, no-slip walls by capacitance
 # ---------------------------------------------------------------------------
@@ -167,8 +172,14 @@ def _symbol(n: int, h: float) -> np.ndarray:
 
 
 def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
-    """The two wall rows of ``axis.centers`` minus their free-slip rows."""
-    rows = axis.centers.dense()[[0, -1]]
+    """The two wall rows of ``axis.centers`` minus their free-slip rows.
+
+    Both are edge rows of the band, the first and last, so they are read
+    from its edge weights in O(n) memory.
+    """
+    band = axis.centers
+    rows = np.zeros((2, band.ncols))
+    rows[:, band.edge_cols] = band.edge_weights[[0, -1]]
     h2 = h * h
     rows[0, :2] -= 1.0 / h2, -1.0 / h2
     rows[1, -2:] -= -1.0 / h2, 1.0 / h2
@@ -316,7 +327,7 @@ def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:
     p = ScalarField(grid, dom, pv, CENTER)
     res = momentum_residual(u, p, f, pressure_slope=slope)
     _check_solution(res, u, f, config)
-    flux = float(flux_profile(u)[0]) if dom.periodic else None
+    flux = _column_flux(u, 0) if dom.periodic else None
     return StokesSolution(u=u, p=p, residual_norm=res, flux=flux,
                           pressure_slope=slope, stats=stats)
 
@@ -434,7 +445,7 @@ def poiseuille(phi: float, grid: GridSpec, domain: DomainSpec) -> StokesSolution
     p = ScalarField(grid, domain, np.zeros((grid.nx, grid.nz)), CENTER)
     slope = -2.0 * a
     res = momentum_residual(u, p, None, pressure_slope=slope)
-    return StokesSolution(u=u, p=p, residual_norm=res, flux=float(flux_profile(u)[0]),
+    return StokesSolution(u=u, p=p, residual_norm=res, flux=_column_flux(u, 0),
                           pressure_slope=slope, stats={"solver": "closed-form"})
 
 

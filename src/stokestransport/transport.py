@@ -184,7 +184,9 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
                     f"(t = {t + h:.6g})")
             va = vc
             t = t0 + (k + 1) * h
-    disp = np.stack((px - seeds_x, pz - seeds_z), axis=-1)
+    px -= seeds_x
+    pz -= seeds_z
+    disp = np.stack((px, pz), axis=-1)
     return FlowMap(t0=t0, t1=t1, grid=g, domain=dom,
                    displacement=disp.reshape(g.nx, g.nz, 2))
 

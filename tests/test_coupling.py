@@ -30,6 +30,16 @@ class TestPicard:
         assert trace.diffs[0] == 0.0
         assert np.all(states[-1].rho.values == 0.75)
 
+    def test_exact_fixed_point_converges_with_zero_tol(self, strip):
+        # every distance of a constant density is exactly 0: the first sweep
+        # is a fixed point, not two equal distances of a stalled iteration
+        dom, grid = strip
+        rho0 = make_density("constant", grid, dom, value=0.75)
+        _, trace = picard_solve(rho0, T=0.5, n_time_nodes=4, tol=0.0,
+                                max_picard=3)
+        assert trace.converged
+        assert trace.diffs.tolist() == [0.0]
+
     def test_stratified_stays_hydrostatic(self, strip):
         dom, grid = strip
         rho0 = make_density("stratified", grid, dom)

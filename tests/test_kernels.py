@@ -243,6 +243,30 @@ class TestCenterCache:
         assert [s[0][0].size for s in (strip, finer, box)] == [128, 256, 128]
 
 
+    @pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
+                                         (DomainKind.RECTANGLE, 1.5)],
+                             ids=["strip", "rectangle"])
+    def test_weights_are_kept_per_axis(self, kind, L):
+        # a centre's x weights depend on its column and its z weights on its
+        # row, so besides its two index arrays an entry holds nx + nz floats
+        # per component, which broadcast to the full weights bit for bit
+        nx, nz = 48, 40
+        cached = _center_stage(kind, L, nx, nz)
+        px, pz = _kernels.center_points(nx, nz, L / nx, 1 / nz)
+        full = _kernels._stage(nz, px, pz.copy(), L / nx, 1 / nz,
+                               kind is DomainKind.STRIP, L)
+        weights = 0
+        for (idx, *t), (want_idx, *want_t) in zip(cached, full):
+            assert idx.shape == (nx, nz)
+            assert np.array_equal(idx.ravel(), want_idx)
+            for a, b in zip(t, want_t):
+                assert a.shape in ((nx, 1), (1, nz))
+                assert np.broadcast_to(a, (nx, nz)).ravel().tobytes() == \
+                    b.tobytes()
+                weights += a.size
+        assert weights == 2 * (nx + nz)
+
+
 @pytest.mark.parametrize("which", ["rect", "strip"])
 def test_flow_maps_bitwise_equal(which, rect, strip):
     dom, grid = rect if which == "rect" else strip

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -196,6 +199,30 @@ class TestPinnedPressure:
         assert sum(len(b) for b in fac.blocks) == small
         held = sum(np.size(a) for a in (*fac[:-1], *fac.blocks))
         assert held <= 12 * (nx * nz + small * small)
+
+
+class TestWallRows:
+    @pytest.mark.parametrize("n, h", [(8, 0.125), (9, 0.3), (33, 1 / 33)])
+    def test_read_from_the_band_equal_the_dense_rows(self, n, h):
+        axis = _mac.axes(make_grid(DomainSpec(DomainKind.RECTANGLE, n * h),
+                                   n, 8), False)[0]
+        want = axis.centers.dense()[[0, -1]]
+        h2 = h * h
+        want[0, :2] -= 1.0 / h2, -1.0 / h2
+        want[1, -2:] -= -1.0 / h2, 1.0 / h2
+        assert stokes._wall_rows(axis, h).tobytes() == want.tobytes()
+
+    def test_rectangle_factor_builds_no_square_matrix(self):
+        # a dense 2048 x 2048 matrix of the x axis alone would be 33.6 MB
+        grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 128.0), 2048, 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            stokes._rect_factor.__wrapped__(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestRectangleTransform:

@@ -1,9 +1,15 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _flows import composition_orders, shear_series
 from stokestransport.domain import (
+    DomainKind,
+    DomainSpec,
     VelocityField,
+    make_grid,
     x_centers,
     z_centers,
 )
@@ -112,6 +118,35 @@ class TestIntegrateFlow:
 def push_forward(rho0, u, t, config):
     """rho0 transported to time t: sampled at the feet of the backward map."""
     return _pull_back(rho0, integrate_flow(u, t, 0.0, config))
+
+
+def test_march_step_peak_memory():
+    # one warm march step on a 128 x 128 strip: integrate, compose and pull
+    # back.  RK4 stages let their located cells go once read, the samplers
+    # blend one gathered corner pair at a time and the centre stage is kept
+    # per axis, so the step peaks at about 15 field arrays above its inputs
+    dom = DomainSpec(DomainKind.STRIP, 8.0)
+    grid = make_grid(dom, 128, 128)
+    rho0 = make_density("stratified_perturbed", grid, dom, eps=0.05)
+    u = solve_buoyancy(rho0).u
+    config = TransportConfig(dt=0.01)
+
+    def step(back):
+        t = back.t0
+        back = compose_maps(back, integrate_flow(u, t + 0.01, t, config))
+        return back, _pull_back(rho0, back)
+
+    back, _ = step(FlowMap(0.0, 0.0, grid, dom,
+                           np.zeros((grid.nx, grid.nz, 2))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step(back)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * rho0.values.nbytes
 
 
 class TestPushForward:
