@@ -15,10 +15,7 @@ three stage velocities as prepared tables (``velocity_tables``), which a
 a table holds only copies and exact negations of the field's values, the
 table of a linear combination of fields is that combination of their
 tables, bit for bit (``blend_tables``).  Each RK4 stage locates its
-points once for both velocity components; a first stage from the cell
-centres takes its located cells from a per-grid cache of read-only
-arrays, two index arrays and each weight as an x column or a z row, which
-broadcast to the full weights.
+points once for both velocity components.
 
 Arrays live only as long as something still reads them.  A stage's
 located cells are written over its coordinate temporaries and let go
@@ -240,34 +237,6 @@ def center_points(nx, nz, hx, hz):
     return px, pz
 
 
-@functools.lru_cache(maxsize=4)
-def _center_stage(nx, nz, hx, hz, periodic, Lx):
-    """The located stage at the cell centres, read-only: it depends only on
-    the grid, and every first RK4 stage from the centres starts there.
-
-    A centre's x weights depend on its column and its z weights on its row
-    alone, so each weight is kept as an (nx, 1) column or a (1, nz) row
-    that broadcasts against the (nx, nz) indices, bit for bit the full
-    weights: O(nx + nz) floats besides the two index arrays.
-    """
-    px, pz = center_points(nx, nz, hx, hz)
-    (i1, tx1, tz1), (i2, tz2, tx2) = _stage(nz, px, _clip01(pz), hx, hz,
-                                            periodic, Lx)
-
-    def col(t):
-        return t.reshape(nx, nz)[:, :1].copy()
-
-    def row(t):
-        return t.reshape(nx, nz)[:1].copy()
-
-    stage = ((i1.reshape(nx, nz), col(tx1), row(tz1)),
-             (i2.reshape(nx, nz), row(tz2), col(tx2)))
-    for cells in stage:
-        for a in cells:
-            a.flags.writeable = False
-    return stage
-
-
 def _as_points(px, pz):
     px = np.ascontiguousarray(px, dtype=np.float64)
     pz = np.ascontiguousarray(pz, dtype=np.float64)
@@ -303,20 +272,14 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
 
 
-def rk4_step(px, pz, h, va, vb, vc, nx, nz, hx, hz, periodic, Lx,
-             from_centers=False):
+def rk4_step(px, pz, h, va, vb, vc, nz, hx, hz, periodic, Lx):
     """Advance all seed positions by one RK4 step of size h, in place.
 
     va, vb and vc are the ``velocity_tables`` of the velocity at the start,
-    middle and end of the step, on a grid of nx by nz cells.  from_centers
-    says px, pz hold ``center_points`` of the grid, so stage 1 takes its
-    located cells from the per-grid cache.
+    middle and end of the step, on a grid of nz cells along z.
     """
     grid = (hx, hz, periodic, Lx)
-    if from_centers:
-        stage = list(_center_stage(nx, nz, *grid))
-    else:
-        stage = _stage(nz, px, _clip01(pz), *grid)
+    stage = _stage(nz, px, _clip01(pz), *grid)
     # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
     # + 2 k3 + k4), the sum accumulated left to right as the stages finish;
     # k_s joins the sum before stage s + 1 is located, so that only the

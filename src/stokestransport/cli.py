@@ -359,6 +359,7 @@ def _cmd_stokes(cfg: dict, out: _Output) -> list[str]:
 
 def _cmd_transport(cfg: dict, out: _Output) -> list[str]:
     dom, grid = _build_domain(cfg)
+    _check_dt(cfg)
     T = cfg["t_final"]
     rho0 = _build_density(cfg, grid, dom)
     u = _stokes_solution(cfg, grid, dom).u

@@ -8,9 +8,9 @@ pure transport of rho.  Two drivers are provided:
   A sweep visits the time nodes once, in order: it integrates interval i
   in the old iterate's velocity, composes it onto one running backward
   map, pulls node i back from rho0, takes its difference to the old node
-  and solves it.  Between sweeps an iterate is one density, velocity and
-  flux per node; interval maps, pressures and old nodes are let go as
-  soon as nothing later reads them.  The contraction indicator B T e^{BT}
+  and solves it.  Between sweeps an iterate is one density and velocity
+  per node; interval maps, pressures and old nodes are let go as soon as
+  nothing later reads them.  The contraction indicator B T e^{BT}
   uses the measured operator constant: B is the largest observed
   W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|.
 * time_march freezes the velocity over each step and advances a composed
@@ -116,22 +116,17 @@ def _potential_energy(rho: ScalarField) -> float:
     return float(rho.grid.hx * rho.grid.hz * (rho.values * zc[None, :]).sum())
 
 
-def _measured_flux(u: VelocityField, flux: float | None) -> float:
-    if flux is not None:
-        return flux
-    return _column_flux(u, len(u.u1.values) // 2)
-
-
-def _make_state(t: float, rho: ScalarField, u: VelocityField,
-                flux: float | None) -> SimulationState:
-    """The state at t of density rho, whose solve gave velocity u and, on
-    the strip, flux (None on the rectangle, where it is measured from u)."""
+def _make_state(t: float, rho: ScalarField, u: VelocityField) -> SimulationState:
+    """The state at t of density rho, whose solve gave velocity u.  The flux
+    is read from u's x-face column 0 on the strip, as ``solve_buoyancy``
+    reports it, and from the middle column on the rectangle."""
     norms = {
         "rho_l2": lq_norm(rho, 2),
         "rho_linf": lq_norm(rho, np.inf),
         "u_linf": _velocity_sup(u),
         "u_h1": h1_norm(u),
-        "flux": _measured_flux(u, flux),
+        "flux": _column_flux(u, 0 if rho.domain.periodic
+                             else len(u.u1.values) // 2),
         "potential_energy": _potential_energy(rho),
     }
     return SimulationState(t=float(t), rho=rho, norms=norms)
@@ -171,11 +166,10 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     partition = Partition(g, dom) if dom.periodic else None
 
     sol = solve_buoyancy(rho0)
-    # the iterate, node by node: its density, and its solve's velocity and
-    # flux, which are all that the next sweep and the states read
+    # the iterate, node by node: its density and its solve's velocity, which
+    # are all that the next sweep and the states read
     rhos = [rho0] * n
     us = [sol.u] * n
-    fluxes = [sol.flux] * n
     del sol
     rho0_sup = lq_norm(rho0, np.inf)
     ratio_max = 0.0
@@ -210,9 +204,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
             rho = _pull_back(rho0, back)
             d = _diff_norm(rho, rhos[i], partition, margin)
             delta = d if i == 1 else max(delta, d)
-            sol = solve_buoyancy(rho)
-            rhos[i], us[i], fluxes[i] = rho, sol.u, sol.flux
-            del sol
+            rhos[i], us[i] = rho, solve_buoyancy(rho).u
         diffs.append(delta)
         if delta < tol or delta == 0.0:
             converged = True
@@ -234,7 +226,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         iterations=len(diffs),
         times=times,
     )
-    states = [_make_state(*node) for node in zip(times, rhos, us, fluxes)]
+    states = [_make_state(*node) for node in zip(times, rhos, us)]
     return states, trace
 
 
@@ -265,7 +257,7 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     warned = False
     for k in range(nsteps + 1):
         sol = solve_buoyancy(rho)
-        state = _make_state(bounds[k], rho, sol.u, sol.flux)
+        state = _make_state(bounds[k], rho, sol.u)
         states.append(state)
         if k == nsteps:
             break

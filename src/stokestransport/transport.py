@@ -175,9 +175,8 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
         for k in range(nsteps):
             vb = tables(t + 0.5 * h)
             vc = tables(t + h)
-            _kernels.rk4_step(px, pz, h, va, vb, vc, g.nx, g.nz,
-                              g.hx, g.hz, dom.periodic, dom.x_extent,
-                              from_centers=k == 0)
+            _kernels.rk4_step(px, pz, h, va, vb, vc, g.nz, g.hx, g.hz,
+                              dom.periodic, dom.x_extent)
             if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pz))):
                 raise RuntimeError(
                     f"trajectory became non-finite at step {k + 1}/{nsteps} "

@@ -186,6 +186,20 @@ class TestConfigErrors:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_transport_dt_above_t_final_exits_2(self, tmp_path, capsys,
+                                                monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("integrate_flow reached with a bad config")
+
+        monkeypatch.setattr(cli, "integrate_flow", no_flow)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, "[transport]\nnx = 64\nnz = 32\n"
+                                  "t_final = 0.5\ndt = 2.0\n")
+        rc = cli.main(["transport", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "need dt <= t_final" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("cmd, body, flags", [
         ("transport", "nx = 32\nnz = 16\nt_final = inf\n", []),

@@ -146,27 +146,10 @@ class TestReferenceParity:
             new_x, new_z = px.copy(), pz.copy()
             ref_x, ref_z = px.copy(), pz.copy()
             for _ in range(4):
-                _kernels.rk4_step(new_x, new_z, 0.05, *tables, nx, nz, *args)
+                _kernels.rk4_step(new_x, new_z, 0.05, *tables, nz, *args)
                 ref._np_rk4_step(ref_x, ref_z, 0.05, *fields, *args)
                 assert np.array_equal(new_x, ref_x)
                 assert np.array_equal(new_z, ref_z)
-
-    def test_rk4_step_from_cached_centers_bitwise_equal(self, kind, L, nx,
-                                                         nz, monkeypatch):
-        dom, grid, rng, u1, u2, _, _ = _case(kind, L, nx, nz)
-        fields = (u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2)
-        args = (grid.hx, grid.hz, dom.periodic, L)
-        _production_samplers(monkeypatch, nx)
-        tables = _tables(fields, dom.periodic)
-        seeds = _kernels.center_points(nx, nz, grid.hx, grid.hz)
-        cached, plain, oracle = ([s.copy() for s in seeds] for _ in range(3))
-        _kernels.rk4_step(*cached, 0.3, *tables, nx, nz, *args,
-                          from_centers=True)
-        _kernels.rk4_step(*plain, 0.3, *tables, nx, nz, *args)
-        ref._np_rk4_step(*oracle, 0.3, *fields, *args)
-        for a, b, c in zip(cached, plain, oracle):
-            assert np.array_equal(a, b)
-            assert np.array_equal(a, c)
 
     def test_blended_tables_bitwise_equal(self, kind, L, nx, nz):
         # a table holds copies and exact negations of its field, so the
@@ -195,8 +178,8 @@ def _tables(fields, periodic):
 
 def _production_samplers(monkeypatch, nx):
     """Make ``ref._np_rk4_step`` sample through ``sample_velocity``, so that
-    it pins the RK4 tableau, the prepared tables and the centre-stage cache
-    of ``rk4_step`` bit for bit; the other component's field is zero."""
+    it pins the RK4 tableau and the prepared tables of ``rk4_step`` bit for
+    bit; the other component's field is zero."""
     def u1_only(u1, px, pz, hx, hz, periodic, Lx):
         u2 = np.zeros((nx, u1.shape[1] + 1))
         return _kernels.sample_velocity(u1, u2, px, pz, hx, hz, periodic,
@@ -211,60 +194,16 @@ def _production_samplers(monkeypatch, nx):
     monkeypatch.setattr(ref, "_np_sample_u2", u2_only)
 
 
-def _center_stage(kind, L, nx, nz):
-    dom = DomainSpec(kind, L)
-    grid = make_grid(dom, nx, nz)
-    return _kernels._center_stage(nx, nz, grid.hx, grid.hz, dom.periodic, L)
-
-
 class TestCenterCache:
     @pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
                                          (DomainKind.RECTANGLE, 1.5)],
                              ids=["strip", "rectangle"])
     def test_cached_arrays_are_read_only(self, kind, L):
-        # index and two weights per velocity component, and the centres
-        arrays = [*(a for cells in _center_stage(kind, L, 16, 8)
-                    for a in cells),
-                  *_kernels.center_points(16, 8, L / 16, 1 / 8)]
-        assert len(arrays) == 8
+        arrays = _kernels.center_points(16, 8, L / 16, 1 / 8)
+        assert len(arrays) == 2
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
-
-    def test_grids_get_separate_entries(self):
-        _kernels._center_stage.cache_clear()
-        strip = _center_stage(DomainKind.STRIP, 8.0, 16, 8)
-        finer = _center_stage(DomainKind.STRIP, 8.0, 32, 8)
-        box = _center_stage(DomainKind.RECTANGLE, 8.0, 16, 8)
-        assert _center_stage(DomainKind.STRIP, 8.0, 16, 8) is strip
-        info = _kernels._center_stage.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
-        # the u1 corner-table index of each entry covers its own grid
-        assert [s[0][0].size for s in (strip, finer, box)] == [128, 256, 128]
-
-
-    @pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
-                                         (DomainKind.RECTANGLE, 1.5)],
-                             ids=["strip", "rectangle"])
-    def test_weights_are_kept_per_axis(self, kind, L):
-        # a centre's x weights depend on its column and its z weights on its
-        # row, so besides its two index arrays an entry holds nx + nz floats
-        # per component, which broadcast to the full weights bit for bit
-        nx, nz = 48, 40
-        cached = _center_stage(kind, L, nx, nz)
-        px, pz = _kernels.center_points(nx, nz, L / nx, 1 / nz)
-        full = _kernels._stage(nz, px, pz.copy(), L / nx, 1 / nz,
-                               kind is DomainKind.STRIP, L)
-        weights = 0
-        for (idx, *t), (want_idx, *want_t) in zip(cached, full):
-            assert idx.shape == (nx, nz)
-            assert np.array_equal(idx.ravel(), want_idx)
-            for a, b in zip(t, want_t):
-                assert a.shape in ((nx, 1), (1, nz))
-                assert np.broadcast_to(a, (nx, nz)).ravel().tobytes() == \
-                    b.tobytes()
-                weights += a.size
-        assert weights == 2 * (nx + nz)
 
 
 @pytest.mark.parametrize("which", ["rect", "strip"])

@@ -328,6 +328,33 @@ class TestStripTransform:
             _assert_strip_agrees(Forcing(grid, dom, 0.0 * f1, 0.0 * f2), config)
 
 
+def _patch_window(period, nz):
+    """Both velocity components of a patch centred at x = 4 on a strip of
+    the given period, with h = 1/16 along x, at the faces |x - 4| < 2."""
+    dom = DomainSpec(DomainKind.STRIP, float(period))
+    grid = make_grid(dom, 16 * period, nz)
+    rho = make_density("patch", grid, dom, cx=4.0, cz=0.5, r_inner=0.1,
+                       r_outer=0.2)
+    u = solve_buoyancy(rho).u
+    faces = np.arange(grid.nx) * grid.hx
+    return (u.u1.values[np.abs(faces - 4.0) < 2.0],
+            u.u2.values[np.abs(faces + 0.5 * grid.hx - 4.0) < 2.0])
+
+
+@pytest.mark.parametrize("nz", [16, 32])
+def test_strip_window_sees_its_periodic_images_at_the_papkovich_fadle_rate(nz):
+    # the strip stands in for R x (0, 1): a window's velocity differs
+    # between periods 8 and 16 only through the period-8 images, whose
+    # nearest edge (radius 0.2 around x = 12 or -4) lies d = 5.8 from the
+    # window, and the clamped channel's response decays like
+    # exp(-Re(lambda) d), Re(lambda) = 4.2124 (first Papkovich-Fadle root)
+    near, far = _patch_window(8, nz), _patch_window(16, nz)
+    sup = max(np.abs(a).max() for a in near)
+    diff = max(np.abs(a - b).max() for a, b in zip(near, far))
+    ratio = diff / sup / np.exp(-4.2124 * 5.8)
+    assert 0.1 <= ratio <= 10.0
+
+
 def _assert_strip_agrees(force, config):
     got, want = solve_stokes_strip(force, config), ref.solve_stokes_strip(force, config)
     for a, b in ((got.u.u1.values, want.u.u1.values),
