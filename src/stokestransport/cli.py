@@ -12,8 +12,9 @@ multiple of the strip period for picard, stability and norms; uloc,
 sweep_fields or the channel profile on the rectangle; a nonzero flux in
 a closed box) is a configuration error.  A run writes the resolved key
 set, as text, to resolved.ini beside the outputs and prints a short
-summary block.  Numeric output uses 17 significant digits so values
-round-trip through text exactly.
+summary block.  Every CSV and key=value file goes through one cell
+formatter, ``_fmt``: a number to 17 significant digits, so that it reads
+back as the same double, a string as it is, None as an empty cell.
 
 Exit codes: 0 success, 1 solver failure (a failed solve gate, a Picard
 divergence, a singular factor, a failed ledger family), 2 configuration
@@ -52,16 +53,10 @@ from .norms import (
 )
 from .scenarios import SCENARIOS, make_density
 from .snapshots import write_field
-from .stokes import (
-    StokesConfig,
-    flux_profile,
-    poiseuille,
-    solve_buoyancy,
-    solver_stats_text,
-)
+from .stokes import StokesConfig, flux_profile, poiseuille, solve_buoyancy
 from .transport import TransportConfig, _pull_back, integrate_flow, write_flowmap
 
-__all__ = ["main", "emit_series", "ConfigError"]
+__all__ = ["main", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -69,24 +64,24 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    """The one cell formatter of every output file and summary line."""
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
+
+
+def _row(cells) -> str:
+    return ",".join(map(_fmt, cells)) + "\n"
 
 
 _SERIES_COLUMNS = ("t", "rho_l2", "rho_linf", "u_linf", "u_h1", "flux",
                    "potential_energy")
-_SERIES_HEADER = ",".join(_SERIES_COLUMNS) + "\n"
 
 
-def _series_row(state) -> str:
-    row = [state.t] + [state.norms[c] for c in _SERIES_COLUMNS[1:]]
-    return ",".join(_fmt(v) for v in row) + "\n"
-
-
-def emit_series(states) -> str:
-    """Render a state series as CSV with the fixed column order."""
-    if not states:
-        raise ValueError("history must be non-empty")
-    return _SERIES_HEADER + "".join(_series_row(s) for s in states)
+def _series_cells(state) -> tuple:
+    return (state.t, *(state.norms[c] for c in _SERIES_COLUMNS[1:]))
 
 
 class _Output:
@@ -94,8 +89,9 @@ class _Output:
 
     Opening it makes ``out`` and its missing parents one level at a time and
     records each; an ``OSError`` there is a configuration error.  ``file``
-    names and records a file of the run.  ``discard`` removes every recorded
-    file, then the directories it made, deepest first.
+    names and records a file of the run; ``table`` and ``keys`` write one.
+    ``discard`` removes every recorded file, then the directories it made,
+    deepest first.
     """
 
     def __init__(self, out: str):
@@ -121,6 +117,17 @@ class _Output:
         self._files.append(self.dir / name)
         return self._files[-1]
 
+    def table(self, name: str, header, rows) -> None:
+        """Write a CSV file: the header row (none if None), then the rows."""
+        with open(self.file(name), "w") as fh:
+            if header is not None:
+                fh.write(_row(header))
+            fh.writelines(map(_row, rows))
+
+    def keys(self, name: str, pairs) -> None:
+        """Write one ``key=value`` line per pair."""
+        self.file(name).write_text("".join(f"{k}={_fmt(v)}\n" for k, v in pairs))
+
     def discard(self) -> None:
         for path in self._files:
             path.unlink(missing_ok=True)
@@ -143,13 +150,13 @@ class _MarchWriter:
         self.count = 0
         self.norms = None
         self._series = open(out.file("series.csv"), "w")
-        self._series.write(_SERIES_HEADER)
+        self._series.write(_row(_SERIES_COLUMNS))
 
     def append(self, state) -> None:
         k = self.count
         if self._every and k % self._every == 0:
             write_field(self._out.file(f"rho_{k:06d}.stf"), state.rho)
-        self._series.write(_series_row(state))
+        self._series.write(_row(_series_cells(state)))
         self.count = k + 1
         self.norms = state.norms
 
@@ -349,9 +356,10 @@ def _cmd_stokes(cfg: dict, out: _Output) -> list[str]:
     write_field(out.file("u2.stf"), sol.u.u2)
     write_field(out.file("p.stf"), sol.p)
     prof = flux_profile(sol.u)
-    rows = ["index,flux", *(f"{i},{_fmt(v)}" for i, v in enumerate(prof))]
-    out.file("flux.csv").write_text("\n".join(rows) + "\n")
-    out.file("summary.txt").write_text(solver_stats_text(sol))
+    out.table("flux.csv", ("index", "flux"), enumerate(prof))
+    flux = [] if sol.flux is None else [("flux", sol.flux)]
+    out.keys("summary.txt", [*sorted(sol.stats.items()), ("residual", sol.residual_norm),
+                             *flux, ("pressure_slope", sol.pressure_slope)])
     return [f"residual = {_fmt(sol.residual_norm)}",
             f"flux = {_fmt(prof[0])}",
             f"pressure_slope = {_fmt(sol.pressure_slope)}"]
@@ -369,12 +377,9 @@ def _cmd_transport(cfg: dict, out: _Output) -> list[str]:
     write_field(out.file("rho0.stf"), rho0)
     write_field(out.file("rho_final.stf"), rho_T)
     write_flowmap(out.file("flowmap.stf"), fm)
-    rows = ["t,rho_l2,rho_linf"]
-    for t, r in ((0.0, rho0), (T, rho_T)):
-        rows.append(f"{_fmt(t)},{_fmt(lq_norm(r, 2))},{_fmt(lq_norm(r, np.inf))}")
-    out.file("transport.csv").write_text("\n".join(rows) + "\n")
-    return [f"rho_linf(0) = {_fmt(lq_norm(rho0, np.inf))}",
-            f"rho_linf(T) = {_fmt(lq_norm(rho_T, np.inf))}"]
+    rows = [(t, lq_norm(r, 2), lq_norm(r, np.inf)) for t, r in ((0.0, rho0), (T, rho_T))]
+    out.table("transport.csv", ("t", "rho_l2", "rho_linf"), rows)
+    return [f"rho_linf(0) = {_fmt(rows[0][2])}", f"rho_linf(T) = {_fmt(rows[1][2])}"]
 
 
 def _cmd_simulate(cfg: dict, out: _Output) -> list[str]:
@@ -398,12 +403,10 @@ def _cmd_picard(cfg: dict, out: _Output) -> list[str]:
     states, trace = picard_solve(rho0, T=cfg["t_final"],
                                  n_time_nodes=cfg["n_time_nodes"],
                                  tol=cfg["tol"], max_picard=cfg["max_picard"])
-    rows = ["N,delta,ratio"]
-    for i, d in enumerate(trace.diffs):
-        ratio = "" if i == 0 else _fmt(trace.diffs[i] / trace.diffs[i - 1])
-        rows.append(f"{i},{_fmt(d)},{ratio}")
-    out.file("picard.csv").write_text("\n".join(rows) + "\n")
-    out.file("series.csv").write_text(emit_series(states))
+    d = trace.diffs
+    out.table("picard.csv", ("N", "delta", "ratio"),
+              [(i, d[i], d[i] / d[i - 1] if i else None) for i in range(len(d))])
+    out.table("series.csv", _SERIES_COLUMNS, map(_series_cells, states))
     return [f"converged = {trace.converged}",
             f"iterations = {trace.iterations}",
             f"B = {_fmt(trace.B)}",
@@ -417,8 +420,7 @@ def _cmd_stability(cfg: dict, out: _Output) -> list[str]:
     rho2 = _build_density(cfg, grid, dom, key="scenario2")
     rep = stability_experiment(rho1, rho2, T=cfg["t_final"], dt=cfg["dt"])
     col = "abs_diff" if rep.absolute else "G"
-    rows = [f"t,{col}", *(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(rep.times, rep.values))]
-    out.file("stability.csv").write_text("\n".join(rows) + "\n")
+    out.table("stability.csv", ("t", col), zip(rep.times, rep.values))
     return [f"mode = {rep.mode}", f"absolute = {rep.absolute}",
             f"slope = {_fmt(rep.slope)}",
             f"initial_diff = {_fmt(rep.initial_diff)}"]
@@ -431,15 +433,14 @@ def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
     sweep_n = cfg["sweep_fields"]
     part = Partition(grid, dom) if want_uloc or sweep_n else None
 
-    rows = [f"l1,{_fmt(lq_norm(field, 1))}", f"l2,{_fmt(lq_norm(field, 2))}",
-            f"linf,{_fmt(lq_norm(field, np.inf))}", f"h1,{_fmt(h1_norm(field))}",
-            f"hneg1,{_fmt(hneg1_norm(field))}"]
-    summary = [f"l2 = {_fmt(lq_norm(field, 2))}"]
+    rows = [("l1", lq_norm(field, 1)), ("l2", lq_norm(field, 2)),
+            ("linf", lq_norm(field, np.inf)), ("h1", h1_norm(field)),
+            ("hneg1", hneg1_norm(field))]
+    summary = [f"l2 = {_fmt(rows[1][1])}"]
     if want_uloc:
         reps = [uloc_norm(field, m, part) for m in (-1, 0, 1)]
-        rows.extend(rep.to_csv_row() for rep in reps)
-        web = window_energy_bound(field, 1, part)
-        rows.append(f"window_energy_n1,{_fmt(web.left)}")
+        rows.extend((rep.name, rep.value, *rep.per_window) for rep in reps)
+        rows.append(("window_energy_n1", window_energy_bound(field, 1, part).left))
         summary.append(f"uloc_l2 = {_fmt(reps[1].value)}")
     sweep_worst = None
     if sweep_n:
@@ -456,31 +457,24 @@ def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
                 sweep_worst = max(sweep_worst, rep.value / plain)
         summary.append(f"sweep_ratio_max = {_fmt(sweep_worst)} (C_chi = {_fmt(C_CHI)})")
 
-    out.file("norms.csv").write_text("\n".join(rows) + "\n")
+    out.table("norms.csv", None, rows)
     if sweep_worst is not None:
-        out.file("sweep.txt").write_text(
-            f"fields={sweep_n}\nratio_max={_fmt(sweep_worst)}\n"
-            f"c_chi={_fmt(C_CHI)}\n")
+        out.keys("sweep.txt", [("fields", sweep_n), ("ratio_max", sweep_worst),
+                               ("c_chi", C_CHI)])
     return summary
 
 
 def _cmd_ledger(cfg: dict, out: _Output) -> list[str]:
     families = cfg["families"]
     rng = np.random.default_rng(cfg["seed"])
-    rows = ["family,verdict,C0,k0,bound"]
-    n_pass = 0
+    rows = []
     for i in range(families):
         led = random_ledger(cfg["recursion_c"], cfg["datum_f"],
                             range(1, cfg["n_max"] + 1), rng)
         res = energy_ledger_check(led)
-        if res.verdict == "pass":
-            n_pass += 1
-        bound = "inf" if res.bound is not None and math.isinf(res.bound) \
-            else ("" if res.bound is None else _fmt(res.bound))
-        rows.append(f"{i},{res.verdict},"
-                    f"{'' if res.C0 is None else _fmt(res.C0)},"
-                    f"{'' if res.k0 is None else res.k0},{bound}")
-    out.file("ledger.csv").write_text("\n".join(rows) + "\n")
+        rows.append((i, res.verdict, res.C0, res.k0, res.bound))
+    out.table("ledger.csv", ("family", "verdict", "C0", "k0", "bound"), rows)
+    n_pass = sum(row[1] == "pass" for row in rows)
     if n_pass != families:
         raise RuntimeError(f"{families - n_pass} of {families} families failed")
     return [f"families = {families}", f"passed = {n_pass}"]

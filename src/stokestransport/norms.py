@@ -310,12 +310,6 @@ class NormReport:
             if pw.size and self.value != float(pw.max()):
                 raise ValueError("report value must equal the window maximum")
 
-    def to_csv_row(self) -> str:
-        parts = [self.name, f"{self.value:.17g}"]
-        if self.per_window is not None:
-            parts.extend(f"{v:.17g}" for v in self.per_window)
-        return ",".join(parts)
-
 
 def _window_sq(f: ScalarField, m: int, part: Partition, pad: int) -> np.ndarray:
     """Squared (m, 2)-norm of chi_k * f for every window k, all windows in one batched sum.

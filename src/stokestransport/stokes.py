@@ -75,7 +75,6 @@ __all__ = [
     "poiseuille",
     "flux_profile",
     "momentum_residual",
-    "solver_stats_text",
 ]
 
 
@@ -447,13 +446,3 @@ def poiseuille(phi: float, grid: GridSpec, domain: DomainSpec) -> StokesSolution
     res = momentum_residual(u, p, None, pressure_slope=slope)
     return StokesSolution(u=u, p=p, residual_norm=res, flux=_column_flux(u, 0),
                           pressure_slope=slope, stats={"solver": "closed-form"})
-
-
-def solver_stats_text(sol: StokesSolution) -> str:
-    """Plain key=value block describing a solve."""
-    lines = [f"{k}={sol.stats[k]}" for k in sorted(sol.stats)]
-    lines.append(f"residual={sol.residual_norm:.17g}")
-    if sol.flux is not None:
-        lines.append(f"flux={sol.flux:.17g}")
-    lines.append(f"pressure_slope={sol.pressure_slope:.17g}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,12 @@
 """Golden end-to-end outputs of the seven CLI commands on small grids.
 
 ``CASES`` names each run: a subcommand, the body of its INI section and its
-extra flags.  ``PYTHONPATH=src python3 tests/_golden.py`` writes every
-case's output directory to ``tests/golden/<case>/``, replacing what is
-there; ``tests/test_golden.py`` runs the cases again and compares the two
-directories with ``compare_dirs``.
+extra flags.  ``PYTHONPATH=src python3 tests/_golden.py [DIR]`` writes every
+case's output directory to ``DIR/<case>/`` (by default ``tests/golden/``),
+replacing what is there; ``tests/test_golden.py`` runs the cases again and
+compares the two directories with ``compare_dirs``.  Writing the cases of
+two checkouts to two directories and comparing them with ``diff -r`` shows
+whether a change moves any output byte.
 
 Strings and integers must match exactly.  Floats must match to ``RTOL``
 times the largest float magnitude of their file, not of their column: the
@@ -147,9 +149,10 @@ def compare_dirs(got: Path, want: Path) -> list[str]:
     return problems
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else GOLDEN
     for name in CASES:
-        out = GOLDEN / name
+        out = root / name
         shutil.rmtree(out, ignore_errors=True)
         code = run_case(name, out)
         if code != 0:
@@ -159,4 +162,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,7 +1,6 @@
 import configparser
 import csv
 import gc
-import io
 import os
 import platform
 import subprocess
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokestransport import cli, coupling
-from stokestransport.coupling import LedgerCheckResult, time_march
+from stokestransport.coupling import LedgerCheckResult, picard_solve, time_march
 from stokestransport.domain import DomainKind, DomainSpec, ScalarField, make_grid
 from stokestransport.norms import Partition, _windowed_plain, lq_norm, uloc_norm
 from stokestransport.scenarios import make_density
@@ -46,38 +45,44 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-class TestEmitSeries:
-    def _states(self, strip, n=3):
+class TestSeriesFile:
+    """``series.csv`` of ``simulate`` and of ``picard``: one header, and
+    cells that read back as the library's doubles for the same config."""
+
+    _CFG = "domain = strip\nx_extent = 8\nnx = 64\nnz = 16\nt_final = 0.3\n"
+
+    def _runs(self, tmp_path, strip, scenario):
         dom, grid = strip
-        rho0 = make_density("stratified", grid, dom)
-        return time_march(rho0, T=0.1 * n, dt=0.1)
+        rho0 = make_density(scenario, grid, dom)
+        runs = {"simulate": ("dt = 0.1\n", time_march(rho0, T=0.3, dt=0.1)),
+                "picard": ("n_time_nodes = 4\n",
+                           picard_solve(rho0, T=0.3, n_time_nodes=4)[0])}
+        files = {}
+        for cmd, (extra, states) in runs.items():
+            out = tmp_path / cmd
+            cfg = write_cfg(tmp_path, f"[{cmd}]\nscenario = {scenario}\n"
+                            + self._CFG + extra, name=f"{cmd}.ini")
+            assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 0
+            files[cmd] = (read_csv(out / "series.csv"), states)
+        return files
 
-    def test_header_and_row_count(self, strip):
-        states = self._states(strip)
-        text = cli.emit_series(states)
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["t", "rho_l2", "rho_linf", "u_linf", "u_h1",
-                           "flux", "potential_energy"]
-        assert len(rows) == len(states) + 1
+    def test_header_and_row_count(self, tmp_path, strip):
+        for rows, states in self._runs(tmp_path, strip, "stratified").values():
+            assert rows[0] == ["t", "rho_l2", "rho_linf", "u_linf", "u_h1",
+                               "flux", "potential_energy"]
+            assert len(rows) == len(states) + 1
 
-    def test_roundtrip_precision(self, strip):
-        # %.17g output must parse back to the exact stored double
-        states = self._states(strip)
-        rows = list(csv.reader(io.StringIO(cli.emit_series(states))))
-        for state, row in zip(states, rows[1:]):
-            assert float(row[0]) == state.t
-            assert float(row[1]) == state.norms["rho_l2"]
-            assert float(row[5]) == state.norms["flux"]
+    def test_roundtrip_precision(self, tmp_path, strip):
+        # 17 significant digits parse back to the exact stored double
+        runs = self._runs(tmp_path, strip, "stratified_perturbed")
+        for rows, states in runs.values():
+            for state, row in zip(states, rows[1:], strict=True):
+                want = [state.t] + [state.norms[c] for c in rows[0][1:]]
+                assert [float(v) for v in row] == want
 
-    def test_linf_column_constant(self, strip):
-        states = self._states(strip, n=5)
-        rows = list(csv.reader(io.StringIO(cli.emit_series(states))))
-        vals = {row[2] for row in rows[1:]}
-        assert len(vals) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cli.emit_series([])
+    def test_linf_column_constant(self, tmp_path, strip):
+        for rows, _ in self._runs(tmp_path, strip, "stratified").values():
+            assert len({row[2] for row in rows[1:]}) == 1
 
 
 class TestStokesCommand:
@@ -100,6 +105,24 @@ class TestStokesCommand:
         for name in ("u1.stf", "u2.stf", "p.stf", "flux.csv",
                      "summary.txt", "resolved.ini"):
             assert (out / name).exists()
+
+    @pytest.mark.parametrize("domain, x_extent", [("rectangle", 1), ("strip", 8)])
+    def test_summary_holds_the_solve_stats(self, tmp_path, domain, x_extent):
+        # the solver's stats by key, then the residual, the strip's flux
+        # and the pressure slope
+        out = tmp_path / domain
+        cfg = write_cfg(tmp_path, f"[stokes]\ndomain = {domain}\nx_extent = {x_extent}\n"
+                                  "nx = 32\nnz = 16\nproblem = buoyancy\n")
+        assert cli.main(["stokes", "--config", cfg, "--out", str(out)]) == 0
+        pairs = [line.split("=") for line in (out / "summary.txt").read_text().splitlines()]
+        keys = [k for k, _ in pairs]
+        flux = ["flux"] if domain == "strip" else []
+        assert keys[-2 - len(flux):] == ["residual", *flux, "pressure_slope"]
+        values = dict(pairs)
+        if domain == "rectangle":
+            assert values["capacitance"] == str(2 * (32 + 16 - 2))
+            assert values["solver"] == "transform-capacitance"
+        assert float(values["residual"]) <= 1e-10
 
     def test_large_flux_passes_the_residual_gate(self, tmp_path):
         # the residual of a flux-driven solve grows with the flux
@@ -574,6 +597,18 @@ class TestOtherCommands:
         rows = read_csv(out / "norms.csv")
         names = {r[0] for r in rows}
         assert {"l1", "l2", "linf", "h1", "hneg1"} <= names
+
+    def test_norms_uloc_rows(self, tmp_path):
+        # each uloc row: its name, its value, then one cell per window of
+        # the period; the value is the largest window
+        out = tmp_path / "no"
+        cfg = write_cfg(tmp_path, "[norms]\n" + _STRIP_NORMS + "uloc = 1\n")
+        assert cli.main(["norms", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r for r in read_csv(out / "norms.csv") if r[0].startswith("uloc_")]
+        assert [r[0] for r in rows] == ["uloc_hneg1", "uloc_l2", "uloc_h1"]
+        for row in rows:
+            assert len(row) == 2 + 8
+            assert float(row[1]) == max(float(v) for v in row[2:])
 
     def test_norms_overflow_exits_1_and_writes_nothing(self, tmp_path):
         # every sample is finite, but the dual-norm sum of 1e200 is not

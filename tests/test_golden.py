@@ -4,6 +4,7 @@
 that regenerates ``tests/golden/``.
 """
 
+import configparser
 import shutil
 
 import numpy as np
@@ -18,6 +19,42 @@ def test_outputs_match_golden(name, tmp_path):
     out = tmp_path / name
     assert _golden.run_case(name, out) == 0
     assert _golden.compare_dirs(out, _golden.GOLDEN / name) == []
+    assert _format_problems(out) == []
+
+
+def _format_problems(out):
+    """Cells of the run's CSV and key=value files outside the one format.
+
+    Every number is written as ``format(x, ".17g")``, and every CSV row has
+    as many cells as its header.  ``norms.csv`` has no header: its rows
+    hold a name and a value, and a uloc row one more cell per window of the
+    period.  ``resolved.ini`` echoes the config's text and is not checked.
+    """
+    problems = []
+    for path in sorted(out.iterdir()):
+        if path.suffix not in (".csv", ".txt"):
+            continue
+        lines = path.read_text().splitlines()
+        if path.suffix == ".txt":
+            cells = [line.split("=", 1)[1] for line in lines]
+        else:
+            rows = [line.split(",") for line in lines]
+            widths = {len(rows[0])}
+            if path.name == "norms.csv":
+                ini = configparser.ConfigParser()
+                ini.read(out / "resolved.ini")
+                widths = {2, 2 + round(float(ini["norms"]["x_extent"]))}
+            problems += [f"{path.name}: {len(r)} cells in {r}" for r in rows
+                         if len(r) not in widths]
+            cells = [c for r in rows for c in r]
+        for cell in cells:
+            try:
+                x = float(cell)
+            except ValueError:
+                continue
+            if cell != format(x, ".17g"):
+                problems.append(f"{path.name}: {cell!r}")
+    return problems
 
 
 def test_comparison_sees_a_small_change(tmp_path):

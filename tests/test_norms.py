@@ -513,14 +513,6 @@ class TestNormReport:
         with pytest.raises(ValueError):
             NormReport(name="uloc_l2", value=2.0, per_window=(1.0, 3.0))
 
-    def test_csv_row_shape(self, strip):
-        rep = NormReport(name="uloc_l2", value=3.0, per_window=(1.0, 3.0))
-        parts = rep.to_csv_row().split(",")
-        # name, value, then one field per window
-        assert parts[0] == "uloc_l2"
-        assert float(parts[1]) == 3.0
-        assert len(parts) == 4
-
 
 class TestWindowEnergy:
     def test_unit_field_left_is_sqrt_2n(self, strip):

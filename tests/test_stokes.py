@@ -32,7 +32,6 @@ from stokestransport.stokes import (
     solve_buoyancy,
     solve_stokes_bounded,
     solve_stokes_strip,
-    solver_stats_text,
 )
 
 
@@ -158,8 +157,6 @@ class TestManufactured:
         recomputed = momentum_residual(sol.u, sol.p, force,
                                        pressure_slope=sol.pressure_slope)
         assert recomputed == pytest.approx(sol.residual_norm, rel=1e-9, abs=1e-13)
-        text = solver_stats_text(sol)
-        assert "residual" in text and "=" in text
 
 
 class TestPinnedPressure:
@@ -186,7 +183,6 @@ class TestPinnedPressure:
         sol = solve_buoyancy(rho)
         assert sol.stats["capacitance"] == 2 * 63 + 2 * 63
         assert sol.stats["unknowns"] == 63 * 64 + 64 * 63 + 64 * 64
-        assert f"capacitance={sol.stats['capacitance']}" in solver_stats_text(sol)
 
     @pytest.mark.parametrize("nx, nz", [(1024, 16), (16, 1024)])
     def test_factor_size_is_the_grid_plus_the_smaller_wall_family(self, nx, nz):
@@ -353,6 +349,48 @@ def test_strip_window_sees_its_periodic_images_at_the_papkovich_fadle_rate(nz):
     diff = max(np.abs(a - b).max() for a, b in zip(near, far))
     ratio = diff / sup / np.exp(-4.2124 * 5.8)
     assert 0.1 <= ratio <= 10.0
+
+
+def _band_decay_rates(nz, split):
+    """The two decay rates of u2 along the strip away from a density band.
+
+    The band is 1 wide, |x - 8| < 0.5, on a strip of period 16 with
+    h = 1/nz; z-uniform, or +1 above z = 0.5 over -1 below when ``split``.
+    u2 is sampled at the centres 1.5 <= x - 8 <= 5.5 (4.0 when split) on
+    z-face row nz/2 (nz/4 when split), and two modes are fitted by matrix
+    pencil: pencil parameter half the sample count, SVD cut to rank 2.
+    """
+    period = 16.0
+    dom = DomainSpec(DomainKind.STRIP, period)
+    grid = make_grid(dom, 16 * nz, nz)
+    x = (np.arange(grid.nx) + 0.5) * grid.hx - period / 2
+    z = (np.arange(nz) + 0.5) * grid.hz
+    band = (np.abs(x) < 0.5)[:, None] * np.where(z > 0.5, 1.0, -1.0 if split else 1.0)
+    u2 = solve_buoyancy(ScalarField(grid, dom, band)).u.u2.values
+    y = u2[(x >= 1.5) & (x <= (4.0 if split else 5.5)), nz // 4 if split else nz // 2]
+    n = len(y)
+    hankel = np.array([y[i:i + n // 2 + 1] for i in range(n - n // 2)])
+    v = np.linalg.svd(hankel)[2][:2].T
+    zs = np.linalg.eigvals(np.linalg.pinv(v[:-1]) @ v[1:]).astype(complex)
+    return -np.log(zs) / grid.hx
+
+
+@pytest.mark.parametrize("split, rate", [(False, 4.2124 + 2.2507j),
+                                         (True, 7.4977 + 2.7687j)],
+                         ids=["uniform_band", "split_band"])
+def test_strip_response_decays_at_the_complex_papkovich_fadle_rate(split, rate):
+    # the clamped channel's response to a localised forcing decays like
+    # exp(-lambda |x|), lambda / 2 a root of sin 2mu + 2mu = 0 (a z-uniform
+    # band) or sin 2mu - 2mu = 0 (a band odd about z = 1/2); the fit sees
+    # the complex-conjugate pair and converges to it at second order
+    errs = []
+    for nz in (16, 32, 64):
+        fit = _band_decay_rates(nz, split)
+        assert abs(fit[0].imag) > 1.0
+        assert fit[0] == pytest.approx(np.conj(fit[1]), rel=1e-8)
+        errs.append(abs(fit[np.argmax(fit.imag)] - rate) / abs(rate))
+    assert errs[1] < 0.01
+    assert errs[0] >= 3.0 * errs[1] and errs[1] >= 3.0 * errs[2], errs
 
 
 def _assert_strip_agrees(force, config):

@@ -122,9 +122,9 @@ def push_forward(rho0, u, t, config):
 
 def test_march_step_peak_memory():
     # one warm march step on a 128 x 128 strip: integrate, compose and pull
-    # back.  RK4 stages let their located cells go once read, the samplers
-    # blend one gathered corner pair at a time and the centre stage is kept
-    # per axis, so the step peaks at about 15 field arrays above its inputs
+    # back.  RK4 stages let their located cells go once read and the
+    # samplers blend one gathered corner pair at a time, so the step peaks
+    # at about 15 field arrays above its inputs
     dom = DomainSpec(DomainKind.STRIP, 8.0)
     grid = make_grid(dom, 128, 128)
     rho0 = make_density("stratified_perturbed", grid, dom, eps=0.05)
