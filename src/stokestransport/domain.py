@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +91,15 @@ class GridSpec:
 
 
 def make_grid(domain: DomainSpec, nx: int, nz: int) -> GridSpec:
-    """Build the uniform grid; nx and nz must both be >= 8."""
+    """Build the uniform grid; nx and nz must both be >= 8 and 1 / h^2 finite."""
     nx, nz = int(nx), int(nz)
     if nx < 8 or nz < 8:
         raise ValueError(f"grid must have nx, nz >= 8, got {nx} x {nz}")
-    return GridSpec(nx=nx, nz=nz, hx=domain.x_extent / nx, hz=1.0 / nz)
+    grid = GridSpec(nx=nx, nz=nz, hx=domain.x_extent / nx, hz=1.0 / nz)
+    # the MAC stencils weigh by 1 / h^2
+    if not all(h * h > 0.0 and math.isfinite(1.0 / (h * h)) for h in (grid.hx, grid.hz)):
+        raise ValueError(f"cell width {grid.hx!r} x {grid.hz!r} is too small: 1 / h^2 overflows")
+    return grid
 
 
 def x_centers(grid: GridSpec) -> np.ndarray:

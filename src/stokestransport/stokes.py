@@ -26,19 +26,22 @@ the strip the z transforms act on real samples, before the x rfft and after
 the x irfft, so one irfft inverts all three fields.
 
 On the rectangle the u1 rows at the z walls and the u2 rows at the x walls
-each have a 2 x 2 capacitance per sine mode along their walls; the larger
-family is eliminated by those inverses.  The box's two reflections make the
-Schur complement on the smaller family, 2(min(nx, nz) - 1) rows,
-block-diagonal in the sum and difference of its two walls times its even and
-odd wall modes; the four blocks are inverted once per grid.  The constant
-mode (0, 0) is 0, which fixes the pressure mean without a pin.  On the strip
-each wavenumber, zero included, keeps its own two u1 wall rows, so its
-capacitance is 2 x 2.  At the zero wavenumber gx = 0 and the constant u1
-mode is free: it is set to the prescribed volume flux in both free-slip
-passes, the constant part of the wall-corrected f1 is balanced by a linear
-pressure slope in x, stored separately from the periodic pressure samples
-(f = e_x gives u = 0 and slope 1), and u2 is 0, as continuity and the walls
-force.
+form two wall families, two rows per sine mode along their walls.  In the
+sum and difference of a mode's two walls the box's two reflections make
+each family's own capacitance diagonal and split the coupling between the
+families into four symmetry classes (mode parity times sum | difference),
+each a diagonal times a strided block of the free-slip response times a
+diagonal.  The larger family is eliminated by its diagonal; each class's
+Schur complement on the smaller family, about (min(nx, nz) - 1) / 2 rows,
+is inverted once per grid, and a solve is four small mat-vecs each way.
+The constant mode (0, 0) is 0, which fixes the pressure mean without a pin.
+On the strip each wavenumber, zero included, keeps its own two u1 wall
+rows, so its capacitance is 2 x 2.  At the zero wavenumber gx = 0 and the
+constant u1 mode is free: it is set to the prescribed volume flux in both
+free-slip passes, the constant part of the wall-corrected f1 is balanced by
+a linear pressure slope in x, stored separately from the periodic pressure
+samples (f = e_x gives u = 0 and slope 1), and u2 is 0, as continuity and
+the walls force.
 """
 
 from __future__ import annotations
@@ -200,16 +203,16 @@ class _RectFactor(NamedTuple):
     gx: np.ndarray      # (nx, 1) gradient symbol
     gz: np.ndarray      # (1, nz)
     inv: np.ndarray     # 1 / (gx^2 + gz^2), 0 for the constant mode
-    qx: np.ndarray      # (nx, 2) DCT-II of a unit in the first and last x cell
+    qx: np.ndarray      # (nx, 2) DCT-II of a unit in the first and last x cell, in _PAIR
     qz: np.ndarray      # (nz, 2)
-    rx: np.ndarray      # (2, nx) the two x wall-row corrections, in DCT-II
+    rx: np.ndarray      # (2, nx) the two x wall-row corrections in DCT-II, in _PAIR
     rz: np.ndarray      # (2, nz)
     elim: int           # the larger wall family, eliminated per mode: 0 u1, 1 u2
-    inv2x2: np.ndarray  # (m, 2, 2) its inverse 2 x 2 capacitance per mode
-    order: np.ndarray   # (2k,) the kept family's (mode, wall sum | difference) in block order
-    across: np.ndarray  # (2m, 2k) inv2x2 times the kept family's pull on it, block order
-    back: np.ndarray    # (2k, 2m) its pull on the kept family, block order
-    blocks: tuple       # the inverse Schur complement's four diagonal blocks
+    cap: np.ndarray     # (m, 2) its inverse capacitance per (mode, _PAIR entry)
+    classes: tuple      # per symmetry class: the eliminated and the kept family's
+                        # rows (slice, _PAIR entry), cap times the kept family's pull
+                        # on the other (across), the reverse pull (back) and the
+                        # inverse Schur block
 
 
 @functools.lru_cache(maxsize=4)
@@ -219,35 +222,42 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
     The capacitance I + V^T A_free^-1 U acts on wall forces in DST-I modes
     along each wall, a pair of walls per mode: I + r diag(w) q per mode within
     a family, as on the strip, and w12 * q * r entrywise across the families.
-    Reflecting the box across its midlines swaps a family's two walls and
-    flips the sign of its odd modes, so the Schur complement couples neither
-    the walls' sum with their difference nor even with odd modes: only its
-    four diagonal blocks in that basis are built and inverted.
+    The DCT-II of a unit in the last cell is (-1)^k times that of the first,
+    so in the sum and difference of the two walls (``_PAIR``) q and r keep
+    only the sum at an even mode k and the difference at an odd one.  Within
+    a family the capacitance is then diagonal.  Across the families the u1
+    rows of the x modes of parity a, on the walls' sum (b = 0) or difference
+    (b = 1), couple only to the u2 rows of the z modes of parity b, on the
+    sum (a = 0) or difference (a = 1).  Each of these four symmetry classes
+    keeps its coupling both ways, diag(q) w12[modes a, modes b] diag(r), and
+    the inverse of its Schur complement on the smaller family.
     """
     X, Z = _mac.axes(grid, False)
     gx, gz = _symbol(grid.nx, grid.hx)[:, None], _symbol(grid.nz, grid.hz)[None, :]
     lam = gx * gx + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    (qx, rx), (qz, rz) = _wall_modes(X, grid.hx), _wall_modes(Z, grid.hz)
+    q, r = zip(*((q @ _PAIR, _PAIR @ r)
+                 for q, r in (_wall_modes(X, grid.hx), _wall_modes(Z, grid.hz))))
     inv2 = inv * inv
-    w12 = (-gx * gz * inv2)[1:, 1:]
-    own = [np.eye(2) + (rz * (gz * gz * inv2)[1:, None, :]) @ qz,
-           np.eye(2) + (rx * (gx * gx * inv2).T[1:, None, :]) @ qx]
-    pull = [(r[None, :, 1:, None] * (w[:, None, :, None] * q[1:, None, None, :]))
-            .reshape(2 * len(w), -1) for r, w, q in ((rz, w12, qx), (rx, w12.T, qz))]
+    # each family's own capacitance, I + r diag(w) q per mode along the other axis
+    own = [1.0 + (gz * gz * inv2)[1:] @ (r[1].T * q[1]),
+           1.0 + (gx * gx * inv2).T[1:] @ (r[0].T * q[0])]
     e, k = int(grid.nz > grid.nx), int(grid.nz <= grid.nx)  # eliminated, kept
-    inv2x2, m = np.linalg.inv(own[e]), len(own[k])
-    across = np.einsum("nab,nbj->naj", inv2x2, pull[e].reshape(-1, 2, 2 * m))
-    # (mode, wall) -> (mode, sum | difference), then grouped by (sum |
-    # difference, mode parity); own[k] is diagonal in that basis
-    groups = [2 * np.arange(par, m, 2) + s for s in (0, 1) for par in (0, 1)]
-    order, ends = np.concatenate(groups), np.cumsum([len(g) for g in groups])
-    across = (across.reshape(-1, m, 2) @ _PAIR).reshape(-1, 2 * m)[:, order]
-    back = (_PAIR @ pull[k].reshape(m, 2, -1)).reshape(2 * m, -1)[order]
-    diag = np.einsum("ab,nbc,ca->na", _PAIR, own[k], _PAIR).ravel()[order]
-    blocks = tuple(np.linalg.inv(np.diag(diag[i:j]) - back[i:j] @ across[:, i:j])
-                   for i, j in zip((0, *ends[:-1]), ends))
-    return _RectFactor(gx, gz, inv, qx, qz, rx, rz, e, inv2x2, order, across, back, blocks)
+    cap, w12, classes = 1.0 / own[e], (-gx * gz * inv2)[1:, 1:], []
+    for par in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # family f's sine modes of parity par[f]: their q and r live in _PAIR
+        # entry par[f], and their rows in the class in entry par[1 - f]
+        modes = [slice(1 - p, None, 2) for p in par]
+        rows = [(modes[0], par[1]), (modes[1], par[0])]
+        qm = [q[f][1:, par[f]][modes[f]] for f in (0, 1)]
+        rm = [r[f][par[f], 1:][modes[f]] for f in (0, 1)]
+        w = w12[modes[0], modes[1]]
+        # pull[f]: the other family's wall forces on family f's rows
+        pull = [qm[0][:, None] * w * rm[1], qm[1][:, None] * w.T * rm[0]]
+        across = pull[e] * cap[rows[e]][:, None]
+        schur = np.linalg.inv(np.diag(own[k][rows[k]]) - pull[k] @ across)
+        classes.append((rows[e], rows[k], across, pull[k], schur))
+    return _RectFactor(gx, gz, inv, *q, *r, e, cap, tuple(classes))
 
 
 def _free_slip(fac: _RectFactor | _StripFactor, f1, f2, out=None):
@@ -289,18 +299,17 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
         dst1(dct(f.f1[1:-1], axis=1), axis=0, out=f1[1:])
     dct(dst1(f.f2[:, 1:-1], axis=1), axis=0, out=f2[:, 1:])
-    # free-slip solve, its no-slip defect per wall mode, the wall forces that
-    # cancel it (the kept family's by the Schur blocks), and the corrected solve
+    # free-slip solve, its no-slip defect per (wall mode, _PAIR entry), the
+    # wall forces that cancel it, class by class, and the corrected solve
     modes = _free_slip(fac, f1, f2)
-    d, e = [(fac.rz @ modes[0, 1:].T).T, (fac.rx @ modes[1, :, 1:]).T], fac.elim
-    de = np.einsum("nab,nb->na", fac.inv2x2, d[e]).ravel()
-    rhs = (d[1 - e] @ _PAIR).ravel()[fac.order] - fac.back @ de
-    parts = np.split(rhs, np.cumsum([len(b) for b in fac.blocks[:-1]]))
-    ck, kept = np.concatenate([b @ r for b, r in zip(fac.blocks, parts)]), np.empty_like(rhs)
-    kept[fac.order] = ck
-    c = {e: de - fac.across @ ck, 1 - e: (kept.reshape(-1, 2) @ _PAIR).ravel()}
-    f1[1:] -= c[0].reshape(nx - 1, 2) @ fac.qz.T
-    f2[:, 1:] -= fac.qx @ c[1].reshape(nz - 1, 2).T
+    d = [(fac.rz @ modes[0, 1:].T).T, (fac.rx @ modes[1, :, 1:]).T]
+    e, k = fac.elim, 1 - fac.elim
+    d[e] *= fac.cap
+    for ie, ik, across, back, schur in fac.classes:
+        d[k][ik] = schur @ (d[k][ik] - back @ d[e][ie])
+        d[e][ie] -= across @ d[k][ik]
+    f1[1:] -= d[0] @ fac.qz.T
+    f2[:, 1:] -= fac.qx @ d[1].T
     u1, u2, p = _free_slip(fac, f1, f2, modes)
     # the inverses run in place, u1 and p sharing the z inverse and u2 and p
     # the x inverse; row 0 of u1 and column 0 of u2 are padding and stay 0

@@ -332,6 +332,18 @@ class TestConfigErrors:
         assert not out.exists()
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, body", [
+        ("stokes", "problem = buoyancy\n"), ("simulate", "t_final = 0.5\ndt = 0.25\n")],
+        ids=["stokes", "simulate"])
+    def test_cell_width_whose_square_underflows_exits_2(self, tmp_path, capsys, cmd, body):
+        # hx^2 = 1.6e-602 rounds to 0, so the MAC stencil's 1 / h^2 is no number
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, f"[{cmd}]\ndomain = rectangle\nx_extent = 1e-300\n"
+                                  f"nx = 8\nnz = 8\n{body}")
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: cell width 1.25e-301" in capsys.readouterr().err
+
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
     @pytest.mark.parametrize("cmd", sorted(cli._COMMANDS))
     def test_out_at_or_under_a_file_exits_2(self, tmp_path, capsys, cmd, under):

@@ -55,6 +55,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(dom, 32, 4)
 
+    @pytest.mark.parametrize("x_extent", [1e-300, 1e-160])
+    def test_cell_width_whose_inverse_square_overflows(self, x_extent):
+        # 1 / hx^2 is 1 / 0 at the first width and inf at the second
+        with pytest.raises(ValueError, match="1 / h\\^2 overflows"):
+            make_grid(DomainSpec(DomainKind.RECTANGLE, x_extent), 8, 8)
+        assert make_grid(DomainSpec(DomainKind.RECTANGLE, 1e-150), 8, 8).hx == 1.25e-151
+
     def test_coordinate_arrays(self, rect):
         dom, grid = rect
         assert x_centers(grid)[0] == pytest.approx(grid.hx / 2)

@@ -185,16 +185,18 @@ class TestPinnedPressure:
         assert sol.stats["unknowns"] == 63 * 64 + 64 * 63 + 64 * 64
 
     @pytest.mark.parametrize("nx, nz", [(1024, 16), (16, 1024)])
-    def test_factor_size_is_the_grid_plus_the_smaller_wall_family(self, nx, nz):
+    def test_factor_holds_the_grid_and_the_smaller_wall_family(self, nx, nz):
         # the larger wall family is eliminated per mode, whichever it is, so
-        # the factor holds O(nx nz) doubles plus the four dense parity blocks
-        # of the Schur complement on the 2 (min(nx, nz) - 1) rows of the smaller one
+        # the factor holds O(nx nz) doubles (1 / lam and the four class
+        # couplings both ways) plus the Schur blocks on the 2 (min(nx, nz) - 1)
+        # rows of the smaller family; two dense 2m x 2k couplings would be 8 nx nz
         fac = stokes._rect_factor(make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz))
         small = 2 * (min(nx, nz) - 1)
-        assert len(fac.blocks) == 4 and all(b.shape == (len(b), len(b)) for b in fac.blocks)
-        assert sum(len(b) for b in fac.blocks) == small
-        held = sum(np.size(a) for a in (*fac[:-1], *fac.blocks))
-        assert held <= 12 * (nx * nz + small * small)
+        schur = [c[-1] for c in fac.classes]
+        assert len(schur) == 4 and sum(len(b) for b in schur) == small
+        held = sum(a.nbytes for a in (*fac, *(a for c in fac.classes for a in c))
+                   if isinstance(a, np.ndarray))
+        assert held <= 8 * 4 * (nx * nz + small * small)
 
 
 class TestWallRows:
@@ -218,20 +220,22 @@ class TestWallRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3e6
 
 
 class TestRectangleTransform:
     """The transform-and-capacitance solve against the SuperLU saddle solve."""
 
-    @pytest.mark.parametrize("x_extent, nx, nz", [(1.5, 24, 16), (1.0, 64, 64),
+    @pytest.mark.parametrize("x_extent, nx, nz", [(1.0, 8, 8), (1.5, 9, 8), (0.5, 8, 9),
+                                                   (1.5, 24, 16), (1.0, 64, 64),
                                                    (1.0, 128, 128), (6.0, 96, 16),
                                                    (1 / 6, 16, 96), (2.0, 33, 17),
                                                    (0.5, 17, 33)])
     def test_agrees_with_sparse_lu(self, x_extent, nx, nz):
-        # the wide and the tall box each eliminate a different wall family; a
-        # box whose smaller cell count is even has parity blocks one row
-        # apart in size, one whose count is odd (33 x 17, 17 x 33) equal ones
+        # the wide and the tall box each eliminate a different wall family,
+        # the square one the u1 rows; a box whose smaller cell count is even
+        # has symmetry classes one mode apart in size (three and four at 8
+        # cells, the fewest), one whose count is odd (33 x 17, 17 x 33) equal ones
         dom = DomainSpec(DomainKind.RECTANGLE, x_extent)
         grid = make_grid(dom, nx, nz)
         rng = np.random.default_rng(nx + nz)
@@ -248,16 +252,39 @@ class TestRectangleTransform:
             assert err <= 1e-10 * np.max(np.abs(want.p.values))
 
     @pytest.mark.parametrize("nx, nz", [(24, 16), (33, 17), (16, 96)])
-    def test_schur_complement_is_block_diagonal_in_the_parity_basis(self, nx, nz):
-        # the off-block couplings that the four inverted blocks leave out are
-        # rounding next to the kept ones
-        fac = stokes._rect_factor(make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz))
-        coupling = np.abs(fac.back @ fac.across)
-        ends = np.cumsum([len(b) for b in fac.blocks])
-        off = np.ones(coupling.shape, dtype=bool)
-        for i, j in zip((0, *ends[:-1]), ends):
-            off[i:j, i:j] = False
-        assert np.max(coupling[off]) <= 1e-14 * np.max(coupling)
+    def test_wall_families_couple_only_within_the_four_symmetry_classes(self, nx, nz):
+        # each wall family's dense coupling to the other, an outer product of
+        # the wall modes and w12 over (mode, wall) x (mode, wall) turned to the
+        # walls' sum and difference, splits into 16 blocks by the mode parity
+        # and the sum | difference of its rows and columns; the twelve whose
+        # rows' entry is not the columns' parity, or the columns' entry not the
+        # rows' parity, are rounding, and the factor keeps the other four
+        grid = make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz)
+        X, Z = _mac.axes(grid, False)
+        (qx, rx), (qz, rz) = stokes._wall_modes(X, grid.hx), stokes._wall_modes(Z, grid.hz)
+        gx, gz = stokes._symbol(nx, grid.hx)[1:, None], stokes._symbol(nz, grid.hz)[None, 1:]
+        w12 = -gx * gz / (gx * gx + gz * gz) ** 2
+        pair = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        dense = [np.einsum("ab,kbjc,cd->kajd", pair,
+                           r[None, :, 1:, None] * w[:, None, :, None] * q[1:, None, None, :], pair)
+                 for r, w, q in ((rz, w12, qx), (rx, w12.T, qz))]
+        for d in dense:
+            # mode parity a, sum | difference s of the rows; b, t of the columns
+            for a, s, b, t in np.ndindex(2, 2, 2, 2):
+                if (s, t) != (b, a):
+                    block = d[1 - a::2, s][:, 1 - b::2, t]
+                    assert np.max(np.abs(block)) <= 1e-14 * np.max(np.abs(d))
+        fac = stokes._rect_factor(grid)
+        e, k = fac.elim, 1 - fac.elim
+        for side in (0, 1):  # the classes' rows of the eliminated, the kept family
+            rows = {(c[side][0].start, c[side][1]) for c in fac.classes}
+            assert rows == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for ie, ik, across, back, _ in fac.classes:
+            for f, rows, cols, got in ((e, ie, ik, across / fac.cap[ie][:, None]),
+                                       (k, ik, ie, back)):
+                assert rows[1] == 1 - cols[0].start and cols[1] == 1 - rows[0].start
+                want = dense[f][rows][:, cols[0], cols[1]]
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name, n, h", [("x", 24, 1.5 / 24), ("z", 16, 1.0 / 16),
                                             ("strip", 32, 8.0 / 32)])
