@@ -230,11 +230,11 @@ def _velocity(tables, nz, stage):
 
 @functools.lru_cache(maxsize=4)
 def center_points(nx, nz, hx, hz):
-    """Read-only flat (px, pz) of all cell centres, x-major order."""
-    px = np.repeat((np.arange(nx) + 0.5) * hx, nz)
-    pz = np.tile((np.arange(nz) + 0.5) * hz, nx)
-    px.flags.writeable = pz.flags.writeable = False
-    return px, pz
+    """Read-only (2, nx * nz) stack of the cell centres' x and z, x-major."""
+    p = np.stack((np.repeat((np.arange(nx) + 0.5) * hx, nz),
+                  np.tile((np.arange(nz) + 0.5) * hz, nx)))
+    p.flags.writeable = False
+    return p
 
 
 def _as_points(px, pz):
@@ -255,21 +255,20 @@ def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
 
 
 def sample_center(c, px, pz, hx, hz, periodic, Lx):
-    """Cell-centered data at points; an (nx, nz, k) array samples every
-    channel from one set of weights and returns shape px.shape + (k,)."""
+    """Cell-centered data at points.  c is one (nx, nz) field or any stack
+    of them, (..., nx, nz); every field is sampled from one set of weights
+    and the result has shape c.shape[:-2] + px.shape."""
     px, pz = _as_points(px, pz)
     q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
     q -= 0.5
     w -= 0.5
-    idx, tx, tz = _cells(q, w, c.shape[1])
-    channels = [c] if c.ndim == 2 else [c[:, :, k] for k in range(c.shape[2])]
-    out = np.empty((len(channels), q.size))
-    for k, ch in enumerate(channels):
-        _hull_sample(_corners(_padded(ch, periodic), c.shape[1]), idx, tz,
-                     tx, out[k])
-    if c.ndim == 2:
-        return out[0].reshape(px.shape)
-    return np.moveaxis(out.reshape((-1,) + px.shape), 0, -1)
+    idx, tx, tz = _cells(q, w, c.shape[-1])
+    fields = c.reshape((-1,) + c.shape[-2:])
+    out = np.empty((len(fields), q.size))
+    for f, o in zip(fields, out):
+        _hull_sample(_corners(_padded(f, periodic), c.shape[-1]), idx, tz,
+                     tx, o)
+    return out.reshape(c.shape[:-2] + px.shape)
 
 
 def rk4_step(px, pz, h, va, vb, vc, nz, hx, hz, periodic, Lx):

@@ -55,7 +55,7 @@ import numpy as np
 from .domain import ScalarField, VelocityField, z_centers
 from .norms import (Partition, _velocity_sup, grad_inf_norm, h1_norm,
                     hneg1_norm, lq_norm, uloc_norm)
-from .stokes import _column_flux, solve_buoyancy
+from .stokes import flux_profile, solve_buoyancy
 from .transport import (
     FlowMap,
     TransportConfig,
@@ -125,8 +125,8 @@ def _make_state(t: float, rho: ScalarField, u: VelocityField) -> SimulationState
         "rho_linf": lq_norm(rho, np.inf),
         "u_linf": _velocity_sup(u),
         "u_h1": h1_norm(u),
-        "flux": _column_flux(u, 0 if rho.domain.periodic
-                             else len(u.u1.values) // 2),
+        "flux": float(flux_profile(u)[0 if rho.domain.periodic
+                                      else len(u.u1.values) // 2]),
         "potential_energy": _potential_energy(rho),
     }
     return SimulationState(t=float(t), rho=rho, norms=norms)
@@ -190,7 +190,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         # node 0 is rho0 through the identity map: its solve is kept and
         # its difference is zero
         back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
-                       displacement=np.zeros((g.nx, g.nz, 2)))
+                       displacement=np.zeros((2, g.nx, g.nz)))
         for i in range(1, n):
             # interval i runs from times[i] back to times[i - 1]; its last
             # stage time can round to just below times[i - 1], where the
@@ -250,7 +250,7 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
 
     hmin = min(g.hx, g.hz)
     back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
-                   displacement=np.zeros((g.nx, g.nz, 2)))
+                   displacement=np.zeros((2, g.nx, g.nz)))
     rho = rho0
     if states is None:
         states = []

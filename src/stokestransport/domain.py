@@ -121,8 +121,8 @@ def z_faces(grid: GridSpec) -> np.ndarray:
 
 def cell_center_points(grid: GridSpec):
     """Flat (px, pz) arrays of all cell-center coordinates, x-major order."""
-    px, pz = _kernels.center_points(grid.nx, grid.nz, grid.hx, grid.hz)
-    return px.copy(), pz.copy()
+    return tuple(_kernels.center_points(grid.nx, grid.nz, grid.hx,
+                                        grid.hz).copy())
 
 
 def expected_shape(grid: GridSpec, domain: DomainSpec, staggering: str):

@@ -159,11 +159,6 @@ def flux_profile(u: VelocityField) -> np.ndarray:
     return u.grid.hz * u.u1.values.sum(axis=1)
 
 
-def _column_flux(u: VelocityField, k: int) -> float:
-    """Entry k of ``flux_profile(u)``, bit for bit, summing that column alone."""
-    return float(u.grid.hz * u.u1.values[k].sum())
-
-
 # ---------------------------------------------------------------------------
 # rectangle: free-slip modes by fast transforms, no-slip walls by capacitance
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:
     p = ScalarField(grid, dom, pv, CENTER)
     res = momentum_residual(u, p, f, pressure_slope=slope)
     _check_solution(res, u, f, config)
-    flux = _column_flux(u, 0) if dom.periodic else None
+    flux = float(flux_profile(u)[0]) if dom.periodic else None
     return StokesSolution(u=u, p=p, residual_norm=res, flux=flux,
                           pressure_slope=slope, stats=stats)
 
@@ -453,5 +448,6 @@ def poiseuille(phi: float, grid: GridSpec, domain: DomainSpec) -> StokesSolution
     p = ScalarField(grid, domain, np.zeros((grid.nx, grid.nz)), CENTER)
     slope = -2.0 * a
     res = momentum_residual(u, p, None, pressure_slope=slope)
-    return StokesSolution(u=u, p=p, residual_norm=res, flux=_column_flux(u, 0),
-                          pressure_slope=slope, stats={"solver": "closed-form"})
+    return StokesSolution(u=u, p=p, residual_norm=res,
+                          flux=float(flux_profile(u)[0]), pressure_slope=slope,
+                          stats={"solver": "closed-form"})

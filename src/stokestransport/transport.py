@@ -19,9 +19,11 @@ keeps them as long as it lives (``VelocityField.tables``), and a series
 blends the tables of its two bracketing nodes, which equals building the
 tables of the blended field bit for bit.
 
-Container note: flow maps serialize with the raster tag reserved for
-two-channel data; the time endpoints are not part of the container and
-must be supplied on read if downstream logic needs them.
+Container note: a map holds its displacement as a (2, nx, nz) stack, x
+offsets then z offsets; it serializes with the raster tag reserved for
+two-channel data, whose payload interleaves the two channels point by
+point.  The time endpoints are not part of the container and must be
+supplied on read if downstream logic needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, snapshots
-from .domain import DomainSpec, GridSpec, ScalarField, VelocityField
+from .domain import DomainSpec, GridSpec, ScalarField, VelocityField, _frozen
 from .norms import _to_centers, grad_inf_norm
 
 __all__ = [
@@ -67,25 +69,23 @@ class FlowMap:
     t1: float
     grid: GridSpec
     domain: DomainSpec
-    displacement: np.ndarray  # (nx, nz, 2), x-offset then z-offset
+    displacement: np.ndarray  # (2, nx, nz), x offsets then z offsets
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.displacement, dtype=np.float64)
-        if d.shape != (self.grid.nx, self.grid.nz, 2):
+        d = _frozen(self.displacement)
+        want = (2, self.grid.nx, self.grid.nz)
+        if d.shape != want:
             raise ValueError(
-                f"displacement must have shape {(self.grid.nx, self.grid.nz, 2)}, "
-                f"got {d.shape}")
+                f"displacement must have shape {want}, got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("displacement must be finite")
-        d.flags.writeable = False
         object.__setattr__(self, "displacement", d)
 
     def map_centers(self):
-        """Mapped cell-center positions, x left unwrapped."""
+        """Mapped cell centres as a (2, nx, nz) stack, x left unwrapped."""
         g = self.grid
-        px, pz = (c.reshape(g.nx, g.nz)
-                  for c in _kernels.center_points(g.nx, g.nz, g.hx, g.hz))
-        return px + self.displacement[:, :, 0], pz + self.displacement[:, :, 1]
+        seeds = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
+        return seeds.reshape(self.displacement.shape) + self.displacement
 
 
 class VelocitySeries:
@@ -166,8 +166,8 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     # to floating-point noise in the quotient
     nsteps = (0 if span == 0.0
               else max(1, int(math.ceil(abs(span) / config.dt - 1e-12))))
-    seeds_x, seeds_z = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
-    px, pz = seeds_x.copy(), seeds_z.copy()
+    seeds = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
+    p = seeds.copy()
     if nsteps:
         h = span / nsteps
         va = tables(t0)
@@ -175,19 +175,17 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
         for k in range(nsteps):
             vb = tables(t + 0.5 * h)
             vc = tables(t + h)
-            _kernels.rk4_step(px, pz, h, va, vb, vc, g.nz, g.hx, g.hz,
+            _kernels.rk4_step(*p, h, va, vb, vc, g.nz, g.hx, g.hz,
                               dom.periodic, dom.x_extent)
-            if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pz))):
+            if not np.all(np.isfinite(p)):
                 raise RuntimeError(
                     f"trajectory became non-finite at step {k + 1}/{nsteps} "
                     f"(t = {t + h:.6g})")
             va = vc
             t = t0 + (k + 1) * h
-    px -= seeds_x
-    pz -= seeds_z
-    disp = np.stack((px, pz), axis=-1)
+    p -= seeds
     return FlowMap(t0=t0, t1=t1, grid=g, domain=dom,
-                   displacement=disp.reshape(g.nx, g.nz, 2))
+                   displacement=p.reshape(2, g.nx, g.nz))
 
 
 def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
@@ -201,8 +199,9 @@ def compose_maps(outer: FlowMap, inner: FlowMap) -> FlowMap:
     g, dom = outer.grid, outer.domain
     d = _kernels.sample_center(outer.displacement, *inner.map_centers(),
                                g.hx, g.hz, dom.periodic, dom.x_extent)
+    d += inner.displacement
     return FlowMap(t0=inner.t0, t1=outer.t1, grid=inner.grid,
-                   domain=inner.domain, displacement=inner.displacement + d)
+                   domain=inner.domain, displacement=d)
 
 
 def _pull_back(rho0: ScalarField, back: FlowMap) -> ScalarField:
@@ -284,7 +283,7 @@ def flow_stability(X1: FlowMap, X2: FlowMap, u1: VelocityField,
         raise ValueError("q must be 2 or inf")
     g = X1.grid
     d = X1.displacement - X2.displacement
-    pointwise = np.sqrt(d[:, :, 0] ** 2 + d[:, :, 1] ** 2)
+    pointwise = np.sqrt(d[0] ** 2 + d[1] ** 2)
     speed = _centered_speed_diff(u1, u2)
     if q == 2:
         w = g.hx * g.hz
@@ -306,8 +305,10 @@ def flow_stability(X1: FlowMap, X2: FlowMap, u1: VelocityField,
 
 
 def write_flowmap(path, fm: FlowMap) -> None:
+    """Store a map; the payload interleaves its x and z offsets per point."""
     snapshots.write_raster(path, fm.domain, fm.grid.nx, fm.grid.nz,
-                           snapshots.FLOWMAP_TAG, fm.displacement)
+                           snapshots.FLOWMAP_TAG,
+                           np.moveaxis(fm.displacement, 0, -1))
 
 
 def read_flowmap(path, t0: float = 0.0, t1: float = 0.0) -> FlowMap:
@@ -315,4 +316,5 @@ def read_flowmap(path, t0: float = 0.0, t1: float = 0.0) -> FlowMap:
     domain, grid, code, values = snapshots.read_raster(path)
     if code != snapshots.FLOWMAP_TAG:
         raise ValueError(f"raster at {path} is not a flow map")
-    return FlowMap(t0=t0, t1=t1, grid=grid, domain=domain, displacement=values)
+    return FlowMap(t0=t0, t1=t1, grid=grid, domain=domain,
+                   displacement=np.moveaxis(values, -1, 0))

@@ -122,18 +122,17 @@ class TestReferenceParity:
 
     def test_channels_sampled_together_bitwise_equal(self, kind, L, nx, nz):
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
-        c = rng.standard_normal((nx, nz, 2))
+        c = rng.standard_normal((2, nx, nz))
         px, pz = px[:4000].reshape(40, 100), pz[:4000].reshape(40, 100)
         args = (px, pz, grid.hx, grid.hz, dom.periodic, L)
         bands = _bands(grid, dom.periodic, L, px, pz)
         both = _kernels.sample_center(c, *args)
-        assert both.shape == (40, 100, 2)
+        assert both.shape == (2, 40, 100)
         for k in range(2):
-            alone = _kernels.sample_center(c[:, :, k], *args)
-            assert np.array_equal(both[..., k], alone)
-            _assert_parity(both[..., k],
-                           ref._np_sample_center(c[:, :, k], *args),
-                           c[:, :, k], *bands)
+            alone = _kernels.sample_center(c[k], *args)
+            assert np.array_equal(both[k], alone)
+            _assert_parity(both[k], ref._np_sample_center(c[k], *args),
+                           c[k], *bands)
 
     def test_rk4_steps_bitwise_equal(self, kind, L, nx, nz, monkeypatch):
         dom, grid, rng, u1, u2, px, pz = _case(kind, L, nx, nz)
@@ -199,11 +198,10 @@ class TestCenterCache:
                                          (DomainKind.RECTANGLE, 1.5)],
                              ids=["strip", "rectangle"])
     def test_cached_arrays_are_read_only(self, kind, L):
-        arrays = _kernels.center_points(16, 8, L / 16, 1 / 8)
-        assert len(arrays) == 2
-        for a in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+        points = _kernels.center_points(16, 8, L / 16, 1 / 8)
+        assert points.shape == (2, 16 * 8)
+        with pytest.raises(ValueError, match="read-only"):
+            points[...] = 0
 
 
 @pytest.mark.parametrize("which", ["rect", "strip"])
@@ -218,8 +216,8 @@ def test_flow_maps_bitwise_equal(which, rect, strip):
     for _ in range(20):
         ref._np_rk4_step(px, pz, -1.0 / 20, *(u.u1.values, u.u2.values) * 3,
                          grid.hx, grid.hz, dom.periodic, dom.x_extent)
-    want = np.stack((px - seeds[0], pz - seeds[1]), axis=-1)
-    assert np.array_equal(new, want.reshape(grid.nx, grid.nz, 2))
+    want = np.stack((px - seeds[0], pz - seeds[1]))
+    assert np.array_equal(new, want.reshape(2, grid.nx, grid.nz))
 
 
 # (kind, x_extent, nx, nz, exact): on the dyadic grids n h rounds back to the

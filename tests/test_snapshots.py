@@ -48,13 +48,28 @@ def test_field_round_trip_bitwise(which, staggering, rect, strip, tmp_path):
 def test_flowmap_round_trip(strip, tmp_path):
     dom, grid = strip
     rng = np.random.default_rng(12)
-    disp = rng.standard_normal((grid.nx, grid.nz, 2))
+    disp = rng.standard_normal((2, grid.nx, grid.nz))
     fm = FlowMap(t0=0.25, t1=1.5, grid=grid, domain=dom, displacement=disp)
     p = tmp_path / "m.stf"
     write_flowmap(p, fm)
     back = read_flowmap(p, t0=0.25, t1=1.5)
     assert np.array_equal(back.displacement, fm.displacement)
     assert back.grid == grid and back.domain == dom
+
+
+def test_flowmap_payload_interleaves_x_then_z(strip, tmp_path):
+    # each point's x offset comes before its z offset, points x-major with
+    # z inner; a transposition that writer and reader share would survive
+    # the round trip but not this
+    dom, grid = strip
+    ramp = np.arange(grid.nx * grid.nz, dtype=float).reshape(grid.nx, grid.nz)
+    p = tmp_path / "m.stf"
+    for x, z in ((np.ones_like(ramp), np.full_like(ramp, 2.0)), (ramp, -ramp)):
+        write_flowmap(p, FlowMap(t0=0.0, t1=1.0, grid=grid, domain=dom,
+                                 displacement=np.stack((x, z))))
+        payload = np.frombuffer(p.read_bytes()[_HEADER.size:], dtype="<f8")
+        assert np.array_equal(payload[0::2], x.ravel())
+        assert np.array_equal(payload[1::2], z.ravel())
 
 
 def test_bad_magic_rejected(tmp_path):

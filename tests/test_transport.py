@@ -13,7 +13,8 @@ from stokestransport.domain import (
     x_centers,
     z_centers,
 )
-from stokestransport.scenarios import make_density
+from stokestransport.coupling import _potential_energy
+from stokestransport.scenarios import _bump, _stratified_profile, make_density
 from stokestransport.stokes import poiseuille, solve_buoyancy
 from stokestransport.transport import (
     FlowMap,
@@ -44,15 +45,27 @@ class TestFlowMapContainer:
 
     def test_nonfinite_rejected(self, strip):
         dom, grid = strip
-        disp = np.zeros((grid.nx, grid.nz, 2))
+        disp = np.zeros((2, grid.nx, grid.nz))
         disp[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             FlowMap(t0=0.0, t1=1.0, grid=grid, domain=dom, displacement=disp)
 
+    def test_owns_its_displacement(self, strip):
+        # the map copies what it is given: the caller's array stays
+        # writeable, and a later write through its base does not reach it
+        dom, grid = strip
+        base = np.zeros(2 * grid.nx * grid.nz)
+        disp = base.reshape(2, grid.nx, grid.nz)
+        fm = FlowMap(t0=0.0, t1=1.0, grid=grid, domain=dom, displacement=disp)
+        assert disp.flags.writeable
+        base[0] = 5.0
+        assert fm.displacement[0, 0, 0] == 0.0
+        assert not fm.displacement.flags.writeable
+
     def test_map_centers_offsets_by_displacement(self, strip):
         dom, grid = strip
-        disp = np.zeros((grid.nx, grid.nz, 2))
-        disp[:, :, 0] = 10.0  # larger than the period: stays unwrapped
+        disp = np.zeros((2, grid.nx, grid.nz))
+        disp[0] = 10.0  # larger than the period: stays unwrapped
         fm = FlowMap(t0=0.0, t1=1.0, grid=grid, domain=dom, displacement=disp)
         mx, mz = fm.map_centers()
         assert mx[0, 0] == pytest.approx(x_centers(grid)[0] + 10.0)
@@ -83,8 +96,8 @@ class TestIntegrateFlow:
         fm = integrate_flow(sol.u, 0.0, t, TransportConfig(dt=0.05))
         zc = z_centers(grid)
         expect = t * a * zc * (1.0 - zc)
-        assert np.all(fm.displacement[:, :, 1] == 0.0)
-        err = np.abs(fm.displacement[:, :, 0] - expect[None, :])
+        assert np.all(fm.displacement[1] == 0.0)
+        err = np.abs(fm.displacement[0] - expect[None, :])
         assert np.max(err) <= 1e-12 * max(1.0, t * a)
 
     @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (0.0, np.nan),
@@ -137,7 +150,7 @@ def test_march_step_peak_memory():
         return back, _pull_back(rho0, back)
 
     back, _ = step(FlowMap(0.0, 0.0, grid, dom,
-                           np.zeros((grid.nx, grid.nz, 2))))
+                           np.zeros((2, grid.nx, grid.nz))))
     gc.collect()
     tracemalloc.start()
     try:
@@ -147,6 +160,42 @@ def test_march_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 18 * rho0.values.nbytes
+
+
+@pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
+                                     (DomainKind.RECTANGLE, 1.0)],
+                         ids=["strip", "rectangle"])
+def test_pull_back_energy_defect_is_first_order(kind, L):
+    # the energy identity d/dt int rho z = int rho u2 =: W, over one backward
+    # map of tau = 0.05 in the steady solve of stratified_perturbed; the
+    # defect ((E_p(tau) - E_p(0)) / tau - W) / |W| comes from the bilinear
+    # pull-back of rho0, so it halves with h, while the exact density at the
+    # same feet meets the identity
+    dom = DomainSpec(kind, L)
+    tau = 0.05
+    defects = []
+    for n in (32, 64, 128):
+        grid = make_grid(dom, n, n)
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.03,
+                            mode=1)
+        u = solve_buoyancy(rho0).u
+        u2 = u.u2.values
+        W = grid.hx * grid.hz * float(
+            (rho0.values * 0.5 * (u2[:, :-1] + u2[:, 1:])).sum())
+        back = integrate_flow(u, tau, 0.0, TransportConfig(dt=tau / 4))
+
+        def defect(rho):
+            gain = _potential_energy(rho) - _potential_energy(rho0)
+            return (gain / tau - W) / abs(W)
+
+        defects.append(defect(_pull_back(rho0, back)))
+        if n == 32:
+            x, z = back.map_centers()
+            exact = (_stratified_profile(z, 1.0, 0.0, 0.1)
+                     + 0.03 * np.cos(2.0 * np.pi * x / L) * _bump(z))
+            assert abs(defect(rho0.with_values(exact))) <= 0.02
+    ratios = [a / b for a, b in zip(defects, defects[1:])]
+    assert all(1.8 <= r <= 2.2 for r in ratios), (defects, ratios)
 
 
 class TestPushForward:
@@ -205,7 +254,7 @@ class TestComposition:
         a = integrate_flow(u, 0.0, 0.4, cfg)
         b = integrate_flow(u, 0.4, 1.0, cfg)
         both = compose_maps(b, a)
-        assert np.allclose(both.displacement[:, :, 0], 0.3, rtol=0, atol=1e-13)
+        assert np.allclose(both.displacement[0], 0.3, rtol=0, atol=1e-13)
         assert both.t0 == 0.0 and both.t1 == 1.0
 
     def test_defect_is_fourth_order(self, strip):
