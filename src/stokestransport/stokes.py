@@ -1,11 +1,12 @@
 """Steady Stokes solvers on the MAC grid.
 
-Every operator is built from the band-form 1D factors in ``_mac``, whose
-docstring holds the discretization notes.  Every transform is a numpy FFT;
-the sine and cosine transforms come from ``_transforms``.  Both solvers end
-in one finisher, ``_finish``, which pads the wall rows, centres the
-pressure, rejects non-finite output, applies the residual and divergence
-gate and builds the ``StokesSolution``.
+The MAC operator is defined once, as ``_mac``'s slice stencils, whose
+docstring holds the discretization notes: the residual gate applies them,
+and the tests pin the transform symbols and wall rows below to them.
+Every transform is a numpy FFT; the sine and cosine transforms come from
+``_transforms``.  Both solvers end in one finisher, ``_finish``, which
+pads the wall rows, centres the pressure, rejects non-finite output,
+applies the residual and divergence gate and builds the ``StokesSolution``.
 
 Both domains are solved by fast diagonalization (Lynch, Rice & Thomas
 1964) with a capacitance correction (Buzbee, Golub & Nielson 1970).  With
@@ -129,26 +130,22 @@ def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None
     ``pressure_slope`` adds the x-slope of a strip pressure whose periodic
     samples live in ``p``; it contributes a constant to the x-momentum rows.
     """
-    X, Z = _mac.axes(u.grid, u.domain.periodic)
-    inner = slice(None) if u.domain.periodic else slice(1, -1)
-    # the factors read C-ordered arrays; the inner u2 columns are a strided view
-    a1, a2, pv = u.u1.values[inner], np.ascontiguousarray(u.u2.values[:, 1:-1]), p.values
-    # three work arrays of the pressure's size hold each component's sum, a
-    # term and a product in turn; x-momentum is reduced before z-momentum
-    work = np.empty((3, pv.size))
-    r, t, s = (w[:a1.size].reshape(a1.shape) for w in work)
-    tp, sp = (w.reshape(pv.shape) for w in work[1:])
-    X.faces.apply(a1, 0, r, s)
-    r += Z.centers.apply(a1, 1, t, s)
-    r += X.grad.apply(pv, 0, tp, sp)
+    g, periodic = u.grid, u.domain.periodic
+    inner = slice(None) if periodic else slice(1, -1)
+    a1, a2, pv = u.u1.values[inner], u.u2.values[:, 1:-1], p.values
+    # x-momentum is reduced before z-momentum; each sums its terms in r
+    r, t = np.empty(a1.shape), np.empty(a1.shape)
+    _mac.second_difference(a1, g.hx, "periodic" if periodic else "faces", 0, r)
+    r += _mac.second_difference(a1, g.hz, "centers", 1, t)
+    r += _mac.gradient(pv, g.hx, periodic, 0, t)
     r += pressure_slope
     if f is not None:
         r -= f.f1[inner]
     res = max(r.max(), -r.min())
-    r, t, s = (w[:a2.size].reshape(a2.shape) for w in work)
-    X.centers.apply(a2, 0, r, s)
-    r += Z.faces.apply(a2, 1, t, s)
-    r += Z.grad.apply(pv, 1, tp, sp)
+    r, t = np.empty(a2.shape), np.empty(a2.shape)
+    _mac.second_difference(a2, g.hx, "periodic" if periodic else "centers", 0, r)
+    r += _mac.second_difference(a2, g.hz, "faces", 1, t)
+    r += _mac.gradient(pv, g.hz, False, 1, t)
     if f is not None:
         r -= f.f2[:, 1:-1]
     return float(max(res, r.max(), -r.min()))
@@ -168,26 +165,21 @@ def _symbol(n: int, h: float) -> np.ndarray:
     return -2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h
 
 
-def _wall_rows(axis: _mac.Axis, h: float) -> np.ndarray:
-    """The two wall rows of ``axis.centers`` minus their free-slip rows.
-
-    Both are edge rows of the band, the first and last, so they are read
-    from its edge weights in O(n) memory.
-    """
-    band = axis.centers
-    rows = np.zeros((2, band.ncols))
-    rows[:, band.edge_cols] = band.edge_weights[[0, -1]]
+def _wall_rows(n: int, h: float) -> np.ndarray:
+    """The first and last row of ``-d2`` on n walled cell centers minus their free-slip rows."""
     h2 = h * h
-    rows[0, :2] -= 1.0 / h2, -1.0 / h2
-    rows[1, -2:] -= -1.0 / h2, 1.0 / h2
+    near, far, one = _mac.GHOST_NEAR / h2, _mac.GHOST_FAR / h2, 1.0 / h2
+    rows = np.zeros((2, n))
+    rows[0, :2] = near - one, one - far
+    rows[1, -2:] = one - far, near - one
     return rows
 
 
-def _wall_modes(axis: _mac.Axis, h: float):
+def _wall_modes(n: int, h: float):
     """(q, r): the DCT-II of a unit in the first and last cell, and ``_wall_rows`` in DCT-II."""
-    units = np.zeros((axis.centers.shape[0], 2))
+    units = np.zeros((n, 2))
     units[[0, -1], [0, 1]] = 1.0
-    return dct(units, axis=0), dct(_wall_rows(axis, h).T, axis=0).T
+    return dct(units, axis=0), dct(_wall_rows(n, h).T, axis=0).T
 
 
 # the wall pair of a mode -> its sum and difference, orthonormal and its own inverse
@@ -227,12 +219,11 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
     keeps its coupling both ways, diag(q) w12[modes a, modes b] diag(r), and
     the inverse of its Schur complement on the smaller family.
     """
-    X, Z = _mac.axes(grid, False)
     gx, gz = _symbol(grid.nx, grid.hx)[:, None], _symbol(grid.nz, grid.hz)[None, :]
     lam = gx * gx + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
     q, r = zip(*((q @ _PAIR, _PAIR @ r)
-                 for q, r in (_wall_modes(X, grid.hx), _wall_modes(Z, grid.hz))))
+                 for q, r in (_wall_modes(grid.nx, grid.hx), _wall_modes(grid.nz, grid.hz))))
     inv2 = inv * inv
     # each family's own capacitance, I + r diag(w) q per mode along the other axis
     own = [1.0 + (gz * gz * inv2)[1:] @ (r[1].T * q[1]),
@@ -335,12 +326,22 @@ def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:
                           pressure_slope=slope, stats=stats)
 
 
-def _check_solution(res, u, f, config):
-    # the solution scales with the data, and the flux-driven profile and its
-    # pressure slope are O(flux_target); zero data is solved exactly
-    scale = max(float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))),
+def _gate_tolerance(f: Forcing, config: StokesConfig) -> float:
+    """The residual and divergence gate's tolerance for a solve of ``f``.
+
+    The solution scales with the forcing on the rows that the solve and
+    ``momentum_residual`` read, not the wall rows, and the flux-driven
+    profile and its pressure slope are O(flux_target); zero data is solved
+    exactly.
+    """
+    inner = slice(None) if f.domain.periodic else slice(1, -1)
+    scale = max(float(np.max(np.abs(f.f1[inner]))), float(np.max(np.abs(f.f2[:, 1:-1]))),
                 abs(config.flux_target))
-    tol = 10.0 * config.linear_solver_tolerance * scale
+    return 10.0 * config.linear_solver_tolerance * scale
+
+
+def _check_solution(res, u, f, config):
+    tol = _gate_tolerance(f, config)
     if res > tol:
         raise StokesSolveError(
             f"momentum residual {res:.3e} exceeds {tol:.3e}", residual=res)
@@ -373,12 +374,11 @@ def _strip_factor(grid: GridSpec) -> _StripFactor:
     constant mode of the zero wavenumber is prescribed, so it responds with 0.
     """
     nx, nz = grid.nx, grid.nz
-    _, Z = _mac.axes(grid, True)
     theta = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
     gx, gz = ((1.0 - np.exp(-1j * theta)) / grid.hx)[:, None], _symbol(nz, grid.hz)[None, :]
     lam = np.abs(gx) ** 2 + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    qz, rz = _wall_modes(Z, grid.hz)
+    qz, rz = _wall_modes(nz, grid.hz)
     cap = np.linalg.inv(np.eye(2) + (rz * (gz * gz * inv * inv)[:, None, :]) @ qz)
     return _StripFactor(gx, gz, inv, qz, rz, cap)
 

@@ -17,10 +17,9 @@ column, so their rounding scales with the case's max |u1|, and in a closed
 box every value is that rounding; its floats must match to ``RTOL`` times
 the max |u1| of the golden ``u1.stf`` beside it.  The ``residual=`` of a
 ``stokes`` summary is the solve's momentum residual, rounding that the
-solve gate accepts up to 10 * linear_solver_tolerance * max(|f|,
-|flux_target|); it must match to that tolerance, with the forcing f rebuilt
-from the golden ``resolved.ini`` (the file scale would be the residual
-itself).  STF1 snapshots are read
+solve gate accepts up to ``stokes._gate_tolerance``; it must match to that
+tolerance, with the forcing rebuilt from the golden ``resolved.ini`` (the
+file scale would be the residual itself).  STF1 snapshots are read
 back through ``snapshots.read_field`` (the flow map, which is not a scalar
 field, through ``read_raster``) and their values compared to ``RTOL`` times
 the largest magnitude of the field.
@@ -123,8 +122,7 @@ def residual_tolerance(case: Path) -> float:
     cfg = cli._convert(raw)
     dom, grid = cli._build_domain(cfg)
     f = stokes.buoyancy_forcing(cli._build_density(cfg, grid, dom))
-    scale = max(float(np.max(np.abs(f.f1))), float(np.max(np.abs(f.f2))), abs(cfg["flux"]))
-    return 10.0 * stokes.StokesConfig.linear_solver_tolerance * scale
+    return stokes._gate_tolerance(f, stokes.StokesConfig(flux_target=cfg["flux"]))
 
 
 def compare_dirs(got: Path, want: Path) -> list[str]:

@@ -1,9 +1,10 @@
-"""The Stokes operators and the strip solve as they were before the MAC factors.
+"""The Stokes operators and solves as they were before the transform solvers.
 
 Kept verbatim (apart from the imports they need) as oracles:
 
 * the hand-written residual stencils and their ``momentum_residual``,
-  which ``tests/test_stokes.py`` compares the factor-based residual with;
+  which ``tests/test_stokes.py`` compares ``_mac``'s slice stencils and
+  the package's residual with;
 * ``_assemble_rect``, the COO index arithmetic of the rectangle saddle
   matrix with the pressure of cell (0, 0) pinned, and ``solve_stokes_bounded``,
   the SuperLU solve of that matrix that the transform-and-capacitance

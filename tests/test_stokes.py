@@ -199,16 +199,25 @@ class TestPinnedPressure:
         assert held <= 8 * 4 * (nx * nz + small * small)
 
 
+def _dense_second_difference(n: int, h: float, rule: str) -> np.ndarray:
+    """The n x n matrix of ``_mac.second_difference``, from its action on identity columns."""
+    return _mac.second_difference(np.eye(n), h, rule, 0, np.empty((n, n)))
+
+
+def _dense_gradient(n: int, h: float, periodic: bool) -> np.ndarray:
+    """The matrix of ``_mac.gradient`` on n cells, from its action on identity columns."""
+    return _mac.gradient(np.eye(n), h, periodic, 0, np.empty((n if periodic else n - 1, n)))
+
+
 class TestWallRows:
     @pytest.mark.parametrize("n, h", [(8, 0.125), (9, 0.3), (33, 1 / 33)])
     def test_read_from_the_band_equal_the_dense_rows(self, n, h):
-        axis = _mac.axes(make_grid(DomainSpec(DomainKind.RECTANGLE, n * h),
-                                   n, 8), False)[0]
-        want = axis.centers.dense()[[0, -1]]
+        # the edge rows of _mac's dense center factor minus the free-slip rows
+        want = _dense_second_difference(n, h, "centers")[[0, -1]]
         h2 = h * h
         want[0, :2] -= 1.0 / h2, -1.0 / h2
         want[1, -2:] -= -1.0 / h2, 1.0 / h2
-        assert stokes._wall_rows(axis, h).tobytes() == want.tobytes()
+        assert stokes._wall_rows(n, h).tobytes() == want.tobytes()
 
     def test_rectangle_factor_builds_no_square_matrix(self):
         # a dense 2048 x 2048 matrix of the x axis alone would be 33.6 MB
@@ -260,8 +269,7 @@ class TestRectangleTransform:
         # rows' entry is not the columns' parity, or the columns' entry not the
         # rows' parity, are rounding, and the factor keeps the other four
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz)
-        X, Z = _mac.axes(grid, False)
-        (qx, rx), (qz, rz) = stokes._wall_modes(X, grid.hx), stokes._wall_modes(Z, grid.hz)
+        (qx, rx), (qz, rz) = stokes._wall_modes(nx, grid.hx), stokes._wall_modes(nz, grid.hz)
         gx, gz = stokes._symbol(nx, grid.hx)[1:, None], stokes._symbol(nz, grid.hz)[None, 1:]
         w12 = -gx * gz / (gx * gx + gz * gz) ** 2
         pair = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -292,30 +300,27 @@ class TestRectangleTransform:
         # the transform symbols are pinned to the one MAC definition in _mac
 
         def close(got, want):
-            want = want.dense() if isinstance(want, _mac.Band) else want
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         if name == "strip":
             # the rfft of each factor is its symbol times the rfft, per wavenumber
             grid = make_grid(DomainSpec(DomainKind.STRIP, n * h), n, 16)
-            axis, _ = _mac.axes(grid, True)
             gx = stokes._strip_factor(grid).gx
             F = scipy.fft.rfft(np.eye(n), axis=0)
-            close(np.abs(gx) ** 2 * F, scipy.fft.rfft(axis.centers.dense(), axis=0))
-            close(gx * F, scipy.fft.rfft(axis.grad.dense(), axis=0))
+            close(np.abs(gx) ** 2 * F,
+                  scipy.fft.rfft(_dense_second_difference(n, h, "periodic"), axis=0))
+            close(gx * F, scipy.fft.rfft(_dense_gradient(n, h, True), axis=0))
             return
-        grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 1.5), 24, 16)
-        axis = dict(zip("xz", _mac.axes(grid, False)))[name]
         # the orthonormal DST-I on the n - 1 interior faces and DCT-II on the
         # n centers, with the modes as rows
         S, C = _transforms.dst1(np.eye(n - 1), axis=0), _transforms.dct(np.eye(n), axis=0)
         g = stokes._symbol(n, h)
         walls = np.zeros((n, n))
-        walls[[0, -1]] = stokes._wall_rows(axis, h)
+        walls[[0, -1]] = stokes._wall_rows(n, h)
 
-        close(S.T @ np.diag(g[1:] ** 2) @ S, axis.faces)
-        close(C.T @ np.diag(g ** 2) @ C + walls, axis.centers)
-        close(S.T @ np.diag(g[1:]) @ C[1:], axis.grad)
+        close(S.T @ np.diag(g[1:] ** 2) @ S, _dense_second_difference(n - 1, h, "faces"))
+        close(C.T @ np.diag(g ** 2) @ C + walls, _dense_second_difference(n, h, "centers"))
+        close(S.T @ np.diag(g[1:]) @ C[1:], _dense_gradient(n, h, False))
 
 
 class TestStripTransform:
@@ -454,7 +459,7 @@ def test_free_slip_in_place_matches_the_expression_form(domain):
 
 
 class TestMacOperator:
-    """The Kronecker-composed operators against the hand-written ones."""
+    """The slice-stencil operators against the hand-written ones."""
 
     @pytest.mark.parametrize("kind, x_extent, nx, nz", [
         (DomainKind.STRIP, 8.0, 16, 8), (DomainKind.STRIP, 8.0, 128, 128),
@@ -480,20 +485,34 @@ class TestMacOperator:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("periodic", [True, False])
-    def test_band_apply_matches_its_dense_view(self, periodic):
-        # every row of every factor along both axes, edge rows included,
-        # where a max-norm residual could miss a wrong row
+    def test_stencils_match_the_hand_written_ones(self, periodic):
+        # every output line of each _mac function along both axes, edge lines
+        # included, where a max-norm residual could miss a wrong line
         dom = DomainSpec(DomainKind.STRIP if periodic else DomainKind.RECTANGLE,
                          8.0 if periodic else 1.5)
         grid = make_grid(dom, 24, 16)
+        hx, hz = grid.hx, grid.hz
         rng = np.random.default_rng(5)
-        for band in (b for axis in _mac.axes(grid, periodic) for b in axis):
-            nrows, ncols = band.shape
-            for axis, shape in ((0, (ncols, 7)), (1, (7, ncols))):
-                x = rng.standard_normal(shape)
-                got = band.apply(x, axis, np.empty(shape), np.empty(shape))
-                want = band.dense() @ x if axis == 0 else x @ band.dense().T
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # from_arrays zeroes the wall rows, which the reference stencils read
+        u = VelocityField.from_arrays(
+            grid, dom, *(rng.standard_normal(expected_shape(grid, dom, s)) for s in (XFACE, ZFACE)))
+        a1, a2, p = u.u1.values, u.u2.values, rng.standard_normal((grid.nx, grid.nz))
+        inner = slice(None) if periodic else slice(1, -1)
+        b1, b2 = a1[inner], a2[:, 1:-1]
+        x1, x2 = ("periodic", "periodic") if periodic else ("faces", "centers")
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        d2 = _mac.second_difference
+        close(d2(b1, hx, x1, 0, np.empty(b1.shape)) + d2(b1, hz, "centers", 1, np.empty(b1.shape)),
+              -ref._laplacian_u1(a1, grid, dom)[inner])
+        close(d2(b2, hx, x2, 0, np.empty(b2.shape)) + d2(b2, hz, "faces", 1, np.empty(b2.shape)),
+              -ref._laplacian_u2(a2, grid, dom)[:, 1:-1])
+        close(_mac.gradient(p, hx, periodic, 0, np.empty(b1.shape)),
+              ref._grad_p_x(p, grid, dom)[inner])
+        close(_mac.gradient(p, hz, False, 1, np.empty(b2.shape)),
+              ref._grad_p_z(p, grid)[:, 1:-1])
 
 
 class TestResidualGate:
@@ -551,6 +570,34 @@ class TestResidualGate:
                               accepts(f, config, zero, ScalarField(grid, dom, 0.0 * rho), 0.0)))
         assert decisions == [(True, False, False)] * 3
 
+    @pytest.mark.parametrize("kind, x_extent, shift", [(DomainKind.STRIP, 8.0, 1e-4),
+                                                       (DomainKind.RECTANGLE, 1.0, 1e-5)])
+    def test_tolerance_ignores_the_wall_rows_of_the_forcing(self, kind, x_extent, shift):
+        # the solvers never read f2 at z = 0, 1, nor on the rectangle f1 at
+        # x = 0, Lx; a tolerance scaled by those rows (1e8 here: 0.1) would
+        # accept a face moved by ``shift`` (residual 5.4e-2 and about 2.6e-2)
+        dom = DomainSpec(kind, x_extent)
+        grid = make_grid(dom, 32, 16)
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        f1, f2 = f.f1.copy(), f.f2.copy()
+        if dom.periodic:
+            f2[:, 0], f2[:, -1] = 1e8, -1e8
+        else:
+            f1[0], f1[-1] = 1e8, -1e8
+        walled = Forcing(grid, dom, f1, f2)
+        solve = solve_stokes_strip if dom.periodic else solve_stokes_bounded
+        sol, want = solve(walled), solve(f)
+        for name in ("u1", "u2"):
+            assert getattr(sol.u, name).values.tobytes() == getattr(want.u, name).values.tobytes()
+        assert sol.p.values.tobytes() == want.p.values.tobytes()
+        a1 = sol.u.u1.values.copy()
+        a1[5, 7] += shift
+        off = VelocityField.from_arrays(grid, dom, a1, sol.u.u2.values, enforce_walls=False)
+        res = momentum_residual(off, sol.p, walled, pressure_slope=sol.pressure_slope)
+        assert 1e-2 < res < 0.1
+        with pytest.raises(StokesSolveError, match="momentum residual"):
+            stokes._check_solution(res, off, walled, StokesConfig())
+
     @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
                                                 (DomainKind.RECTANGLE, 1.0)])
     def test_zero_data_passes_a_zero_tolerance(self, kind, x_extent):
@@ -562,13 +609,13 @@ class TestResidualGate:
 
 
 @pytest.mark.parametrize("cached", [stokes._rect_factor, stokes._strip_factor,
-                                    norms._chi_table, _mac.axes])
+                                    norms._chi_table])
 def test_factor_cache_keeps_four_grids(cached):
     if cached in (stokes._strip_factor, norms._chi_table):
         dom = DomainSpec(DomainKind.STRIP, 8.0)
     else:
         dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
-    extra = {norms._chi_table: (dom, False), _mac.axes: (False,)}.get(cached, ())
+    extra = (dom, False) if cached is norms._chi_table else ()
     keys = [(make_grid(dom, 8 + 2 * k, 8), *extra) for k in range(5)]
     cached.cache_clear()
     for key in keys:
