@@ -244,9 +244,13 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     if not (0.0 < dt <= T):
         raise ValueError("need 0 < dt <= T")
     g, dom = rho0.grid, rho0.domain
-    nsteps = max(1, int(math.ceil(T / dt - 1e-12)))
-    bounds = [min(k * dt, T) for k in range(nsteps + 1)]
-    bounds[-1] = T
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"the step count T / dt = {steps} is not finite")
+    nsteps = max(1, int(math.ceil(steps - 1e-12)))
+
+    def bound(k):  # step k's start time, T for the last
+        return T if k == nsteps else min(k * dt, T)
 
     hmin = min(g.hx, g.hz)
     back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
@@ -257,11 +261,13 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     warned = False
     for k in range(nsteps + 1):
         sol = solve_buoyancy(rho)
-        state = _make_state(bounds[k], rho, sol.u)
+        t0 = bound(k)
+        state = _make_state(t0, rho, sol.u)
         states.append(state)
         if k == nsteps:
             break
-        h = bounds[k + 1] - bounds[k]
+        t1 = bound(k + 1)
+        h = t1 - t0
         if not warned and h * state.norms["u_linf"] > hmin:
             warnings.warn(
                 "advective step exceeds one cell; accuracy may suffer "
@@ -273,8 +279,7 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
         # soon as nothing later reads them
         u = sol.u
         del sol, state, rho
-        step = integrate_flow(u, bounds[k + 1], bounds[k],
-                              TransportConfig(dt=h))
+        step = integrate_flow(u, t1, t0, TransportConfig(dt=h))
         del u
         back = compose_maps(back, step)
         del step

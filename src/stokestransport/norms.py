@@ -214,7 +214,9 @@ def grad_inf_norm(u: VelocityField) -> float:
     """Spectral norm of the entrywise-max velocity Jacobian.
 
     Tangential components get wall half-cell quotients so wall shear is
-    seen even though the wall itself carries no sample.
+    seen even though the wall itself carries no sample.  The norm of the
+    2 x 2 matrix (a, b; c, d) is its largest singular value,
+    (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2.
     """
     g, dom = u.grid, u.domain
     a1, a2 = u.u1.values, u.u2.values
@@ -222,8 +224,7 @@ def grad_inf_norm(u: VelocityField) -> float:
     m12 = _adjacent_max(a1, g.hz, 1, False, wall_half=True)
     m21 = _adjacent_max(a2, g.hx, 0, dom.periodic, wall_half=not dom.periodic)
     m22 = _adjacent_max(a2, g.hz, 1, False, wall_half=False)
-    M = np.array([[m11, m12], [m21, m22]])
-    return float(np.linalg.norm(M, 2))
+    return (math.hypot(m11 + m22, m21 - m12) + math.hypot(m11 - m22, m12 + m21)) / 2.0
 
 
 def _velocity_sup(u: VelocityField) -> float:

@@ -37,7 +37,10 @@ Schur complement on the smaller family, about (min(nx, nz) - 1) / 2 rows,
 is inverted once per grid, and a solve is four small mat-vecs each way.
 The constant mode (0, 0) is 0, which fixes the pressure mean without a pin.
 On the strip each wavenumber, zero included, keeps its own two u1 wall
-rows, so its capacitance is 2 x 2.  At the zero wavenumber gx = 0 and the
+rows, so its capacitance is 2 x 2.  It is inverted in closed form, as its
+adjugate over its determinant, and a solve applies it, the wall defect and
+the rank-2 change of f1 by broadcast products, so that a strip run calls
+no BLAS or LAPACK routine.  At the zero wavenumber gx = 0 and the
 constant u1 mode is free: it is set to the prescribed volume flux in both
 free-slip passes, the constant part of the wall-corrected f1 is balanced by
 a linear pressure slope in x, stored separately from the periodic pressure
@@ -53,6 +56,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.linalg import LinAlgError
 
 from . import _mac
 from ._transforms import dct, dst1, idct
@@ -359,9 +363,10 @@ class _StripFactor(NamedTuple):
     gx: np.ndarray   # (nx // 2 + 1, 1) gradient symbol, 0 at the zero wavenumber
     gz: np.ndarray   # (1, nz)
     inv: np.ndarray  # 1 / (|gx|^2 + gz^2), 0 for the constant mode
-    qz: np.ndarray   # (nz, 2) DCT-II of a unit in the first and last z cell
+    qz: np.ndarray   # (2, nz) DCT-II of a unit in the first and last z cell
     rz: np.ndarray   # (2, nz) the two u1 wall-row corrections, in DCT-II
-    cap: np.ndarray  # (nx // 2 + 1, 2, 2) inverse wall capacitance per wavenumber
+    cap: np.ndarray  # (2, 2, nx // 2 + 1) inverse wall capacitance, entry by
+                     # entry over the wavenumbers
 
 
 @functools.lru_cache(maxsize=4)
@@ -370,8 +375,10 @@ def _strip_factor(grid: GridSpec) -> _StripFactor:
 
     A wavenumber's no-slip operator is its free-slip one plus the two u1
     wall rows.  The free-slip u1 response to an f1 mode is gz^2 / lam^2, so
-    the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz; the
+    the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz^T; the
     constant mode of the zero wavenumber is prescribed, so it responds with 0.
+    Each 2 x 2 capacitance is inverted as its adjugate over its determinant;
+    a zero or non-finite determinant is a singular factor.
     """
     nx, nz = grid.nx, grid.nz
     theta = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
@@ -379,8 +386,16 @@ def _strip_factor(grid: GridSpec) -> _StripFactor:
     lam = np.abs(gx) ** 2 + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
     qz, rz = _wall_modes(nz, grid.hz)
-    cap = np.linalg.inv(np.eye(2) + (rz * (gz * gz * inv * inv)[:, None, :]) @ qz)
-    return _StripFactor(gx, gz, inv, qz, rz, cap)
+    qz = np.ascontiguousarray(qz.T)  # rows, as the solve's rank-2 change reads them
+    # the capacitance (a, b; c, d) of each wavenumber, entry by entry
+    w = gz * gz * inv * inv
+    (a, b), (c, d) = ([(w * (r * q)).sum(axis=1) for q in qz] for r in rz)
+    a += 1.0
+    d += 1.0
+    det = a * d - b * c
+    if not np.all(np.isfinite(det) & (det != 0.0)):
+        raise LinAlgError("singular strip wall capacitance")
+    return _StripFactor(gx, gz, inv, qz, rz, np.array([[d, -b], [-c, a]]) / det)
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -404,8 +419,9 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     # cancel it, and the corrected solve; the flux mode is set in both
     modes = _free_slip(fac, f1, f2)
     modes[0, 0, 0] = flux_mode
-    c = (fac.cap @ (modes[0] @ fac.rz.T)[..., None])[..., 0]
-    f1 -= c @ fac.qz.T
+    v = [(modes[0] * r).sum(axis=1) for r in fac.rz]
+    c = [a * v[0] + b * v[1] for a, b in fac.cap]
+    f1 -= c[0][:, None] * fac.qz[0] + c[1][:, None] * fac.qz[1]
     _free_slip(fac, f1, f2, modes)
     # continuity and the walls force the x-mean of u2 to 0
     modes[0, 0, 0], modes[1, 0] = flux_mode, 0.0

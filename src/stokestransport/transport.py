@@ -162,10 +162,12 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     else:
         raise TypeError("velocity must be a VelocityField or a callable of time")
     span = t1 - t0
+    steps = abs(span) / config.dt
+    if not math.isfinite(steps):
+        raise ValueError(f"the step count |t1 - t0| / dt = {steps} is not finite")
     # the small backoff keeps an exactly-divisible span from gaining a step
     # to floating-point noise in the quotient
-    nsteps = (0 if span == 0.0
-              else max(1, int(math.ceil(abs(span) / config.dt - 1e-12))))
+    nsteps = 0 if span == 0.0 else max(1, int(math.ceil(steps - 1e-12)))
     seeds = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
     p = seeds.copy()
     if nsteps:

@@ -226,14 +226,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("cmd, body, flags", [
         ("transport", "nx = 32\nnz = 16\nt_final = inf\n", []),
-        ("transport", "nx = 32\nnz = 16\ndt = inf\n", []),
         ("picard", "nx = 32\nnz = 16\nn_time_nodes = 1\n", []),
         ("stability", "nx = 60\nnz = 16\n", []),
         ("norms", "domain = strip\nx_extent = 8\nnx = 60\nnz = 16\n"
                   "uloc = 1\n", []),
         ("stability", "nx = 32\nnz = 16\nt_final = inf\n", []),
-        ("stability", "nx = 32\nnz = 16\ndt = 0\n", []),
-        ("picard", "nx = 32\nnz = 16\ntol = nan\n", []),
         ("norms", "domain = strip\nx_extent = 8\nnx = 32\nnz = 16\n"
                   "sweep_fields = -1\n", []),
         ("stokes", _SMALL + "problem = buoyancy\nflux = nan\n", []),
@@ -280,10 +277,9 @@ class TestConfigErrors:
         ("stokes", _SMALL + "problem = buoyancy\nscenario.delta = 3\n",
          ["--poiseuille", "1.0"]),
         ("transport", "nx = 16\nnz = 8\nscenario = patch\nscenario.delta = 3\n", []),
-    ], ids=["transport_infinite_t_final", "transport_infinite_dt",
-            "picard_one_time_node", "stability_nx_off_period",
-            "norms_uloc_nx_off_period", "stability_infinite_t_final",
-            "stability_zero_dt", "picard_nan_tol", "norms_negative_sweep",
+    ], ids=["transport_infinite_t_final", "picard_one_time_node",
+            "stability_nx_off_period", "norms_uloc_nx_off_period",
+            "stability_infinite_t_final", "norms_negative_sweep",
             "stokes_nan_flux", "stokes_inf_flux", "stokes_nan_phi",
             "stokes_inf_phi", "stokes_poiseuille_flag_nan",
             "transport_nan_flux", "transport_inf_flux", "transport_nan_phi",
@@ -390,6 +386,57 @@ class TestConfigErrors:
         assert exc.value.code == 2
         assert list(out.iterdir()) == []
         assert "--seed" in capsys.readouterr().err
+
+
+# The exit-code sweep: every command x key x edge value over its _QUICK
+# section.  Integer keys also take their floor and the integer below it.
+_EDGES = ("0", "-1", "nan", "inf", "text", "1e300", "1e-300", "5e-324")
+_FLOORS = {"nx": 8, "nz": 8, "snapshot_every": 0, "n_time_nodes": 2,
+           "max_picard": 1, "sweep_fields": 0, "seed": 0, "families": 1,
+           "n_max": 2}
+# a parameter of each command's default scenario, as a dotted key
+_DOTTED = {"stokes": ["scenario.lower"], "transport": ["scenario.cz"],
+           "simulate": ["scenario.eps"], "picard": ["scenario.eps"],
+           "stability": ["scenario.upper", "scenario2.eps"],
+           "norms": ["scenario.amplitude"], "ledger": []}
+# Left out, because they would allocate or run without bound until a step
+# and memory budget rejects them: a finite but huge t_final / dt (1e300
+# steps and more), and a huge x_extent where a Partition is built, whose
+# window count is x_extent.
+_UNBOUNDED = {(cmd, key, value)
+              for cmd in ("transport", "simulate", "stability")
+              for key, value in (("t_final", "1e300"), ("dt", "1e-300"))}
+_UNBOUNDED |= {(cmd, "x_extent", "1e300") for cmd in ("picard", "stability", "norms")}
+
+
+@pytest.mark.parametrize("cmd, key", [
+    (cmd, key) for cmd in sorted(cli._COMMANDS)
+    for key in sorted(set(cli._DEFAULTS[cmd]) - {"out"}) + _DOTTED[cmd]])
+def test_every_edge_value_keeps_the_exit_code_contract(tmp_path, capsys, cmd, key):
+    # no value raises out of main: exit 2 is a config error line and
+    # nothing written, exit 1 a solver failure line and nothing written;
+    # a value that the key's parser rejects exits 2
+    base = dict(line.split(" = ") for line in _QUICK[cmd].splitlines())
+    values = list(_EDGES)
+    if key in _FLOORS:
+        values += [str(_FLOORS[key]), str(_FLOORS[key] - 1)]
+    for i, value in enumerate(values):
+        if (cmd, key, value) in _UNBOUNDED:
+            continue
+        section = {**base, key: value}
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + "".join(
+            f"{k} = {v}\n" for k, v in section.items()), name=f"{i}.ini")
+        out = tmp_path / f"o{i}"
+        rc = cli.main([cmd, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (key, value)
+        try:
+            cli._convert({key: value})
+        except cli.ConfigError:
+            assert rc == 2, (key, value)
+        if rc:
+            line = "config error: " if rc == 2 else "solver failure: "
+            assert err.startswith(line) and not out.exists(), (key, value, err)
 
 
 class TestKeyTable:

