@@ -6,22 +6,24 @@ pure transport of rho.  Two drivers are provided:
 * picard_solve alternates the two solves on a fixed time window and
   measures the dual-norm distance between consecutive density iterates.
   A sweep visits the time nodes once, in order: it integrates interval i
-  in the old iterate's velocity, composes it onto one running backward
-  map, pulls node i back from rho0, takes its difference to the old node
-  and solves it.  Between sweeps an iterate is one density and velocity
-  per node; interval maps, pressures and old nodes are let go as soon as
-  nothing later reads them.  The contraction indicator B T e^{BT}
+  in the old iterate's velocity, blended between the interval's two
+  nodes, composes it onto one running backward map, which interval 1's
+  map starts, pulls node i back from rho0, takes its difference to the
+  old node and solves it.  Between sweeps an iterate is one density and
+  velocity per node; interval maps, pressures and old nodes are let go as
+  soon as nothing later reads them.  The contraction indicator B T e^{BT}
   uses the measured operator constant: B is the largest observed
   W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|.
 * time_march freezes the velocity over each step and advances a composed
-  backward flow map, so the density at every output time is a single
-  bilinear sample of the initial data.  Sup bounds therefore never decay:
-  the scheme cannot create extrema, and plateau-built initial data keeps
-  its sup exactly.
+  backward flow map, which the first step's map starts, so the density at
+  every output time is a single bilinear sample of the initial data.  Sup
+  bounds therefore never decay: the scheme cannot create extrema, and
+  plateau-built initial data keeps its sup exactly.
 
-Both return SimulationState records of time, density and norms only.  The
-velocity and pressure are the Stokes response to -rho e_z, so the density
-is the whole state: each solve is read for its norms and then let go.
+Both step through _advance and return SimulationState records of time,
+density and norms only.  The velocity and pressure are the Stokes
+response to -rho e_z, so the density is the whole state: each solve is
+read for its norms and then let go.
 time_march hands each state to an output sink as soon as it is made: by
 default a list, which keeps one density field per step, while the CLI's
 sink writes the state's series row and snapshot and keeps none, so a CLI
@@ -57,10 +59,10 @@ from .norms import (Partition, _velocity_sup, grad_inf_norm, h1_norm,
                     hneg1_norm, lq_norm, uloc_norm)
 from .stokes import flux_profile, solve_buoyancy
 from .transport import (
-    FlowMap,
     TransportConfig,
     VelocitySeries,
     _pull_back,
+    _step_count,
     compose_maps,
     integrate_flow,
 )
@@ -140,6 +142,18 @@ def _diff_norm(a: ScalarField, b: ScalarField, partition: Partition | None,
     return uloc_norm(diff, -1, partition, margin=margin).value
 
 
+def _advance(rho0: ScalarField, back, u: list, t0: float, t1: float,
+             config: TransportConfig):
+    """The running backward map and density at t1 of either driver: trace
+    t1 back to t0 in the velocity handed over in the one-item list u (so it
+    goes once traced), compose that map onto back, the running map from t0
+    to 0, or start it when back is None, and pull rho0 back through it."""
+    step = integrate_flow(u.pop(), t1, t0, config)
+    back = step if back is None else compose_maps(back, step)
+    del step
+    return back, _pull_back(rho0, back)
+
+
 def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
                  tol: float = 1e-8, max_picard: int = 25):
     """Alternate Stokes and transport solves on [0, T] to a fixed point.
@@ -147,7 +161,8 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
     Returns (states, trace): the final self-consistent time series and the
     iteration record.  Divergence (no decrease in the iterate distance by
     the iteration cap) raises PicardDivergenceError suggesting a shorter
-    window.  Each flow map is integrated with a quarter of the node spacing.
+    window.  Each interval is integrated in its two nodes' velocities with
+    a quarter of the node spacing; interval 1's map starts the sweep's map.
     A sweep converges when its distance falls below tol or is exactly 0 (a
     fixed point); otherwise tol = 0 runs all max_picard sweeps.
     """
@@ -187,21 +202,15 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
                 ratio_max = max(ratio_max, max(speed, grad_inf_norm(u)) / sup)
         margin = speed_max * float(T)
         old_us = us[:]
-        # node 0 is rho0 through the identity map: its solve is kept and
-        # its difference is zero
-        back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
-                       displacement=np.zeros((2, g.nx, g.nz)))
+        # node 0 is rho0 itself: its solve is kept and its difference is zero
+        back = None
         for i in range(1, n):
-            # interval i runs from times[i] back to times[i - 1]; its last
-            # stage time can round to just below times[i - 1], where the
-            # velocity blends nodes i - 2 and i - 1
-            lo = max(i - 2, 0)
-            back = compose_maps(back, integrate_flow(
-                VelocitySeries(times[lo:i + 1], old_us[lo:i + 1]),
-                float(times[i]), float(times[i - 1]), config))
-            if i >= 2:
-                old_us[i - 2] = None
-            rho = _pull_back(rho0, back)
+            # interval i's series holds its two nodes; a stage time that
+            # rounds below times[i - 1] clamps to node i - 1
+            back, rho = _advance(rho0, back, [VelocitySeries(
+                times[i - 1:i + 1], old_us[i - 1:i + 1])],
+                float(times[i - 1]), float(times[i]), config)
+            old_us[i - 1] = None
             d = _diff_norm(rho, rhos[i], partition, margin)
             delta = d if i == 1 else max(delta, d)
             rhos[i], us[i] = rho, solve_buoyancy(rho).u
@@ -237,25 +246,19 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
     to ``states.append`` as soon as it is made, and ``states`` is returned
     (a new list when it is None); a sink that writes each state out and
     keeps none lets a march hold one live density.  The density is always
-    pulled back from rho0 through one composed map.
+    rho0 pulled back through one running map, which the first step starts.
     """
     if not (T > 0.0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
     if not (0.0 < dt <= T):
         raise ValueError("need 0 < dt <= T")
-    g, dom = rho0.grid, rho0.domain
-    steps = T / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"the step count T / dt = {steps} is not finite")
-    nsteps = max(1, int(math.ceil(steps - 1e-12)))
+    nsteps = _step_count(T, dt)
 
     def bound(k):  # step k's start time, T for the last
         return T if k == nsteps else min(k * dt, T)
 
-    hmin = min(g.hx, g.hz)
-    back = FlowMap(t0=0.0, t1=0.0, grid=g, domain=dom,
-                   displacement=np.zeros((2, g.nx, g.nz)))
-    rho = rho0
+    hmin = min(rho0.grid.hx, rho0.grid.hz)
+    back, rho = None, rho0
     if states is None:
         states = []
     warned = False
@@ -274,16 +277,11 @@ def time_march(rho0: ScalarField, T: float, dt: float, states=None):
                 f"(dt |u| = {h * state.norms['u_linf']:.3g} > h = {hmin:.3g})",
                 stacklevel=2)
             warned = True
-        # the step reads only the velocity, and the next density only the
-        # composed map: the solve's pressure, the state and each map go as
-        # soon as nothing later reads them
-        u = sol.u
+        # the step reads only the velocity: the solve's pressure and the
+        # state go before it, the velocity once it is traced
+        u = [sol.u]
         del sol, state, rho
-        step = integrate_flow(u, t1, t0, TransportConfig(dt=h))
-        del u
-        back = compose_maps(back, step)
-        del step
-        rho = _pull_back(rho0, back)
+        back, rho = _advance(rho0, back, u, t0, t1, TransportConfig(dt=h))
     return states
 
 

@@ -398,12 +398,8 @@ def window_energy_bound(f, n: int, partition: Partition) -> WindowEnergyReport:
     cpu = partition.cells_per_unit
     cols = (np.arange(2 * n * cpu) - n * cpu) % g.nx
     w = g.hx * g.hz
-    if isinstance(f, VelocityField):
-        c1, c2 = _to_centers(f.u1), _to_centers(f.u2)
-        mass = float((c1[cols, :] ** 2).sum() + (c2[cols, :] ** 2).sum())
-    else:
-        vals = _to_centers(f) if f.staggering != CENTER else f.values
-        mass = float((vals[cols, :] ** 2).sum())
+    parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
+    mass = sum(float((_to_centers(p)[cols, :] ** 2).sum()) for p in parts)
     left = math.sqrt(w * mass)
     right = math.sqrt(2.0) * C_CHI * math.sqrt(n) * uloc_norm(f, 0, partition).value
     ratio = left / right if right > 0 else 0.0

@@ -143,6 +143,16 @@ class VelocitySeries:
                                      self.fields[i + 1].tables)
 
 
+def _step_count(span: float, dt: float) -> int:
+    """How many equal steps of at most dt cover |span|, at least one unless
+    span is 0; the backoff keeps an exactly divisible span from gaining a
+    step to rounding in the quotient."""
+    steps = abs(span) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"the step count |{span}| / {dt} = {steps} is not finite")
+    return 0 if span == 0.0 else max(1, int(math.ceil(steps - 1e-12)))
+
+
 def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     """Trace every cell-center seed from t0 to t1 (backward allowed).
 
@@ -162,12 +172,7 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
     else:
         raise TypeError("velocity must be a VelocityField or a callable of time")
     span = t1 - t0
-    steps = abs(span) / config.dt
-    if not math.isfinite(steps):
-        raise ValueError(f"the step count |t1 - t0| / dt = {steps} is not finite")
-    # the small backoff keeps an exactly-divisible span from gaining a step
-    # to floating-point noise in the quotient
-    nsteps = 0 if span == 0.0 else max(1, int(math.ceil(steps - 1e-12)))
+    nsteps = _step_count(span, config.dt)
     seeds = _kernels.center_points(g.nx, g.nz, g.hx, g.hz)
     p = seeds.copy()
     if nsteps:

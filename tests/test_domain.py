@@ -8,6 +8,7 @@ from stokestransport.domain import (
     ZFACE,
     DomainKind,
     DomainSpec,
+    Forcing,
     ScalarField,
     VelocityField,
     cell_center_points,
@@ -214,6 +215,36 @@ class TestVelocityField:
         with pytest.raises(AttributeError):
             del v.tables
         assert v.tables is tables
+
+
+def _zeros(grid, dom, staggering):
+    return ScalarField(grid, dom, np.zeros(expected_shape(grid, dom, staggering)),
+                       staggering)
+
+
+def _side_wall_u1(grid, dom):
+    a1 = np.zeros(expected_shape(grid, dom, XFACE))
+    a1[0, 3] = 1e-300
+    return ScalarField(grid, dom, a1, XFACE)
+
+
+@pytest.mark.parametrize("match, call", [
+    ("u1 on x-faces", lambda g, d: VelocityField(_zeros(g, d, ZFACE),
+                                                 _zeros(g, d, ZFACE))),
+    ("share one grid", lambda g, d: VelocityField(
+        _zeros(g, d, XFACE), _zeros(make_grid(d, 16, 16), d, ZFACE))),
+    ("u1 columns", lambda g, d: VelocityField(_side_wall_u1(g, d),
+                                              _zeros(g, d, ZFACE))),
+    ("f1 has wrong shape", lambda g, d: Forcing(
+        g, d, np.zeros((g.nx, g.nz)), _zeros(g, d, ZFACE).values)),
+    ("f2 has wrong shape", lambda g, d: Forcing(
+        g, d, _zeros(g, d, XFACE).values, np.zeros((g.nx, g.nz)))),
+], ids=["velocity_staggering", "velocity_grids", "velocity_side_wall",
+        "forcing_f1_shape", "forcing_f2_shape"])
+def test_bad_fields_are_rejected(rect, match, call):
+    dom, grid = rect
+    with pytest.raises(ValueError, match=match):
+        call(grid, dom)
 
 
 def interpolate_velocity(u, point):

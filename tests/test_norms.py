@@ -491,6 +491,23 @@ def test_margin_must_be_a_non_negative_number(strip):
                           whole.per_window)
 
 
+@pytest.mark.parametrize("match, call", [
+    ("cell-centered", lambda f, u, r, part: hneg1_norm(u.u1)),
+    ("dual window norm", lambda f, u, r, part: uloc_norm(u, -1, part)),
+    ("defined on the strip", lambda f, u, r, part: uloc_norm(r, 0, part)),
+    ("n must be >= 1", lambda f, u, r, part: window_energy_bound(f, 0, part)),
+    ("exceeds the period", lambda f, u, r, part: window_energy_bound(f, 5, part)),
+], ids=["hneg1_face_field", "uloc_dual_velocity", "uloc_rectangle",
+        "window_n_zero", "window_wider_than_period"])
+def test_bad_norm_arguments_are_rejected(strip, rect, match, call):
+    dom, grid = strip
+    f = random_center_field(grid, dom, np.random.default_rng(48))
+    u = VelocityField.zero(grid, dom)
+    r = random_center_field(rect[1], rect[0], np.random.default_rng(49))
+    with pytest.raises(ValueError, match=match):
+        call(f, u, r, Partition(grid, dom))
+
+
 def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
     # 1e200 is a valid sample, but its squared transform coefficients are not
     # representable; the norm must fail loudly instead of returning inf
@@ -550,6 +567,20 @@ class TestWindowEnergy:
         l1 = window_energy_bound(one, 1, part).left
         l4 = window_energy_bound(one, 4, part).left
         assert l4 / l1 == pytest.approx(2.0, rel=1e-3)
+
+    def test_velocity_sums_its_components(self, strip):
+        dom, grid = strip
+        part = Partition(grid, dom)
+        rng = np.random.default_rng(47)
+        u = VelocityField.from_arrays(
+            grid, dom, rng.standard_normal((grid.nx, grid.nz)),
+            rng.standard_normal((grid.nx, grid.nz + 1)))
+        for n in (1, 3):
+            rep = window_energy_bound(u, n, part)
+            parts = [window_energy_bound(c, n, part).left ** 2
+                     for c in (u.u1, u.u2)]
+            assert rep.left ** 2 == pytest.approx(sum(parts), rel=1e-14)
+            assert not rep.violated
 
     def test_no_violations_on_random_fields(self, strip):
         dom, grid = strip

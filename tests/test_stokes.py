@@ -592,6 +592,16 @@ class TestResidualGate:
 
     @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
                                                 (DomainKind.RECTANGLE, 1.0)])
+    def test_divergent_solution_is_rejected(self, kind, x_extent, monkeypatch):
+        # the residual passes, and a divergence of 1 fails the gate
+        monkeypatch.setattr(stokes, "max_divergence", lambda u: 1.0)
+        dom = DomainSpec(kind, x_extent)
+        rho = make_density("stratified_perturbed", make_grid(dom, 32, 16), dom)
+        with pytest.raises(StokesSolveError, match="discrete divergence"):
+            solve_buoyancy(rho)
+
+    @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
+                                                (DomainKind.RECTANGLE, 1.0)])
     def test_decisions_do_not_depend_on_the_data_scale(self, kind, x_extent):
         # accept the solve, reject it with one face off by 1e-11 of the data,
         # and reject the all-zero answer, whatever the scale of rho

@@ -13,8 +13,9 @@ from stokestransport.domain import (
     x_centers,
     z_centers,
 )
-from stokestransport.coupling import _potential_energy
+from stokestransport.coupling import _advance, _potential_energy
 from stokestransport.scenarios import _bump, _stratified_profile, make_density
+from stokestransport.snapshots import write_field
 from stokestransport.stokes import poiseuille, solve_buoyancy
 from stokestransport.transport import (
     FlowMap,
@@ -25,6 +26,7 @@ from stokestransport.transport import (
     integrate_flow,
     _pull_back,
     lipschitz_growth,
+    read_flowmap,
 )
 
 
@@ -144,18 +146,12 @@ def test_march_step_peak_memory():
     u = solve_buoyancy(rho0).u
     config = TransportConfig(dt=0.01)
 
-    def step(back):
-        t = back.t0
-        back = compose_maps(back, integrate_flow(u, t + 0.01, t, config))
-        return back, _pull_back(rho0, back)
-
-    back, _ = step(FlowMap(0.0, 0.0, grid, dom,
-                           np.zeros((2, grid.nx, grid.nz))))
+    back, _ = _advance(rho0, None, [u], 0.0, 0.01, config)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        step(back)
+        _advance(rho0, back, [u], 0.01, 0.02, config)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -375,3 +371,33 @@ class TestFlowStability:
         X1, X2, u1, u2 = self._two_flows(strip)
         with pytest.raises(ValueError):
             flow_stability(X1, X2, u1, u2, 1)
+
+
+def _two_grids(strip):
+    dom, grid = strip
+    u = VelocityField.zero(grid, dom)
+    other = VelocityField.zero(make_grid(dom, 32, 16), dom)
+    return (u, other,
+            integrate_flow(u, 0.0, 0.1, TransportConfig(dt=0.1)),
+            integrate_flow(other, 0.0, 0.1, TransportConfig(dt=0.1)))
+
+
+@pytest.mark.parametrize("exc, match, call", [
+    (ValueError, "one time per field",
+     lambda s, tmp: VelocitySeries([0.0, 1.0], _two_grids(s)[:1])),
+    (ValueError, "share one grid",
+     lambda s, tmp: VelocitySeries([0.0, 1.0], _two_grids(s)[:2])),
+    (TypeError, "callable of time",
+     lambda s, tmp: integrate_flow(3.0, 0.0, 1.0, TransportConfig(dt=0.1))),
+    (ValueError, "different grids",
+     lambda s, tmp: compose_maps(*_two_grids(s)[2:])),
+    (ValueError, "different grids",
+     lambda s, tmp: flow_stability(*_two_grids(s)[2:], *_two_grids(s)[:2], 2)),
+    (ValueError, "not a flow map",
+     lambda s, tmp: (write_field(tmp / "rho.stf", make_density("patch", s[1], s[0])),
+                     read_flowmap(tmp / "rho.stf"))),
+], ids=["series_count", "series_grids", "provider_not_callable",
+        "compose_grids", "stability_grids", "scalar_file"])
+def test_bad_inputs_are_rejected(strip, tmp_path, exc, match, call):
+    with pytest.raises(exc, match=match):
+        call(strip, tmp_path)
