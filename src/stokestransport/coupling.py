@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ScalarField, VelocityField, z_centers
+from .domain import ScalarField, VelocityField, _owned, z_centers
 from .norms import (Partition, _velocity_sup, grad_inf_norm, h1_norm,
                     hneg1_norm, lq_norm, uloc_norm)
 from .stokes import flux_profile, solve_buoyancy
@@ -377,16 +377,11 @@ class EnergyLedger:
     def __post_init__(self):
         if not (0.0 < self.C < math.inf and 0.0 < self.F < math.inf):
             raise ValueError("C and F must be positive and finite")
-        clean = {}
-        for n, arr in self.E.items():
+        owned = {}
+        for n, a in self.E.items():
             n = int(n)
-            a = np.asarray(arr, dtype=float)
-            if a.ndim != 1 or a.size != n:
-                raise ValueError(f"E[{n}] must hold exactly {n} values")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"E[{n}] must hold finite values")
-            clean[n] = a
-        object.__setattr__(self, "E", clean)
+            owned[n] = _owned(a, (n,), f"E[{n}]")
+        object.__setattr__(self, "E", owned)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,11 @@ The vertical extent is always (0, 1).  The strip is x-periodic with integer
 period L and face nx coincides with face 0, so only nx x-face columns are
 stored.  No-slip rows are stored explicitly and must be exact zeros: u2 at
 j = 0 and j = nz always, u1 at i = 0 and i = nx in rectangle mode.
+
+A container takes each array it holds through ``_owned``: one float64 copy
+that no caller can reach, checked for its shape and finiteness and then
+made read-only.  Fields, forcings, flow maps and energy ledgers all hold
+their arrays this way, so nothing can change them once they are built.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ __all__ = [
 CENTER = "center"
 XFACE = "xface"
 ZFACE = "zface"
-
-_STAGGERINGS = (CENTER, XFACE, ZFACE)
 
 
 class DomainKind(enum.Enum):
@@ -135,10 +138,14 @@ def expected_shape(grid: GridSpec, domain: DomainSpec, staggering: str):
     raise ValueError(f"unknown staggering {staggering!r}")
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=np.float64)
-    if out is values:
-        out = out.copy()
+def _owned(values, shape, what: str) -> np.ndarray:
+    """A read-only float64 copy of values, checked to have this shape and
+    to be finite; ``what`` names the array in the error."""
+    out = np.array(values, dtype=np.float64, order="C")
+    if out.shape != shape:
+        raise ValueError(f"{what} has wrong shape {out.shape}, want {shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} must all be finite")
     out.flags.writeable = False
     return out
 
@@ -156,18 +163,9 @@ class ScalarField:
     staggering: str = CENTER
 
     def __post_init__(self):
-        if self.staggering not in _STAGGERINGS:
-            raise ValueError(f"unknown staggering {self.staggering!r}")
-        vals = _frozen(self.values)
         want = expected_shape(self.grid, self.domain, self.staggering)
-        if vals.shape != want:
-            raise ValueError(
-                f"{self.staggering} field on {self.grid.nx}x{self.grid.nz} grid "
-                f"must have shape {want}, got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must all be finite")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _owned(
+            self.values, want, f"{self.staggering} field"))
 
     @classmethod
     def from_function(cls, fn, grid: GridSpec, domain: DomainSpec, staggering: str = CENTER):
@@ -269,16 +267,9 @@ class Forcing:
     f2: np.ndarray
 
     def __post_init__(self):
-        f1 = _frozen(self.f1)
-        f2 = _frozen(self.f2)
-        if f1.shape != expected_shape(self.grid, self.domain, XFACE):
-            raise ValueError(f"f1 has wrong shape {f1.shape}")
-        if f2.shape != expected_shape(self.grid, self.domain, ZFACE):
-            raise ValueError(f"f2 has wrong shape {f2.shape}")
-        if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
-            raise ValueError("forcing values must all be finite")
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
+        for name, staggering in (("f1", XFACE), ("f2", ZFACE)):
+            want = expected_shape(self.grid, self.domain, staggering)
+            object.__setattr__(self, name, _owned(getattr(self, name), want, name))
 
 
 def divergence(u: VelocityField) -> np.ndarray:

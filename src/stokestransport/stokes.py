@@ -89,10 +89,6 @@ __all__ = [
 class StokesSolveError(RuntimeError):
     """Raised when the linear solve fails to reach the requested residual."""
 
-    def __init__(self, message, residual=np.nan):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class StokesConfig:
@@ -347,12 +343,10 @@ def _gate_tolerance(f: Forcing, config: StokesConfig) -> float:
 def _check_solution(res, u, f, config):
     tol = _gate_tolerance(f, config)
     if res > tol:
-        raise StokesSolveError(
-            f"momentum residual {res:.3e} exceeds {tol:.3e}", residual=res)
+        raise StokesSolveError(f"momentum residual {res:.3e} exceeds {tol:.3e}")
     dmax = max_divergence(u)
     if dmax > tol:
-        raise StokesSolveError(
-            f"discrete divergence {dmax:.3e} exceeds {tol:.3e}", residual=dmax)
+        raise StokesSolveError(f"discrete divergence {dmax:.3e} exceeds {tol:.3e}")
 
 
 # ---------------------------------------------------------------------------

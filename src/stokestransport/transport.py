@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, snapshots
-from .domain import DomainSpec, GridSpec, ScalarField, VelocityField, _frozen
+from .domain import DomainSpec, GridSpec, ScalarField, VelocityField, _owned
 from .norms import _to_centers, grad_inf_norm
 
 __all__ = [
@@ -72,14 +72,9 @@ class FlowMap:
     displacement: np.ndarray  # (2, nx, nz), x offsets then z offsets
 
     def __post_init__(self):
-        d = _frozen(self.displacement)
         want = (2, self.grid.nx, self.grid.nz)
-        if d.shape != want:
-            raise ValueError(
-                f"displacement must have shape {want}, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("displacement must be finite")
-        object.__setattr__(self, "displacement", d)
+        object.__setattr__(self, "displacement", _owned(
+            self.displacement, want, "displacement"))
 
     def map_centers(self):
         """Mapped cell centres as a (2, nx, nz) stack, x left unwrapped."""

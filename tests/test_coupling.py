@@ -561,6 +561,17 @@ class TestLedger:
                 if math.isfinite(row.bound) and row.c_alpha < 1.0:
                     assert row.ok
 
+    def test_ledger_owns_its_energies(self):
+        led = _LinearLedger.build()
+        E = {n: v.copy() for n, v in led.E.items()}
+        owned = EnergyLedger(E=E, C=led.C, F=led.F)
+        E[5][2] = E[5][3] + 1.0  # would break monotonicity in the ledger
+        assert np.array_equal(owned.E[5], led.E[5])
+        assert energy_ledger_check(owned).verdict == "pass"
+        assert not owned.E[5].flags.writeable
+        with pytest.raises(ValueError):
+            owned.E[5][2] = 0.0
+
     def test_container_validation(self):
         with pytest.raises(ValueError):
             EnergyLedger(E={1: np.array([1.0, 2.0])}, C=1.0, F=1.0)

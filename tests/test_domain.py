@@ -21,6 +21,7 @@ from stokestransport.domain import (
     z_centers,
     z_faces,
 )
+from stokestransport.stokes import buoyancy_forcing
 
 
 class TestDomainSpec:
@@ -228,22 +229,35 @@ def _side_wall_u1(grid, dom):
     return ScalarField(grid, dom, a1, XFACE)
 
 
-@pytest.mark.parametrize("match, call", [
-    ("u1 on x-faces", lambda g, d: VelocityField(_zeros(g, d, ZFACE),
-                                                 _zeros(g, d, ZFACE))),
-    ("share one grid", lambda g, d: VelocityField(
+@pytest.mark.parametrize("exc, match, call", [
+    (ValueError, "u1 on x-faces", lambda g, d: VelocityField(
+        _zeros(g, d, ZFACE), _zeros(g, d, ZFACE))),
+    (ValueError, "share one grid", lambda g, d: VelocityField(
         _zeros(g, d, XFACE), _zeros(make_grid(d, 16, 16), d, ZFACE))),
-    ("u1 columns", lambda g, d: VelocityField(_side_wall_u1(g, d),
-                                              _zeros(g, d, ZFACE))),
-    ("f1 has wrong shape", lambda g, d: Forcing(
+    (ValueError, "u1 columns", lambda g, d: VelocityField(
+        _side_wall_u1(g, d), _zeros(g, d, ZFACE))),
+    (ValueError, "f1 has wrong shape", lambda g, d: Forcing(
         g, d, np.zeros((g.nx, g.nz)), _zeros(g, d, ZFACE).values)),
-    ("f2 has wrong shape", lambda g, d: Forcing(
+    (ValueError, "f2 has wrong shape", lambda g, d: Forcing(
         g, d, _zeros(g, d, XFACE).values, np.zeros((g.nx, g.nz)))),
+    (ValueError, "f2 must all be finite", lambda g, d: Forcing(
+        g, d, _zeros(g, d, XFACE).values,
+        np.full(expected_shape(g, d, ZFACE), np.inf))),
+    (TypeError, "kind must be a DomainKind",
+     lambda g, d: DomainSpec("rectangle", 1.0)),
+    (ValueError, "unknown staggering", lambda g, d: ScalarField(
+        g, d, np.zeros((g.nx, g.nz)), "corner")),
+    (ValueError, r"center field has wrong shape \(1024,\), want \(32, 32\)",
+     lambda g, d: ScalarField(g, d, np.zeros(g.nx * g.nz))),
+    (ValueError, "cell-centered density",
+     lambda g, d: buoyancy_forcing(_zeros(g, d, XFACE))),
 ], ids=["velocity_staggering", "velocity_grids", "velocity_side_wall",
-        "forcing_f1_shape", "forcing_f2_shape"])
-def test_bad_fields_are_rejected(rect, match, call):
+        "forcing_f1_shape", "forcing_f2_shape", "forcing_not_finite",
+        "domain_kind_not_an_enum", "unknown_staggering", "field_flat_values",
+        "buoyancy_of_face_field"])
+def test_bad_fields_are_rejected(rect, exc, match, call):
     dom, grid = rect
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(exc, match=match):
         call(grid, dom)
 
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read there or exported."""
+"""Every name a module of the package imports is read there or exported,
+and every name it exports is bound at its top level."""
 
 import ast
 import os
@@ -13,22 +14,43 @@ import stokestransport
 SRC = Path(stokestransport.__file__).resolve().parent
 
 
+def _exports(tree: ast.Module) -> list[str]:
+    """The names that the module's ``__all__`` lists."""
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def _unread_imports(source: str) -> list[str]:
     """Imported names that no expression reads and ``__all__`` does not list."""
-    bound, exported, read = [], set(), set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source)
+    bound, exported, read = [], set(_exports(tree)), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (
                 isinstance(node, ast.ImportFrom) and node.module != "__future__"):
             bound += [a.asname or a.name for a in node.names]
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported |= set(ast.literal_eval(node.value))
         elif isinstance(node, ast.Attribute) or (
                 isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)):
             read.add(ast.unparse(node))
     # ``import a.b`` binds ``a`` but is used only through ``a.b...``
     return [name for name in bound if name not in exported
             and not any(r == name or r.startswith(name + ".") for r in read)]
+
+
+def _stale_exports(source: str) -> list[str]:
+    """Names that ``__all__`` lists and the module's top level does not bind."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return [name for name in _exports(tree) if name not in bound]
 
 
 def test_scan_finds_unread_imports():
@@ -40,6 +62,19 @@ def test_scan_finds_unread_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unread_imports(path.read_text()) == []
+
+
+def test_scan_finds_stale_exports():
+    source = ("import os\nfrom m import y as z\nA, (B, C) = 1, (2, 3)\nD: int = 4\n"
+              "class K:\n    inner = 5\n"
+              "def f():\n    def g(): pass\n    h = 6\n"
+              "__all__ = ['os', 'z', 'A', 'B', 'C', 'D', 'K', 'f', 'g', 'h', 'inner', 'y']\n")
+    assert _stale_exports(source) == ["g", "h", "inner", "y"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert _stale_exports(path.read_text()) == []
 
 
 _RUN_THEN_LIST = (

@@ -351,9 +351,6 @@ class TestNonFinitePoints:
 
 
 class TestEnvSelection:
-    def test_backend_name_reports_selection(self):
-        assert _kernels.backend_name() == "numpy"
-
     def test_numpy_always_available(self, strip):
         # the one kernel needs nothing beyond numpy to load and sample
         grid, dom, u1, u2, px, pz = _sample_args(strip)

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
 from stokestransport import norms
+from stokestransport.coupling import contraction_window, random_ledger
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -497,8 +498,14 @@ def test_margin_must_be_a_non_negative_number(strip):
     ("defined on the strip", lambda f, u, r, part: uloc_norm(r, 0, part)),
     ("n must be >= 1", lambda f, u, r, part: window_energy_bound(f, 0, part)),
     ("exceeds the period", lambda f, u, r, part: window_energy_bound(f, 5, part)),
+    ("different grid", lambda f, u, r, part: uloc_norm(
+        f, 0, Partition(make_grid(f.domain, 32, 16), f.domain))),
+    ("target must lie in", lambda f, u, r, part: contraction_window(1.0, target=1.0)),
+    ("window indices", lambda f, u, r, part: random_ledger(
+        1.0, 1.0, [2, 0], np.random.default_rng(0))),
 ], ids=["hneg1_face_field", "uloc_dual_velocity", "uloc_rectangle",
-        "window_n_zero", "window_wider_than_period"])
+        "window_n_zero", "window_wider_than_period", "uloc_other_grid",
+        "window_target_one", "ledger_window_zero"])
 def test_bad_norm_arguments_are_rejected(strip, rect, match, call):
     dom, grid = strip
     f = random_center_field(grid, dom, np.random.default_rng(48))

@@ -137,3 +137,17 @@ class TestFactory:
     def test_registry_is_complete(self):
         assert set(SCENARIOS) == {"constant", "stratified",
                                   "stratified_perturbed", "patch", "checker"}
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("constant", {"value": np.nan}, "needs a finite value"),
+    ("stratified", {"plateau": 0.5}, "plateau must lie in"),
+    ("stratified", {"lower": np.inf}, "needs finite levels"),
+    ("patch", {"r_outer": 0.5}, "does not fit the domain"),
+    ("checker", {"kz": 0}, "wavenumbers must be positive"),
+], ids=["constant_nan", "stratified_plateau_half", "stratified_infinite_level",
+        "patch_too_wide", "checker_zero_wavenumber"])
+def test_bad_parameters_are_rejected(rect, name, params, match):
+    dom, grid = rect
+    with pytest.raises(ValueError, match=match):
+        make_density(name, grid, dom, **params)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _flows import composition_orders, shear_series
+from stokestransport import _kernels
 from stokestransport.domain import (
     DomainKind,
     DomainSpec,
@@ -396,8 +397,13 @@ def _two_grids(strip):
     (ValueError, "not a flow map",
      lambda s, tmp: (write_field(tmp / "rho.stf", make_density("patch", s[1], s[0])),
                      read_flowmap(tmp / "rho.stf"))),
+    (ValueError, "matching shapes",
+     lambda s, tmp: _kernels.sample_center(
+         np.zeros((s[1].nx, s[1].nz)), np.zeros(3), np.zeros(4), s[1].hx,
+         s[1].hz, True, s[0].x_extent)),
 ], ids=["series_count", "series_grids", "provider_not_callable",
-        "compose_grids", "stability_grids", "scalar_file"])
+        "compose_grids", "stability_grids", "scalar_file",
+        "sample_points_unpaired"])
 def test_bad_inputs_are_rejected(strip, tmp_path, exc, match, call):
     with pytest.raises(exc, match=match):
         call(strip, tmp_path)
