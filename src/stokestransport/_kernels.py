@@ -10,12 +10,13 @@ each axis, so every point's cell is ``i = floor(f)`` with weight
 ``take(mode="clip")`` calls on overlapping views of the table and three
 blends (a non-finite point casts to index -2**63, which the clip keeps in
 bounds while its NaN weight still yields NaN).  ``rk4_step`` takes its
-three stage velocities as prepared tables (``velocity_tables``), which a
-``VelocityField`` builds once and keeps (``VelocityField.tables``); since
-a table holds only copies and exact negations of the field's values, the
-table of a linear combination of fields is that combination of their
-tables, bit for bit (``blend_tables``).  Each RK4 stage locates its
-points once for both velocity components.
+three stage velocities as prepared tables (``velocity_tables``), which
+the caller builds and owns: ``transport.integrate_flow`` builds a node's
+tables once per trace and lets them go when the trace ends.  Since a table
+holds only copies and exact negations of the field's values, the table of
+a linear combination of fields is that combination of their tables, bit
+for bit (``blend_tables``).  Each RK4 stage locates its points once for
+both velocity components.
 
 Arrays live only as long as something still reads them.  A stage's
 located cells are written over its coordinate temporaries and let go

@@ -49,7 +49,9 @@ the predicted bound is infinite, so that candidate accepts any k0.
 from __future__ import annotations
 
 import math
+import types
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,9 +370,14 @@ def _lambert_w(y: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Windowed-energy family: E[n] holds E_{n,1} .. E_{n,n}."""
+    """Windowed-energy family: E[n] holds E_{n,1} .. E_{n,n}, in a
+    read-only mapping of read-only arrays.
 
-    E: dict
+    A family whose hypothesis checks would overflow, C (2 max |E| +
+    (n + 1) F) at its largest n, is rejected.
+    """
+
+    E: Mapping[int, np.ndarray]
     C: float
     F: float
 
@@ -378,10 +385,18 @@ class EnergyLedger:
         if not (0.0 < self.C < math.inf and 0.0 < self.F < math.inf):
             raise ValueError("C and F must be positive and finite")
         owned = {}
+        reach = 0.0
         for n, a in self.E.items():
             n = int(n)
             owned[n] = _owned(a, (n,), f"E[{n}]")
-        object.__setattr__(self, "E", owned)
+            # bounds C (E[k + 1] - E[k] + (k + 1) F) in the recursion check
+            top = 2.0 * float(np.abs(owned[n]).max(initial=0.0))
+            reach = max(reach, self.C * (top + (n + 1) * self.F))
+        if not reach * (1.0 + _REL_SLACK) < math.inf:
+            raise ValueError(
+                "the family's recursion check overflows: "
+                f"C (2 max |E| + (n + 1) F) = {reach:.3g}")
+        object.__setattr__(self, "E", types.MappingProxyType(owned))
 
 
 @dataclass(frozen=True)

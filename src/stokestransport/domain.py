@@ -16,12 +16,14 @@ A container takes each array it holds through ``_owned``: one float64 copy
 that no caller can reach, checked for its shape and finiteness and then
 made read-only.  Fields, forcings, flow maps and energy ledgers all hold
 their arrays this way, so nothing can change them once they are built.
+A container holds nothing else: a velocity keeps no data derived from its
+arrays, so what the RK4 kernel reads of it is built and owned by the trace
+that reads it (``transport.integrate_flow``).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -210,17 +212,6 @@ class VelocityField:
     @property
     def domain(self) -> DomainSpec:
         return self.u1.domain
-
-    @functools.cached_property
-    def tables(self):
-        """The RK4 kernel's read-only corner tables of this velocity
-        (``_kernels.velocity_tables``), built on first use and kept as long
-        as the field."""
-        tables = _kernels.velocity_tables(self.u1.values, self.u2.values,
-                                          self.domain.periodic)
-        for e in tables:
-            e.flags.writeable = False
-        return tables
 
     @classmethod
     def from_arrays(cls, grid, domain, a1, a2, enforce_walls: bool = True):

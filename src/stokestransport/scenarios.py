@@ -12,6 +12,7 @@ shaving them by an interpolation error.
 from __future__ import annotations
 
 import inspect
+import math
 
 import numpy as np
 
@@ -88,6 +89,11 @@ def patch(grid: GridSpec, domain: DomainSpec, cx: float | None = None,
         raise ValueError("patch must clear both walls")
     if cx is None:
         cx = 0.5 * domain.x_extent
+    # |x - cx| <= x_extent + |cx|, whose square must not overflow below
+    reach = domain.x_extent + abs(float(cx))
+    if not reach * reach < math.inf:
+        raise ValueError(
+            f"patch distances do not square to finite values: x_extent + |cx| = {reach:.3g}")
     xs, zs = x_centers(grid)[:, None], z_centers(grid)[None, :]
     dx = xs - float(cx)
     if domain.periodic:

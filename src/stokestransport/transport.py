@@ -14,10 +14,13 @@ velocities at discrete times.  The integrator is the classical 4-stage
 Runge-Kutta method with a fixed step; stage points are clamped to the
 closed z-interval, which only absorbs floating-point drift because the
 vertical velocity vanishes at the walls.  Every provider reaches the RK4
-kernel as corner tables: a VelocityField builds its own on first use and
-keeps them as long as it lives (``VelocityField.tables``), and a series
-blends the tables of its two bracketing nodes, which equals building the
-tables of the blended field bit for bit.
+kernel as corner tables, which the trace owns, not the velocity: a series
+builds each node's tables once (``_kernels.velocity_tables``) and keeps
+them as long as the series lives, and between nodes it blends the tables
+of its two bracketing nodes, which equals building the tables of the
+blended field bit for bit.  A steady VelocityField is traced as a one-node
+series and a plain callable through the tables of each u(t), so a trace's
+tables go when it ends and a field never holds more than its arrays.
 
 Container note: a map holds its displacement as a (2, nx, nz) stack, x
 offsets then z offsets; it serializes with the raster tag reserved for
@@ -104,6 +107,7 @@ class VelocitySeries:
         self.fields = fields
         self.grid = g
         self.domain = dom
+        self._node_tables = [None] * len(fields)
 
     def _bracket(self, t: float):
         """(i, w): the velocity at t is node i's when w is None, else the
@@ -128,14 +132,29 @@ class VelocitySeries:
         return VelocityField.from_arrays(self.grid, self.domain, a1, a2,
                                          enforce_walls=False)
 
+    def _node(self, i: int):
+        """Node i's read-only corner tables, built on first use and kept as
+        long as the series."""
+        tables = self._node_tables[i]
+        if tables is None:
+            tables = self._node_tables[i] = _tables_of(self.fields[i])
+            for e in tables:
+                e.flags.writeable = False
+        return tables
+
     def tables(self, t: float):
         """The corner tables of self(t): a node's own, or the blend of its
         two bracketing nodes' tables, bit for bit the same."""
         i, w = self._bracket(t)
         if w is None:
-            return self.fields[i].tables
-        return _kernels.blend_tables(w, self.fields[i].tables,
-                                     self.fields[i + 1].tables)
+            return self._node(i)
+        return _kernels.blend_tables(w, self._node(i), self._node(i + 1))
+
+
+def _tables_of(u: VelocityField):
+    """The RK4 kernel's corner tables of one velocity."""
+    return _kernels.velocity_tables(u.u1.values, u.u2.values,
+                                    u.domain.periodic)
 
 
 def _step_count(span: float, dt: float) -> int:
@@ -153,17 +172,19 @@ def integrate_flow(u, t0: float, t1: float, config: TransportConfig) -> FlowMap:
 
     u is a VelocityField, a VelocitySeries or any callable t ->
     VelocityField.  Each RK4 step reads the corner tables of its three
-    stage velocities, and a step's end tables start the next step.
+    stage velocities, and a step's end tables start the next step.  A
+    steady field is traced as a one-node series, so its tables are built
+    once, at the first step, and go with the trace.
     """
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
+    if isinstance(u, VelocityField):
+        u = VelocitySeries([t0], [u])
     if isinstance(u, VelocitySeries):
         g, dom, tables = u.grid, u.domain, u.tables
-    elif isinstance(u, VelocityField):
-        g, dom, tables = u.grid, u.domain, lambda t: u.tables
     elif callable(u):
         f = u(t0)
-        g, dom, tables = f.grid, f.domain, lambda t: u(t).tables
+        g, dom, tables = f.grid, f.domain, lambda t: _tables_of(u(t))
     else:
         raise TypeError("velocity must be a VelocityField or a callable of time")
     span = t1 - t0

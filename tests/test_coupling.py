@@ -115,10 +115,11 @@ class TestPicard:
         with pytest.raises(ValueError, match="tol"):
             picard_solve(rho0, T=1.0, tol=tol)
 
-    def test_each_velocity_builds_its_tables_once(self, strip, monkeypatch):
-        # a field keeps its RK4 corner tables: the first sweep runs in rho0's
-        # velocity alone, node 0 keeps that velocity, and every later sweep
-        # builds the tables of nodes 1..n-1 of the last sweep's solves
+    def test_each_trace_builds_its_own_tables(self, strip, monkeypatch):
+        # the RK4 corner tables belong to the trace, not the velocity: each
+        # Picard interval's two-node series builds both nodes' tables and
+        # lets them go when the interval ends, and a march step traces its
+        # steady velocity as a one-node series
         builds = []
 
         def counted(*args, **kwargs):
@@ -133,7 +134,10 @@ class TestPicard:
         _, trace = picard_solve(rho0, T=0.5, n_time_nodes=n, tol=0.0,
                                 max_picard=3)
         assert trace.iterations == 3
-        assert len(builds) <= 1 + (trace.iterations - 1) * (n - 1)
+        assert len(builds) == trace.iterations * 2 * (n - 1)
+        builds.clear()
+        states = time_march(rho0, T=0.5, dt=0.125)
+        assert len(builds) == len(states) - 1 == 4
 
     def test_first_interval_map_starts_each_sweep(self, strip, monkeypatch):
         # each sweep composes every later interval onto one running backward
@@ -309,7 +313,8 @@ class TestTimeMarch:
             states = time_march(rho0, 80.0, 2.5)
             p = _kernels.center_points(g.nx, g.nz, g.hx, g.hz).copy()
             for state in reversed(states[:-1]):
-                e = solve_buoyancy(state.rho).u.tables
+                u = solve_buoyancy(state.rho).u
+                e = _kernels.velocity_tables(u.u1.values, u.u2.values, False)
                 _kernels.rk4_step(*p, -2.5, e, e, e, g.nz, g.hx, g.hz,
                                   False, 1.0)
             d = np.hypot(p[0] - 0.5, p[1] - 0.7)
@@ -571,6 +576,25 @@ class TestLedger:
         assert not owned.E[5].flags.writeable
         with pytest.raises(ValueError):
             owned.E[5][2] = 0.0
+
+    def test_ledger_mapping_is_read_only(self):
+        # no entry can join after the arrays were checked
+        led = _LinearLedger.build()
+        with pytest.raises(TypeError):
+            led.E[9] = np.full(9, np.nan)
+        with pytest.raises(TypeError):
+            del led.E[5]
+        assert sorted(led.E) == list(range(1, 9))
+
+    @pytest.mark.parametrize("E, C, F", [
+        ({1: [0.5], 2: [0.7, 0.8]}, 1e308, 0.8),
+        ({1: [0.5], 2: [0.7, 1e308]}, 1.5, 0.8),
+        ({1: [0.5]}, 1.5, 1e308),
+    ], ids=["huge_C", "huge_energy", "huge_F"])
+    def test_overflowing_recursion_rejected(self, E, C, F):
+        # C (E[k + 1] - E[k] + (k + 1) F) must be finite for every entry
+        with pytest.raises(ValueError, match="overflows"):
+            EnergyLedger(E=E, C=C, F=F)
 
     def test_container_validation(self):
         with pytest.raises(ValueError):

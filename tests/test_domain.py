@@ -195,28 +195,6 @@ class TestVelocityField:
         assert np.array_equal(divergence(v), want)
         assert max_divergence(v) == float(np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("which", ["rect", "strip"])
-    def test_tables_are_kept_read_only_and_equal_velocity_tables(
-            self, which, rect, strip):
-        dom, grid = rect if which == "rect" else strip
-        rng = np.random.default_rng(4)
-        v = VelocityField.from_arrays(
-            grid, dom,
-            rng.standard_normal((grid.nx + (not dom.periodic), grid.nz)),
-            rng.standard_normal((grid.nx, grid.nz + 1)))
-        tables = v.tables
-        assert v.tables is tables
-        want = _kernels.velocity_tables(v.u1.values, v.u2.values, dom.periodic)
-        assert len(tables) == len(want) == 2
-        for got, ref in zip(tables, want):
-            assert np.array_equal(got, ref)
-            assert not got.flags.writeable
-        with pytest.raises(AttributeError):
-            v.tables = want
-        with pytest.raises(AttributeError):
-            del v.tables
-        assert v.tables is tables
-
 
 def _zeros(grid, dom, staggering):
     return ScalarField(grid, dom, np.zeros(expected_shape(grid, dom, staggering)),

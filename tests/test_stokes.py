@@ -590,6 +590,26 @@ class TestResidualGate:
         with pytest.raises(StokesSolveError, match="momentum residual"):
             stokes._check_solution(res, u, f, config)
 
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_divergence_gate_at_its_edge(self, strip, factor, accepted):
+        # one interior z-face moved so that the largest divergence is factor
+        # times the gate's tolerance; the gate reads the solve's own residual
+        dom, grid = strip
+        f = buoyancy_forcing(make_density("stratified_perturbed", grid, dom))
+        config = StokesConfig(flux_target=1.0)
+        sol = solve_stokes_strip(f, config)
+        tol = stokes._gate_tolerance(f, config)
+        a2 = sol.u.u2.values.copy()
+        a2[5, 7] += factor * tol * grid.hz
+        u = VelocityField.from_arrays(grid, dom, sol.u.u1.values, a2,
+                                      enforce_walls=False)
+        assert max_divergence(u) == pytest.approx(factor * tol, rel=1e-3)
+        if accepted:
+            stokes._check_solution(sol.residual_norm, u, f, config)
+        else:
+            with pytest.raises(StokesSolveError, match="discrete divergence"):
+                stokes._check_solution(sol.residual_norm, u, f, config)
+
     @pytest.mark.parametrize("kind, x_extent", [(DomainKind.STRIP, 8.0),
                                                 (DomainKind.RECTANGLE, 1.0)])
     def test_divergent_solution_is_rejected(self, kind, x_extent, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stokestransport.transport import (
     flow_stability,
     integrate_flow,
     _pull_back,
+    _step_count,
     lipschitz_growth,
     read_flowmap,
 )
@@ -118,6 +120,12 @@ class TestIntegrateFlow:
         fm_coarse = integrate_flow(provider, 0.0, 0.5, TransportConfig(dt=0.125))
         fm_exact = integrate_flow(provider, 0.0, 0.5, TransportConfig(dt=0.5 / 4))
         assert np.array_equal(fm_coarse.displacement, fm_exact.displacement)
+
+    def test_step_count_backs_off_only_rounding(self):
+        # 1 / 0.1 is exactly 10 steps; a span 1e-9 longer needs an eleventh,
+        # which a backoff of 1e-6 instead of 1e-12 would drop
+        assert _step_count(1.0, 0.1) == 10
+        assert _step_count(1.0 + 1e-9, 0.1) == 11
 
     def test_overflowing_trajectory_raises(self, strip):
         # one step of 10 at speed 1e308 overflows x to inf, which wraps to
@@ -303,12 +311,34 @@ class TestVelocitySeries:
             assert np.abs(a).max() > 0.0
 
     def test_tables_are_the_nodes_or_their_blend(self, strip):
+        # at (or clamped to) a node, the node's own read-only tables, built
+        # once per series; between nodes, bit for bit the tables of s(t)
+        def tables_of(u):
+            return _kernels.velocity_tables(u.u1.values, u.u2.values, True)
+
         s = self._series(strip, amps=(0.0, 1.0, 3.0))
-        assert s.tables(0.5) is s.fields[1].tables
-        assert s.tables(-1.0) is s.fields[0].tables
-        assert s.tables(2.0) is s.fields[2].tables
-        for got, want in zip(s.tables(0.625), s(0.625).tables):
-            assert np.array_equal(got, want)
+        for t, i in ((0.5, 1), (-1.0, 0), (2.0, 2)):
+            got = s.tables(t)
+            assert s.tables(t) is got
+            for e, want in zip(got, tables_of(s.fields[i]), strict=True):
+                assert np.array_equal(e, want)
+                assert not e.flags.writeable
+        for got, want in zip(s.tables(0.625), tables_of(s(0.625)),
+                             strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_node_tables_go_with_the_series(self, strip):
+        # the trace owns the tables, not the field: once the series and the
+        # tables it returned are gone, so is the node's table, while the
+        # node's field lives on
+        s = self._series(strip)
+        field = s.fields[0]
+        table = weakref.ref(s.tables(0.0)[0])
+        assert table() is not None
+        del s
+        gc.collect()
+        assert table() is None
+        assert field.u1.values.shape == (field.grid.nx, field.grid.nz)
 
     def test_times_must_increase(self, strip):
         dom, grid = strip
