@@ -9,25 +9,27 @@ each axis, so every point's cell is ``i = floor(f)`` with weight
 ``t = f - i``, unclamped, and a sample is one flat index, four
 ``take(mode="clip")`` calls on overlapping views of the table and three
 blends (a non-finite point casts to index -2**63, which the clip keeps in
-bounds while its NaN weight still yields NaN).  ``rk4_step`` takes its
-three stage velocities as prepared tables (``velocity_tables``), which
-the caller builds and owns: ``transport.integrate_flow`` builds a node's
-tables once per trace and lets them go when the trace ends.  Since a table
-holds only copies and exact negations of the field's values, the table of
-a linear combination of fields is that combination of their tables, bit
-for bit (``blend_tables``).  Each RK4 stage locates its points once for
-both velocity components.
+bounds while its NaN weight still yields NaN).  One routine, ``_sample``,
+gathers and blends for velocities and cell data alike; its one option
+clamps the blend to the hull of its four corners, which cell data needs for
+its range contract.  ``rk4_step`` takes its three stage velocities as
+prepared tables (``velocity_tables``), which the caller builds and owns:
+``transport.integrate_flow`` builds a node's tables once per trace and lets
+them go when the trace ends.  Since a table holds only copies and exact
+negations of the field's values, the table of a linear combination of
+fields is that combination of their tables, bit for bit (``blend_tables``).
+Each RK4 stage locates its points once for both velocity components.
 
 Arrays live only as long as something still reads them.  A stage's
 located cells are written over its coordinate temporaries and let go
 component by component as their velocities are read; k_s joins the RK4
 sum before stage s + 1 is located; a bilinear sample gathers and blends
-one corner pair at a time, with 1 - t formed in the array that then
-receives the pair's second corner.  Blends run in place, but every
-floating-point operation is the one the plain expressions in the
-docstrings name, in the same order, so outside the wall half-cells results
-match the original arithmetic (kept in ``tests/_reference_kernels.py``)
-bit for bit.
+one corner pair at a time, a velocity's with 1 - t formed in the array
+that then receives the pair's second corner, a hull-clamped one with its
+output array as scratch.  Blends run in place, but every floating-point
+operation is the one the plain expressions in the docstrings name, in the
+same order, so outside the wall half-cells results match the original
+arithmetic (kept in ``tests/_reference_kernels.py``) bit for bit.
 
 Sampling conventions (the ghost lines of ``_padded``):
 
@@ -65,15 +67,11 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _clamp(a, lo, hi):
-    """np.minimum(np.maximum(a, lo), hi), computed in place in a."""
-    np.maximum(a, lo, out=a)
-    return np.minimum(a, hi, out=a)
-
-
-def _clip01(a):
-    out = np.maximum(a, 0.0)
-    return np.minimum(out, 1.0, out=out)
+def _clamp(a, lo, hi, out=None):
+    """np.minimum(np.maximum(a, lo), hi), written to out (which may be a)
+    or to a new array."""
+    out = np.maximum(a, lo, out=out)
+    return np.minimum(out, hi, out=out)
 
 
 def _locate(px, z, hx, hz, periodic, Lx):
@@ -88,8 +86,7 @@ def _locate(px, z, hx, hz, periodic, Lx):
         x *= Lx
         np.subtract(px, x, out=x)
     else:
-        x = np.maximum(px, 0.0)
-        np.minimum(x, Lx, out=x)
+        x = _clamp(px, 0.0, Lx)
     x /= hx
     z /= hz
     return x, z
@@ -151,61 +148,42 @@ def _cells(fx, fz, m):
     return i.astype(np.intp), fx, fz
 
 
-def _blend(t, a, b, tmp):
-    """(1 - t) * a + t * b, overwriting a and b; 1 - t is formed in tmp."""
-    a *= np.subtract(1.0, t, out=tmp)
-    b *= t
-    a += b
-    return a
-
-
-def _pair(rows, idx, t, tmp):
-    """blend(t, a, b) of two corner-table rows at flat cell indices, in one
-    new array: b is gathered into tmp once its 1 - t has been used."""
-    a = rows[0].take(idx, mode="clip")
-    a *= np.subtract(1.0, t, out=tmp)
-    b = rows[1].take(idx, mode="clip", out=tmp)
-    b *= t
-    a += b
-    return a
-
-
-def _sample(rows, idx, t_in, t_out):
+def _sample(rows, idx, t_in, t_out, hull=None):
     """Bilinear blend of the corner-table rows (a, b, c, d) at flat cell
-    indices, blend(t_out, blend(t_in, a, b), blend(t_in, c, d)), in three
-    arrays of the points' size."""
-    tmp = np.empty(idx.shape)
-    ab = _pair(rows[:2], idx, t_in, tmp)
+    indices, blend(t_out, blend(t_in, a, b), blend(t_in, c, d)), where
+    blend(t, a, b) = (1 - t) * a + t * b.
+
+    Without hull the result is a new array, and each pair's b is gathered
+    into the array that held its 1 - t.  With hull, an output array of the
+    points' size, the blend is clamped to the hull of its corners,
+    [min(min(a, b), min(c, d)), max(max(a, b), max(c, d))], and written
+    there: rounding can push a blend past that hull by an ulp, and cell
+    data carries an exact range-preservation contract.  Each pair is then
+    gathered, bounded and blended before the next, with hull as scratch.
+    """
+    tmp = np.empty(idx.shape) if hull is None else hull
+    pairs = []
+    for ra, rb in (rows[:2], rows[2:]):
+        a = ra.take(idx, mode="clip")
+        if hull is not None:
+            b = rb.take(idx, mode="clip")
+            if pairs:
+                np.minimum(lo, np.minimum(a, b, out=tmp), out=lo)
+                np.maximum(hi, np.maximum(a, b, out=tmp), out=hi)
+            else:
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+        a *= np.subtract(1.0, t_in, out=tmp)
+        if hull is None:
+            b = rb.take(idx, mode="clip", out=tmp)
+        b *= t_in
+        a += b
+        pairs.append(a)
+        del a, b
+    ab, cd = pairs
     ab *= np.subtract(1.0, t_out, out=tmp)
-    cd = _pair(rows[2:], idx, t_in, tmp)
     cd *= t_out
     ab += cd
-    return ab
-
-
-def _hull_sample(rows, idx, t_in, t_out, out):
-    """``_sample`` clamped to the hull of its corners, written to out.
-
-    Rounding can push the blend past the corner hull by an ulp, and scalar
-    data carries an exact range-preservation contract, so the blend is
-    clamped to [min(min(a, b), min(c, d)), max(max(a, b), max(c, d))].
-    Each pair is gathered, bounded and blended before the next, with out as
-    scratch.
-    """
-    pairs = []
-    for pair in (rows[:2], rows[2:]):
-        a, b = (row.take(idx, mode="clip") for row in pair)
-        if pairs:
-            np.minimum(lo, np.minimum(a, b, out=out), out=lo)
-            np.maximum(hi, np.maximum(a, b, out=out), out=hi)
-        else:
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-        pairs.append(_blend(t_in, a, b, out))
-        del a, b
-    v = _blend(t_out, *pairs, out)
-    del pairs
-    np.maximum(v, lo, out=v)
-    return np.minimum(v, hi, out=out)
+    return ab if hull is None else _clamp(ab, lo, hi, hull)
 
 
 def _stage(nz, x, z, hx, hz, periodic, Lx):
@@ -249,8 +227,8 @@ def _as_points(px, pz):
 def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
     """Both MAC velocity components at points, each of shape px.shape."""
     px, pz = _as_points(px, pz)
-    stage = _stage(u1.shape[1], px.ravel(), _clip01(pz.ravel()), hx, hz,
-                   periodic, Lx)
+    stage = _stage(u1.shape[1], px.ravel(), _clamp(pz.ravel(), 0.0, 1.0),
+                   hx, hz, periodic, Lx)
     v1, v2 = _velocity(velocity_tables(u1, u2, periodic), u1.shape[1], stage)
     return v1.reshape(px.shape), v2.reshape(px.shape)
 
@@ -260,15 +238,15 @@ def sample_center(c, px, pz, hx, hz, periodic, Lx):
     of them, (..., nx, nz); every field is sampled from one set of weights
     and the result has shape c.shape[:-2] + px.shape."""
     px, pz = _as_points(px, pz)
-    q, w = _locate(px.ravel(), _clip01(pz.ravel()), hx, hz, periodic, Lx)
+    q, w = _locate(px.ravel(), _clamp(pz.ravel(), 0.0, 1.0), hx, hz,
+                   periodic, Lx)
     q -= 0.5
     w -= 0.5
     idx, tx, tz = _cells(q, w, c.shape[-1])
     fields = c.reshape((-1,) + c.shape[-2:])
     out = np.empty((len(fields), q.size))
     for f, o in zip(fields, out):
-        _hull_sample(_corners(_padded(f, periodic), c.shape[-1]), idx, tz,
-                     tx, o)
+        _sample(_corners(_padded(f, periodic), c.shape[-1]), idx, tz, tx, o)
     return out.reshape(c.shape[:-2] + px.shape)
 
 
@@ -279,7 +257,7 @@ def rk4_step(px, pz, h, va, vb, vc, nz, hx, hz, periodic, Lx):
     middle and end of the step, on a grid of nz cells along z.
     """
     grid = (hx, hz, periodic, Lx)
-    stage = _stage(nz, px, _clip01(pz), *grid)
+    stage = _stage(nz, px, _clamp(pz, 0.0, 1.0), *grid)
     # stage s + 1 starts at p + c_s h k_s, and q = p + (h / 6) * (k1 + 2 k2
     # + 2 k3 + k4), the sum accumulated left to right as the stages finish;
     # k_s joins the sum before stage s + 1 is located, so that only the
@@ -302,12 +280,12 @@ def rk4_step(px, pz, h, va, vb, vc, nz, hx, hz, periodic, Lx):
             sz += kz
         del kx, kz
         if c:
-            stage = _stage(nz, x, _clamp(z, 0.0, 1.0), *grid)
+            stage = _stage(nz, x, _clamp(z, 0.0, 1.0, z), *grid)
             del x, z
     sx *= h / 6.0
     sz *= h / 6.0
     px += sx
     pz += sz
-    _clamp(pz, 0.0, 1.0)
+    _clamp(pz, 0.0, 1.0, pz)
     if not periodic:
-        _clamp(px, 0.0, Lx)
+        _clamp(px, 0.0, Lx, px)

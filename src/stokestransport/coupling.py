@@ -388,6 +388,8 @@ class EnergyLedger:
         reach = 0.0
         for n, a in self.E.items():
             n = int(n)
+            if n < 1:
+                raise ValueError(f"window indices must be >= 1, got {n}")
             owned[n] = _owned(a, (n,), f"E[{n}]")
             # bounds C (E[k + 1] - E[k] + (k + 1) F) in the recursion check
             top = 2.0 * float(np.abs(owned[n]).max(initial=0.0))
@@ -418,17 +420,19 @@ class LedgerCheckResult:
     scan: tuple
 
 
-_ALPHA_MULTIPLIERS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+_ALPHA_MULTIPLIERS = (1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 _REL_SLACK = 1e-12
 
 
 def energy_ledger_check(ledger: EnergyLedger) -> LedgerCheckResult:
     """Validate the ledger hypotheses, then hunt for (C0, k0).
 
-    The candidate grid for C0 is C times _ALPHA_MULTIPLIERS, scanned in
-    ascending order; the verdict is "pass" at the first candidate whose
-    measured first all-clear index satisfies the propagation bound
-    floor(C_alpha / (1 - C_alpha)) + 1 (infinite when C_alpha >= 1).
+    The candidate grid for C0 is C times _ALPHA_MULTIPLIERS, all above 1
+    (at C0 = C, C_alpha is 1 up to rounding), scanned in ascending order; a
+    row is ok when C_alpha < 1 and its measured first all-clear index
+    satisfies the propagation bound floor(C_alpha / (1 - C_alpha)) + 1.
+    The verdict is "pass" at the first ok row, and "fail" when no
+    contracting candidate's bound holds.
     """
     C, F = ledger.C, ledger.F
     failures = []
@@ -470,7 +474,7 @@ def energy_ledger_check(ledger: EnergyLedger) -> LedgerCheckResult:
             k0 = max(k0, kn)
         c_alpha = (C / (C + 1.0)) * (1.0 + 1.0 / alpha)
         bound = math.inf if c_alpha >= 1.0 else c_alpha / (1.0 - c_alpha)
-        ok = math.isinf(bound) or k0 <= math.floor(bound) + 1
+        ok = c_alpha < 1.0 and k0 <= math.floor(bound) + 1
         scan.append(LedgerScanRow(alpha=alpha, k0=k0, c_alpha=c_alpha,
                                   bound=bound, ok=ok))
         if ok and chosen is None:

@@ -399,7 +399,10 @@ def window_energy_bound(f, n: int, partition: Partition) -> WindowEnergyReport:
     cols = (np.arange(2 * n * cpu) - n * cpu) % g.nx
     w = g.hx * g.hz
     parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
-    mass = sum(float((_to_centers(p)[cols, :] ** 2).sum()) for p in parts)
+    with np.errstate(over="ignore"):
+        mass = sum(float((_to_centers(p)[cols, :] ** 2).sum()) for p in parts)
+    if not math.isfinite(mass):
+        raise RuntimeError("window energy sum overflowed")
     left = math.sqrt(w * mass)
     right = math.sqrt(2.0) * C_CHI * math.sqrt(n) * uloc_norm(f, 0, partition).value
     ratio = left / right if right > 0 else 0.0

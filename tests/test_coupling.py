@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -337,6 +338,19 @@ class TestTimeMarch:
         with pytest.warns(UserWarning, match="step"):
             time_march(rho0, T=10.0, dt=5.0, states=_AppendOnly())
 
+    @pytest.mark.parametrize("cells, warns", [(1.5, True), (0.5, False)])
+    def test_advisory_warning_at_one_cell(self, strip, cells, warns):
+        # one step of dt |u| = cells times the smallest cell width
+        dom, grid = strip
+        rho0 = make_density("patch", grid, dom, delta=40.0)
+        speed = coupling._velocity_sup(solve_buoyancy(rho0).u)
+        dt = cells * min(grid.hx, grid.hz) / speed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            time_march(rho0, T=dt, dt=dt)
+        assert any("exceeds one cell" in str(w.message)
+                   for w in caught) is warns
+
     @pytest.mark.parametrize("sink", [list, _AppendOnly],
                              ids=["list", "append_only_sink"])
     def test_sink_receives_the_states_in_order(self, strip, sink):
@@ -518,7 +532,7 @@ class TestLedger:
     def test_linear_family_oracle(self):
         res = energy_ledger_check(_LinearLedger.build())
         assert res.verdict == "pass"
-        assert res.C0 == 1.0
+        assert res.C0 == 1.5
         assert res.k0 == 1
 
     def test_endpoint_violation_detected(self):
@@ -551,6 +565,37 @@ class TestLedger:
         res = energy_ledger_check(EnergyLedger(E=E, C=C, F=F))
         assert res.verdict == "hypothesis-failure"
         assert any("recursion" in m for m in res.failures)
+
+    @staticmethod
+    def extremal(C=0.1, F=1.0, n_max=13):
+        # random factor fixed at 1: every step of the recursion holds with
+        # equality
+        one = types.SimpleNamespace(uniform=lambda lo, hi: hi)
+        return random_ledger(C, F, range(1, n_max + 1), one)
+
+    def test_extremal_family_meets_the_bound_exactly(self):
+        # the tightest family a contracting C0 admits: its first all-clear
+        # index is floor(bound) + 1, so a looser or tighter bound shows
+        C = 0.1
+        res = energy_ledger_check(self.extremal(C))
+        assert res.verdict == "pass"
+        assert res.C0 == pytest.approx(1.5 * C) and res.k0 == 3
+        for row, mult, k0 in zip(res.scan, (1.5, 2.0, 3.0), (3, 2, 1)):
+            assert row.alpha == pytest.approx(mult * C)
+            assert row.c_alpha < 1.0 and row.ok
+            assert row.k0 == k0 == math.floor(row.bound) + 1
+
+    def test_recursion_broken_by_1e9_relative_fails_the_hypotheses(self):
+        # E[6][3] sits strictly between its neighbours, so raising it keeps
+        # monotonicity and the endpoint and breaks only its recursion
+        led = self.extremal()
+        E = {n: v.copy() for n, v in led.E.items()}
+        assert E[6][1] < E[6][2] < E[6][3]
+        E[6][2] *= 1.0 + 1e-9
+        res = energy_ledger_check(EnergyLedger(E=E, C=led.C, F=led.F))
+        assert res.verdict == "hypothesis-failure"
+        assert len(res.failures) == 1
+        assert res.failures[0].startswith("recursion: E[6][3]")
 
     def test_random_families_all_pass(self):
         rng = np.random.default_rng(77)

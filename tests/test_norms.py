@@ -13,7 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_center_field
 from stokestransport import norms
-from stokestransport.coupling import contraction_window, random_ledger
+from stokestransport.coupling import (
+    EnergyLedger,
+    contraction_window,
+    random_ledger,
+)
 from stokestransport.domain import (
     XFACE,
     ZFACE,
@@ -503,9 +507,11 @@ def test_margin_must_be_a_non_negative_number(strip):
     ("target must lie in", lambda f, u, r, part: contraction_window(1.0, target=1.0)),
     ("window indices", lambda f, u, r, part: random_ledger(
         1.0, 1.0, [2, 0], np.random.default_rng(0))),
+    ("window indices", lambda f, u, r, part: EnergyLedger(
+        E={0: [], 1: [0.5]}, C=1.0, F=1.0)),
 ], ids=["hneg1_face_field", "uloc_dual_velocity", "uloc_rectangle",
         "window_n_zero", "window_wider_than_period", "uloc_other_grid",
-        "window_target_one", "ledger_window_zero"])
+        "window_target_one", "ledger_window_zero", "built_ledger_window_zero"])
 def test_bad_norm_arguments_are_rejected(strip, rect, match, call):
     dom, grid = strip
     f = random_center_field(grid, dom, np.random.default_rng(48))
@@ -549,6 +555,12 @@ def test_l1_l2_and_h1_norms_raise_when_the_sum_overflows(strip, rect):
                 with pytest.raises(RuntimeError, match="overflow"):
                     norm(f)
             assert lq_norm(big, 1) == pytest.approx(1e200 * dom.x_extent)
+    dom, grid = strip
+    big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="overflow"):
+            window_energy_bound(big, 1, Partition(grid, dom))
 
 
 class TestNormReport:

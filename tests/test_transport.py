@@ -1,5 +1,7 @@
 import gc
+import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -391,6 +393,45 @@ class TestFlowStability:
         rep = flow_stability(X1, X1, u1, u1, 2)
         assert rep.left == 0.0
         assert rep.ratio == 0.0 and not rep.violated
+
+    @staticmethod
+    def _built(strip, gap):
+        # maps gap apart in x over t = 1, and velocities 0 and 1 in x, so
+        # that the bound t e^{t |grad 0|} |0 - 1|_q is 1 for q = inf and
+        # sqrt(area) for q = 2, and the ratio is gap for both
+        dom, grid = strip
+        zero = VelocityField.zero(grid, dom)
+        one = VelocityField.from_arrays(
+            grid, dom, np.ones(zero.u1.values.shape), zero.u2.values)
+        d = np.zeros((2, grid.nx, grid.nz))
+        X1 = FlowMap(0.0, 1.0, grid, dom, d)
+        d[0] = gap
+        return X1, FlowMap(0.0, 1.0, grid, dom, d), zero, one
+
+    @pytest.mark.parametrize("q", [2, np.inf])
+    def test_distinct_maps_of_equal_velocities_violate(self, strip, q):
+        X1, X2, zero, _ = self._built(strip, 0.42)
+        rep = flow_stability(X1, X2, zero, zero, q)
+        assert rep.right == 0.0 < rep.left
+        assert rep.violated and rep.ratio == math.inf
+
+    @pytest.mark.parametrize("q", [2, np.inf])
+    @pytest.mark.parametrize("gap, violated", [(1.5, True), (0.5, False)])
+    def test_known_ratio_either_side_of_one(self, strip, q, gap, violated):
+        X1, X2, zero, one = self._built(strip, gap)
+        rep = flow_stability(X1, X2, zero, one, q)
+        assert rep.ratio == pytest.approx(gap, rel=1e-12)
+        assert rep.violated is violated
+
+    @pytest.mark.parametrize("q", [2, np.inf])
+    def test_overflowing_distance_raises(self, strip, q):
+        # 1e200 is a valid offset, but its square is not representable; the
+        # check must fail instead of warning and returning inf
+        X1, X2, zero, one = self._built(strip, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflow"):
+                flow_stability(X1, X2, zero, one, q)
 
     def test_interval_mismatch_rejected(self, strip):
         X1, X2, u1, u2 = self._two_flows(strip)
