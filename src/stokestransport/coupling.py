@@ -13,7 +13,8 @@ pure transport of rho.  Two drivers are provided:
   velocity per node; interval maps, pressures and old nodes are let go as
   soon as nothing later reads them.  The contraction indicator B T e^{BT}
   uses the measured operator constant: B is the largest observed
-  W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|.
+  W^{1,inf}-velocity-to-sup-density ratio times sup |rho0|; past the float
+  range it reads inf.
 * time_march freezes the velocity over each step and advances a composed
   backward flow map, which the first step's map starts, so the density at
   every output time is a single bilinear sample of the initial data.  Sup
@@ -63,6 +64,7 @@ from .stokes import flux_profile, solve_buoyancy
 from .transport import (
     TransportConfig,
     VelocitySeries,
+    _exp,
     _pull_back,
     _step_count,
     compose_maps,
@@ -232,7 +234,7 @@ def picard_solve(rho0: ScalarField, T: float, n_time_nodes: int = 16,
         diffs=np.asarray(diffs),
         B=B,
         T=float(T),
-        contraction_estimate=B * T * math.exp(B * T),
+        contraction_estimate=B * T * _exp(B * T),
         converged=converged,
         iterations=len(diffs),
         times=times,

@@ -37,15 +37,15 @@ Schur complement on the smaller family, about (min(nx, nz) - 1) / 2 rows,
 is inverted once per grid, and a solve is four small mat-vecs each way.
 The constant mode (0, 0) is 0, which fixes the pressure mean without a pin.
 On the strip each wavenumber, zero included, keeps its own two u1 wall
-rows, so its capacitance is 2 x 2.  It is inverted in closed form, as its
-adjugate over its determinant, and a solve applies it, the wall defect and
-the rank-2 change of f1 by broadcast products, so that a strip run calls
-no BLAS or LAPACK routine.  At the zero wavenumber gx = 0 and the
-constant u1 mode is free: it is set to the prescribed volume flux in both
-free-slip passes, the constant part of the wall-corrected f1 is balanced by
-a linear pressure slope in x, stored separately from the periodic pressure
-samples (f = e_x gives u = 0 and slope 1), and u2 is 0, as continuity and
-the walls force.
+rows.  In the walls' sum and difference, as on the rectangle, their
+capacitance is diagonal, one number per (sum | difference, wavenumber), and
+a solve applies its inverse, the wall defect and the rank-2 change of f1 by
+broadcast products, so that a strip run calls no BLAS or LAPACK routine.
+At the zero wavenumber gx = 0 and the constant u1 mode is free: it is set
+to the prescribed volume flux in both free-slip passes, the constant part
+of the wall-corrected f1 is balanced by a linear pressure slope in x,
+stored separately from the periodic pressure samples (f = e_x gives u = 0
+and slope 1), and u2 is 0, as continuity and the walls force.
 """
 
 from __future__ import annotations
@@ -176,28 +176,28 @@ def _wall_rows(n: int, h: float) -> np.ndarray:
 
 
 def _wall_modes(n: int, h: float):
-    """(q, r): the DCT-II of a unit in the first and last cell, and ``_wall_rows`` in DCT-II."""
-    units = np.zeros((n, 2))
-    units[[0, -1], [0, 1]] = 1.0
-    return dct(units, axis=0), dct(_wall_rows(n, h).T, axis=0).T
-
-
-# the wall pair of a mode -> its sum and difference, orthonormal and its own inverse
-_PAIR = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    """(q, r) in the walls' sum (row 0) and difference (row 1): the DCT-II of
+    (a unit in the first cell +- one in the last) / sqrt(2), and of (the first
+    +- the last row of ``_wall_rows``) / sqrt(2).  The walls mirror each other,
+    so the sum lives on the even modes and the difference on the odd ones."""
+    units, rows = np.zeros((2, n)), _wall_rows(n, h)
+    units[:, 0], units[:, -1] = 1.0, (1.0, -1.0)
+    return (dct(units / np.sqrt(2.0), axis=1),
+            dct(np.stack((rows[0] + rows[1], rows[0] - rows[1])) / np.sqrt(2.0), axis=1))
 
 
 class _RectFactor(NamedTuple):
     gx: np.ndarray      # (nx, 1) gradient symbol
     gz: np.ndarray      # (1, nz)
     inv: np.ndarray     # 1 / (gx^2 + gz^2), 0 for the constant mode
-    qx: np.ndarray      # (nx, 2) DCT-II of a unit in the first and last x cell, in _PAIR
-    qz: np.ndarray      # (nz, 2)
-    rx: np.ndarray      # (2, nx) the two x wall-row corrections in DCT-II, in _PAIR
+    qx: np.ndarray      # (2, nx) the x walls' units in DCT-II, by _wall_modes
+    qz: np.ndarray      # (2, nz)
+    rx: np.ndarray      # (2, nx) the x wall-row corrections in DCT-II, by _wall_modes
     rz: np.ndarray      # (2, nz)
     elim: int           # the larger wall family, eliminated per mode: 0 u1, 1 u2
-    cap: np.ndarray     # (m, 2) its inverse capacitance per (mode, _PAIR entry)
+    cap: np.ndarray     # (m, 2) its inverse capacitance per (mode, sum | difference)
     classes: tuple      # per symmetry class: the eliminated and the kept family's
-                        # rows (slice, _PAIR entry), cap times the kept family's pull
+                        # rows (slice, sum | difference), cap times the kept family's pull
                         # on the other (across), the reverse pull (back) and the
                         # inverse Schur block
 
@@ -209,34 +209,31 @@ def _rect_factor(grid: GridSpec) -> _RectFactor:
     The capacitance I + V^T A_free^-1 U acts on wall forces in DST-I modes
     along each wall, a pair of walls per mode: I + r diag(w) q per mode within
     a family, as on the strip, and w12 * q * r entrywise across the families.
-    The DCT-II of a unit in the last cell is (-1)^k times that of the first,
-    so in the sum and difference of the two walls (``_PAIR``) q and r keep
-    only the sum at an even mode k and the difference at an odd one.  Within
-    a family the capacitance is then diagonal.  Across the families the u1
-    rows of the x modes of parity a, on the walls' sum (b = 0) or difference
-    (b = 1), couple only to the u2 rows of the z modes of parity b, on the
-    sum (a = 0) or difference (a = 1).  Each of these four symmetry classes
-    keeps its coupling both ways, diag(q) w12[modes a, modes b] diag(r), and
-    the inverse of its Schur complement on the smaller family.
+    In the walls' sum and difference of ``_wall_modes`` q and r keep only the
+    sum at an even mode and the difference at an odd one, so within a family
+    the capacitance is diagonal.  Across the families the u1 rows of the x
+    modes of parity a, on the walls' sum (b = 0) or difference (b = 1),
+    couple only to the u2 rows of the z modes of parity b, on the sum (a = 0)
+    or difference (a = 1).  Each of these four symmetry classes keeps its
+    coupling both ways, diag(q) w12[modes a, modes b] diag(r), and the
+    inverse of its Schur complement on the smaller family.
     """
     gx, gz = _symbol(grid.nx, grid.hx)[:, None], _symbol(grid.nz, grid.hz)[None, :]
     lam = gx * gx + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
-    q, r = zip(*((q @ _PAIR, _PAIR @ r)
-                 for q, r in (_wall_modes(grid.nx, grid.hx), _wall_modes(grid.nz, grid.hz))))
+    q, r = zip(_wall_modes(grid.nx, grid.hx), _wall_modes(grid.nz, grid.hz))
     inv2 = inv * inv
     # each family's own capacitance, I + r diag(w) q per mode along the other axis
-    own = [1.0 + (gz * gz * inv2)[1:] @ (r[1].T * q[1]),
-           1.0 + (gx * gx * inv2).T[1:] @ (r[0].T * q[0])]
+    own = [1.0 + (gz * gz * inv2)[1:] @ (r[1] * q[1]).T,
+           1.0 + (gx * gx * inv2).T[1:] @ (r[0] * q[0]).T]
     e, k = int(grid.nz > grid.nx), int(grid.nz <= grid.nx)  # eliminated, kept
     cap, w12, classes = 1.0 / own[e], (-gx * gz * inv2)[1:, 1:], []
     for par in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        # family f's sine modes of parity par[f]: their q and r live in _PAIR
-        # entry par[f], and their rows in the class in entry par[1 - f]
+        # family f's sine modes of parity par[f]: their q and r live in the
+        # sum | difference par[f], and their rows in the class in par[1 - f]
         modes = [slice(1 - p, None, 2) for p in par]
         rows = [(modes[0], par[1]), (modes[1], par[0])]
-        qm = [q[f][1:, par[f]][modes[f]] for f in (0, 1)]
-        rm = [r[f][par[f], 1:][modes[f]] for f in (0, 1)]
+        qm, rm = ([a[f][par[f], 1:][modes[f]] for f in (0, 1)] for a in (q, r))
         w = w12[modes[0], modes[1]]
         # pull[f]: the other family's wall forces on family f's rows
         pull = [qm[0][:, None] * w * rm[1], qm[1][:, None] * w.T * rm[0]]
@@ -285,7 +282,7 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     if f.f1.any():  # a buoyancy forcing's f1 is 0, and so are its transforms
         dst1(dct(f.f1[1:-1], axis=1), axis=0, out=f1[1:])
     dct(dst1(f.f2[:, 1:-1], axis=1), axis=0, out=f2[:, 1:])
-    # free-slip solve, its no-slip defect per (wall mode, _PAIR entry), the
+    # free-slip solve, its no-slip defect per (wall mode, sum | difference), the
     # wall forces that cancel it, class by class, and the corrected solve
     modes = _free_slip(fac, f1, f2)
     d = [(fac.rz @ modes[0, 1:].T).T, (fac.rx @ modes[1, :, 1:]).T]
@@ -294,8 +291,8 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     for ie, ik, across, back, schur in fac.classes:
         d[k][ik] = schur @ (d[k][ik] - back @ d[e][ie])
         d[e][ie] -= across @ d[k][ik]
-    f1[1:] -= d[0] @ fac.qz.T
-    f2[:, 1:] -= fac.qx @ d[1].T
+    f1[1:] -= d[0] @ fac.qz
+    f2[:, 1:] -= fac.qx.T @ d[1].T
     u1, u2, p = _free_slip(fac, f1, f2, modes)
     # the inverses run in place, u1 and p sharing the z inverse and u2 and p
     # the x inverse; row 0 of u1 and column 0 of u2 are padding and stay 0
@@ -350,17 +347,17 @@ def _check_solution(res, u, f, config):
 
 
 # ---------------------------------------------------------------------------
-# strip: FFT in x, then the rectangle's z transforms with a 2 x 2 capacitance
+# strip: FFT in x, then the rectangle's z transforms and wall basis
 # ---------------------------------------------------------------------------
 
 class _StripFactor(NamedTuple):
     gx: np.ndarray   # (nx // 2 + 1, 1) gradient symbol, 0 at the zero wavenumber
     gz: np.ndarray   # (1, nz)
     inv: np.ndarray  # 1 / (|gx|^2 + gz^2), 0 for the constant mode
-    qz: np.ndarray   # (2, nz) DCT-II of a unit in the first and last z cell
-    rz: np.ndarray   # (2, nz) the two u1 wall-row corrections, in DCT-II
-    cap: np.ndarray  # (2, 2, nx // 2 + 1) inverse wall capacitance, entry by
-                     # entry over the wavenumbers
+    qz: np.ndarray   # (2, nz) the z walls' units in DCT-II, by _wall_modes
+    rz: np.ndarray   # (2, nz) the u1 wall-row corrections in DCT-II, by _wall_modes
+    cap: np.ndarray  # (2, nx // 2 + 1) inverse capacitance per (sum | difference,
+                     # wavenumber)
 
 
 @functools.lru_cache(maxsize=4)
@@ -371,8 +368,8 @@ def _strip_factor(grid: GridSpec) -> _StripFactor:
     wall rows.  The free-slip u1 response to an f1 mode is gz^2 / lam^2, so
     the capacitance of those rows is I + rz diag(gz^2 / lam^2) qz^T; the
     constant mode of the zero wavenumber is prescribed, so it responds with 0.
-    Each 2 x 2 capacitance is inverted as its adjugate over its determinant;
-    a zero or non-finite determinant is a singular factor.
+    In the walls' sum and difference it is diagonal, as on the rectangle; a
+    zero or non-finite diagonal entry is a singular factor.
     """
     nx, nz = grid.nx, grid.nz
     theta = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
@@ -380,16 +377,11 @@ def _strip_factor(grid: GridSpec) -> _StripFactor:
     lam = np.abs(gx) ** 2 + gz * gz
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
     qz, rz = _wall_modes(nz, grid.hz)
-    qz = np.ascontiguousarray(qz.T)  # rows, as the solve's rank-2 change reads them
-    # the capacitance (a, b; c, d) of each wavenumber, entry by entry
     w = gz * gz * inv * inv
-    (a, b), (c, d) = ([(w * (r * q)).sum(axis=1) for q in qz] for r in rz)
-    a += 1.0
-    d += 1.0
-    det = a * d - b * c
-    if not np.all(np.isfinite(det) & (det != 0.0)):
+    own = 1.0 + np.array([(w * (r * q)).sum(axis=1) for q, r in zip(qz, rz)])
+    if not np.all(np.isfinite(own) & (own != 0.0)):
         raise LinAlgError("singular strip wall capacitance")
-    return _StripFactor(gx, gz, inv, qz, rz, np.array([[d, -b], [-c, a]]) / det)
+    return _StripFactor(gx, gz, inv, qz, rz, 1.0 / own)
 
 
 def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> StokesSolution:
@@ -413,8 +405,8 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     # cancel it, and the corrected solve; the flux mode is set in both
     modes = _free_slip(fac, f1, f2)
     modes[0, 0, 0] = flux_mode
-    v = [(modes[0] * r).sum(axis=1) for r in fac.rz]
-    c = [a * v[0] + b * v[1] for a, b in fac.cap]
+    v = np.array([(modes[0] * r).sum(axis=1) for r in fac.rz])
+    c = fac.cap * v
     f1 -= c[0][:, None] * fac.qz[0] + c[1][:, None] * fac.qz[1]
     _free_slip(fac, f1, f2, modes)
     # continuity and the walls force the x-mean of u2 to 0

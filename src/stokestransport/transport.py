@@ -251,6 +251,15 @@ class LipschitzReport:
     violation: bool
 
 
+def _exp(x: float) -> float:
+    """math.exp, saturated at inf where it would overflow: an a-priori bound
+    whose exponent passes about 709.8 is just very large."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def lipschitz_growth(X: FlowMap, u: VelocityField) -> LipschitzReport:
     """Edge-based Lipschitz constant of the map against its a-priori bound.
 
@@ -274,7 +283,7 @@ def lipschitz_growth(X: FlowMap, u: VelocityField) -> LipschitzReport:
     measured = max(float(r.max()) for r in ratios)
     elapsed = abs(X.t1 - X.t0)
     gnorm = grad_inf_norm(u)
-    bound = math.exp(elapsed * gnorm)
+    bound = _exp(elapsed * gnorm)
     return LipschitzReport(measured_lip=measured, bound=bound,
                            gradient_norm=gnorm, elapsed=elapsed,
                            violation=measured > bound * (1.0 + 1e-6))
@@ -300,8 +309,9 @@ def flow_stability(X1: FlowMap, X2: FlowMap, u1: VelocityField,
     """Distance between two maps against t e^{t |grad u1|} |u1 - u2|_q.
 
     The report is violated when the distance exceeds the bound by more
-    than 1e-6 relative, a zero bound included (ratio inf).  Raises
-    RuntimeError when a norm overflows.
+    than 1e-6 relative, a zero bound included (ratio inf).  A growth factor
+    past the float range makes the bound inf, or 0 for equal velocities.
+    Raises RuntimeError when a norm overflows.
     """
     if (X1.grid, X1.domain) != (X2.grid, X2.domain):
         raise ValueError("maps live on different grids")
@@ -324,7 +334,8 @@ def flow_stability(X1: FlowMap, X2: FlowMap, u1: VelocityField,
     if not (math.isfinite(left) and math.isfinite(udiff)):
         raise RuntimeError("flow-stability norm overflowed")
     t = abs(X1.t1 - X1.t0)
-    right = t * math.exp(t * grad_inf_norm(u1)) * udiff
+    # a zero velocity difference bounds by 0 even where the growth factor is inf
+    right = t * _exp(t * grad_inf_norm(u1)) * udiff if udiff > 0.0 else 0.0
     if right > 0.0:
         ratio = left / right
     else:

@@ -620,6 +620,18 @@ class TestOtherCommands:
         assert rows[1][2] == ""  # no ratio for the first difference
         assert (out / "series.csv").exists()
 
+    def test_picard_contraction_estimate_past_the_float_range(self, tmp_path, capsys):
+        # B T about 2e5 overflows exp: the run still succeeds and reports inf
+        out = tmp_path / "pi"
+        cfg = write_cfg(
+            tmp_path,
+            "[picard]\ndomain = strip\nx_extent = 8\nnx = 32\nnz = 16\n"
+            "scenario = patch\nscenario.delta = 100000\nt_final = 0.5\n"
+            "n_time_nodes = 4\nmax_picard = 3\ntol = 1e300\n")
+        assert cli.main(["picard", "--config", cfg, "--out", str(out)]) == 0
+        assert "  contraction_estimate = inf\n" in capsys.readouterr().out
+        assert read_csv(out / "picard.csv")[0] == ["N", "delta", "ratio"]
+
     def test_stability(self, tmp_path):
         out = tmp_path / "st"
         cfg = write_cfg(

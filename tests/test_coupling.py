@@ -43,6 +43,38 @@ class TestPicard:
         assert trace.converged
         assert trace.diffs.tolist() == [0.0]
 
+    @pytest.mark.parametrize("last, raises", [(1.0, True), (1.0 - 1e-9, False)])
+    def test_divergence_at_a_distance_that_stops_decreasing(self, strip, monkeypatch,
+                                                            last, raises):
+        # three sweeps whose distances are 1, 0.5 and 0.5 * last: a distance
+        # that does not decrease by the cap is divergence, and one just below
+        # its predecessor is an unconverged but still contracting iteration
+        dom, grid = strip
+        n, calls = 4, []
+
+        def scripted(*args, **kwargs):  # one call per node after the first
+            calls.append(None)
+            return (1.0, 0.5, 0.5 * last)[(len(calls) - 1) // (n - 1)]
+
+        monkeypatch.setattr(coupling, "_diff_norm", scripted)
+        rho0 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        if raises:
+            with pytest.raises(coupling.PicardDivergenceError, match="stopped decreasing"):
+                picard_solve(rho0, T=0.25, n_time_nodes=n, tol=1e-12, max_picard=3)
+        else:
+            _, trace = picard_solve(rho0, T=0.25, n_time_nodes=n, tol=1e-12, max_picard=3)
+            assert not trace.converged and trace.diffs.tolist() == [1.0, 0.5, 0.5 * last]
+
+    def test_contraction_estimate_past_the_float_range_is_inf(self):
+        # a patch of contrast 1e5 makes B T about 2e5: exp overflows, and the
+        # indicator is just large
+        dom = DomainSpec(DomainKind.STRIP, 8.0)
+        grid = make_grid(dom, 32, 16)
+        rho0 = make_density("patch", grid, dom, delta=1e5)
+        _, trace = picard_solve(rho0, T=0.5, n_time_nodes=4, tol=1e300, max_picard=3)
+        assert trace.converged and trace.B * trace.T > 710.0
+        assert trace.contraction_estimate == math.inf
+
     def test_stratified_stays_hydrostatic(self, strip):
         dom, grid = strip
         rho0 = make_density("stratified", grid, dom)

@@ -219,6 +219,15 @@ class TestWallRows:
         want[1, -2:] -= -1.0 / h2, 1.0 / h2
         assert stokes._wall_rows(n, h).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n, h", [(8, 0.125), (9, 0.3), (33, 1 / 33), (128, 1 / 128)])
+    def test_wall_modes_keep_the_sum_on_even_and_the_difference_on_odd_modes(self, n, h):
+        # the walls mirror each other, so in their sum (entry 0) and difference
+        # (entry 1) each of q and r lives on one mode parity
+        for a in stokes._wall_modes(n, h):
+            assert a.shape == (2, n)
+            for entry, other in ((0, slice(1, None, 2)), (1, slice(0, None, 2))):
+                assert np.abs(a[entry, other]).max() <= 1e-12 * np.abs(a[entry]).max()
+
     def test_rectangle_factor_builds_no_square_matrix(self):
         # a dense 2048 x 2048 matrix of the x axis alone would be 33.6 MB
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, 128.0), 2048, 16)
@@ -263,18 +272,16 @@ class TestRectangleTransform:
     @pytest.mark.parametrize("nx, nz", [(24, 16), (33, 17), (16, 96)])
     def test_wall_families_couple_only_within_the_four_symmetry_classes(self, nx, nz):
         # each wall family's dense coupling to the other, an outer product of
-        # the wall modes and w12 over (mode, wall) x (mode, wall) turned to the
-        # walls' sum and difference, splits into 16 blocks by the mode parity
-        # and the sum | difference of its rows and columns; the twelve whose
-        # rows' entry is not the columns' parity, or the columns' entry not the
-        # rows' parity, are rounding, and the factor keeps the other four
+        # the wall modes and w12 over (mode, sum | difference) x (mode, sum |
+        # difference), splits into 16 blocks by the mode parity and the sum |
+        # difference of its rows and columns; the twelve whose rows' entry is
+        # not the columns' parity, or the columns' entry not the rows' parity,
+        # are rounding, and the factor keeps the other four
         grid = make_grid(DomainSpec(DomainKind.RECTANGLE, nx / nz), nx, nz)
         (qx, rx), (qz, rz) = stokes._wall_modes(nx, grid.hx), stokes._wall_modes(nz, grid.hz)
         gx, gz = stokes._symbol(nx, grid.hx)[1:, None], stokes._symbol(nz, grid.hz)[None, 1:]
         w12 = -gx * gz / (gx * gx + gz * gz) ** 2
-        pair = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        dense = [np.einsum("ab,kbjc,cd->kajd", pair,
-                           r[None, :, 1:, None] * w[:, None, :, None] * q[1:, None, None, :], pair)
+        dense = [r[None, :, 1:, None] * w[:, None, :, None] * q.T[1:, None, None, :]
                  for r, w, q in ((rz, w12, qx), (rx, w12.T, qz))]
         for d in dense:
             # mode parity a, sum | difference s of the rows; b, t of the columns
@@ -342,14 +349,17 @@ class TestStripTransform:
     @pytest.mark.parametrize("period, nx, nz", [(8, 16, 8), (8, 128, 128),
                                                  (32, 512, 16)])
     def test_capacitance_inverses_match_lapack(self, period, nx, nz):
-        # the adjugate-over-determinant inverses against LAPACK's, as the
-        # oracle, of the capacitances I + rz diag(gz^2 / lam^2) qz^T
+        # LAPACK's inverses, as the oracle, of the dense 2 x 2 capacitances
+        # I + rz diag(gz^2 / lam^2) qz^T in the walls' sum and difference:
+        # their diagonal is the factor's, and their off-diagonal is rounding
         dom = DomainSpec(DomainKind.STRIP, float(period))
         fac = stokes._strip_factor(make_grid(dom, nx, nz))
         w = fac.gz * fac.gz * fac.inv * fac.inv
         want = np.linalg.inv(np.eye(2) + (fac.rz * w[:, None, :]) @ fac.qz.T)
-        err = np.abs(np.moveaxis(fac.cap, -1, 0) - want).max(axis=(1, 2))
-        assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+        diag = np.diagonal(want, axis1=1, axis2=2).T
+        assert np.all(np.abs(fac.cap - diag) <= 1e-13 * np.abs(diag))
+        off = np.abs(want[:, [0, 1], [1, 0]]).T
+        assert np.all(off <= 1e-13 * np.abs(diag).min(axis=0))
 
     def test_strip_runs_call_no_lapack(self, strip, tmp_path, monkeypatch):
         # the strip factor, its solves and the Picard bounds' gradient norm

@@ -368,6 +368,23 @@ class TestLipschitz:
         assert rep.measured_lip <= rep.bound * (1 + 1e-6)
         assert rep.elapsed == pytest.approx(0.2)
 
+    def test_bound_past_the_float_range_is_inf(self, strip):
+        # t |grad u|_inf = 10 * 3298: exp overflows, and the bound is just large
+        u = _alternating(strip)
+        dom, grid = strip
+        rep = lipschitz_growth(FlowMap(0.0, 10.0, grid, dom, np.zeros((2, grid.nx, grid.nz))), u)
+        assert rep.elapsed * rep.gradient_norm > 710.0
+        assert rep.bound == math.inf and not rep.violation
+
+
+def _alternating(strip):
+    """u1 = 100 on every other x-face column of the strip, u2 = 0."""
+    dom, grid = strip
+    zero = VelocityField.zero(grid, dom)
+    a1 = np.zeros(zero.u1.values.shape)
+    a1[::2] = 100.0
+    return VelocityField.from_arrays(grid, dom, a1, zero.u2.values)
+
 
 class TestFlowStability:
     def _two_flows(self, strip, t=0.3):
@@ -422,6 +439,23 @@ class TestFlowStability:
         rep = flow_stability(X1, X2, zero, one, q)
         assert rep.ratio == pytest.approx(gap, rel=1e-12)
         assert rep.violated is violated
+
+    @pytest.mark.parametrize("q", [2, np.inf])
+    def test_growth_past_the_float_range_bounds_by_inf_or_0(self, strip, q):
+        # over t = 10 the growth factor exp(t |grad u1|_inf) overflows: the
+        # bound is inf for distinct velocities and 0 for equal ones
+        dom, grid = strip
+        u1, zero = _alternating(strip), VelocityField.zero(grid, dom)
+        d = np.zeros((2, grid.nx, grid.nz))
+        X1 = FlowMap(0.0, 10.0, grid, dom, d)
+        d[0] = 0.42
+        X2 = FlowMap(0.0, 10.0, grid, dom, d)
+        rep = flow_stability(X1, X2, u1, zero, q)
+        assert rep.right == math.inf and rep.ratio == 0.0 and not rep.violated
+        rep = flow_stability(X1, X2, u1, u1, q)
+        assert rep.right == 0.0 and rep.ratio == math.inf and rep.violated
+        rep = flow_stability(X1, X1, u1, u1, q)
+        assert rep.right == 0.0 and rep.ratio == 0.0 and not rep.violated
 
     @pytest.mark.parametrize("q", [2, np.inf])
     def test_overflowing_distance_raises(self, strip, q):
