@@ -44,7 +44,8 @@ from which E_{n,k} <= alpha k F holds through n obeys
 k0 <= floor(C_alpha / (1 - C_alpha)) + 1; the + 1 converts the
 "no violation at or above the threshold" statement into a bound on the
 first all-clear index.  At alpha = C the constant C_alpha equals 1 and
-the predicted bound is infinite, so that candidate accepts any k0.
+the bound is infinite, so the checker's scan starts at alpha = 1.5 C, and
+a candidate with C_alpha >= 1 is never accepted.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ homogeneous Dirichlet walls (linear ghosts, ghost = -first sample) in z and
 on the rectangle's x-ends, periodic in x on the strip.  That operator is
 diagonal in DST-II along a walled axis and in the DFT along the periodic
 one (fast diagonalization, Lynch, Rice & Thomas, Numer. Math. 6, 1964), so
-the norm is one Parseval sum and needs no solve.
+the norm is one Parseval sum and needs no solve.  Every squared L2, H1 and
+dual norm, plain or windowed, is one _squared_norm sum with one overflow check.
 
 Uniformly-local norms use a partition of unity built from the quintic
 smoothstep S(t) = t^3 (10 - 15 t + 6 t^2):
@@ -79,8 +80,48 @@ def cutoff_profile(x):
 
 
 # ---------------------------------------------------------------------------
-# plain norms
+# plain norms: one squared-norm sum
 # ---------------------------------------------------------------------------
+
+
+def _squared_norm(b: np.ndarray, m: int, hx: float, hz: float, periodic: bool) -> np.ndarray:
+    """Squared (m, 2)-norm of cell data b over its last two axes, one value per leading index.
+
+    b holds x on axis -2 and z on axis -1; x is periodic or walled.  m = 0
+    is the L2 sum; m = 1 adds the centred differences, one-sided at the
+    walls; m = -1 is <b, (1 - lap)^{-1} b>, a Parseval sum in the
+    operator's eigenbasis, where the eigenvalues of -d2 are
+    (2 sin(pi k / 2n) / h)^2, k = 1..n, on a walled axis and
+    (2 sin(pi k / n) / h)^2, k = 0..n-1, on the period.
+    Raises RuntimeError when the sum overflows.
+    """
+    if m == -1:
+        nx, nz = b.shape[-2:]
+        b = dst2(b, axis=-1)
+        if periodic:
+            b = np.fft.fft(b, axis=-2, norm="ortho")
+            lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
+        else:
+            b = dst2(b, axis=-2)
+            lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
+        lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
+    with np.errstate(over="ignore"):
+        if m == -1:
+            mag = b.real ** 2 + b.imag ** 2 if periodic else b * b
+            s = (mag / (1.0 + lx[:, None] + lz)).sum(axis=(-2, -1))
+        else:
+            terms = (b,)
+            if m == 1:
+                if periodic:
+                    gx = (np.roll(b, -1, axis=-2) - np.roll(b, 1, axis=-2)) / (2.0 * hx)
+                else:
+                    gx = np.gradient(b, hx, axis=-2, edge_order=2)
+                terms = (b, gx, np.gradient(b, hz, axis=-1, edge_order=2))
+            s = sum((t * t).sum(axis=(-2, -1)) for t in terms)
+        s = hx * hz * s
+    if not np.all(np.isfinite(s)):
+        raise RuntimeError(("dual-norm", "L2", "H1")[m + 1] + " sum overflowed")
+    return s
 
 
 def lq_norm(f: ScalarField, q) -> float:
@@ -88,27 +129,18 @@ def lq_norm(f: ScalarField, q) -> float:
 
     Raises RuntimeError when the sum overflows.
     """
-    a = np.abs(f.values)
+    v, g = f.values, f.grid
     if q == np.inf or q == math.inf:
-        return float(a.max()) if a.size else 0.0
-    if q not in (1, 2):
+        return float(np.abs(v).max()) if v.size else 0.0
+    if q == 2:
+        return math.sqrt(float(_squared_norm(v, 0, g.hx, g.hz, f.domain.periodic)))
+    if q != 1:
         raise ValueError(f"q must be 1, 2, or inf, got {q!r}")
-    w = f.grid.hx * f.grid.hz
     with np.errstate(over="ignore"):
-        s = w * float(a.sum() if q == 1 else (a * a).sum())
+        s = g.hx * g.hz * float(np.abs(v).sum())
     if not math.isfinite(s):
-        raise RuntimeError(f"L{q} sum overflowed")
-    return s if q == 1 else math.sqrt(s)
-
-
-def _dx(vals: np.ndarray, hx: float, periodic: bool) -> np.ndarray:
-    if periodic:
-        return (np.roll(vals, -1, axis=-2) - np.roll(vals, 1, axis=-2)) / (2.0 * hx)
-    return np.gradient(vals, hx, axis=-2, edge_order=2)
-
-
-def _dz(vals: np.ndarray, hz: float) -> np.ndarray:
-    return np.gradient(vals, hz, axis=-1, edge_order=2)
+        raise RuntimeError("L1 sum overflowed")
+    return s
 
 
 def _to_centers(f: ScalarField, v: np.ndarray | None = None) -> np.ndarray:
@@ -123,19 +155,6 @@ def _to_centers(f: ScalarField, v: np.ndarray | None = None) -> np.ndarray:
     return 0.5 * (v[..., :-1] + v[..., 1:])
 
 
-def _h1_sq(vals: np.ndarray, hx: float, hz: float, periodic: bool) -> np.ndarray:
-    """Squared H1 norm over the last two axes of cell data, one value per leading index."""
-    w = hx * hz
-    with np.errstate(over="ignore"):
-        gx = _dx(vals, hx, periodic)
-        gz = _dz(vals, hz)
-        s = w * ((vals * vals).sum(axis=(-2, -1)) + (gx * gx).sum(axis=(-2, -1))
-                 + (gz * gz).sum(axis=(-2, -1)))
-    if not np.all(np.isfinite(s)):
-        raise RuntimeError("H1 sum overflowed")
-    return s
-
-
 def h1_norm(f) -> float:
     """(||f||_2^2 + ||grad f||_2^2)^{1/2} on cell centers.
 
@@ -144,38 +163,9 @@ def h1_norm(f) -> float:
     """
     g = f.grid
     parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
-    s = sum(_h1_sq(_to_centers(p), g.hx, g.hz, f.domain.periodic) for p in parts)
+    s = sum(_squared_norm(_to_centers(p), 1, g.hx, g.hz, f.domain.periodic)
+            for p in parts)
     return math.sqrt(s)
-
-
-# ---------------------------------------------------------------------------
-# dual norm: Parseval sum in the screened operator's eigenbasis
-# ---------------------------------------------------------------------------
-
-
-def _dual_sq(b: np.ndarray, hx: float, hz: float, periodic: bool) -> np.ndarray:
-    """<b, (1 - lap)^{-1} b> over the last two axes of b, one value per leading index.
-
-    b holds cell data, x on axis -2 and z on axis -1; x is periodic or walled.
-    The eigenvalues of -d2 are (2 sin(pi k / 2n) / h)^2, k = 1..n, on a
-    walled axis and (2 sin(pi k / n) / h)^2, k = 0..n-1, on the period.
-    Raises RuntimeError when the sum overflows.
-    """
-    nx, nz = b.shape[-2:]
-    bh = dst2(b, axis=-1)
-    if periodic:
-        bh = np.fft.fft(bh, axis=-2, norm="ortho")
-        lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
-    else:
-        bh = dst2(bh, axis=-2)
-        lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
-    lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
-    with np.errstate(over="ignore"):
-        mag = bh.real ** 2 + bh.imag ** 2 if periodic else bh * bh
-        s = hx * hz * (mag / (1.0 + lx[:, None] + lz)).sum(axis=(-2, -1))
-    if not np.all(np.isfinite(s)):
-        raise RuntimeError("dual-norm sum overflowed")
-    return s
 
 
 def hneg1_norm(rho: ScalarField) -> float:
@@ -183,7 +173,7 @@ def hneg1_norm(rho: ScalarField) -> float:
     if rho.staggering != CENTER:
         raise ValueError("hneg1_norm needs a cell-centered field")
     g = rho.grid
-    return math.sqrt(float(_dual_sq(rho.values, g.hx, g.hz, rho.domain.periodic)))
+    return math.sqrt(float(_squared_norm(rho.values, -1, g.hx, g.hz, rho.domain.periodic)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +324,9 @@ def _window_sq(f: ScalarField, m: int, part: Partition, pad: int) -> np.ndarray:
     else:
         idx = (np.arange(ncols) + (np.arange(part.period)[:, None] - 1) * cpu - pad) % g.nx
         b = f.values[idx] * np.take_along_axis(chi, idx, axis=1)[:, :, None]
-    if m == -1:
-        return _dual_sq(b, g.hx, g.hz, periodic)
     if m == 1:
-        return _h1_sq(_to_centers(f, b), g.hx, g.hz, True)
-    with np.errstate(over="ignore"):
-        s = g.hx * g.hz * (b * b).sum(axis=(-2, -1))
-    if not np.all(np.isfinite(s)):
-        raise RuntimeError("L2 sum overflowed")
-    return s
+        b = _to_centers(f, b)
+    return _squared_norm(b, m, g.hx, g.hz, periodic or m != -1)
 
 
 def uloc_norm(f, m: int, partition: Partition, margin: float = 0.0) -> NormReport:
@@ -397,13 +381,9 @@ def window_energy_bound(f, n: int, partition: Partition) -> WindowEnergyReport:
     g = partition.grid
     cpu = partition.cells_per_unit
     cols = (np.arange(2 * n * cpu) - n * cpu) % g.nx
-    w = g.hx * g.hz
     parts = (f.u1, f.u2) if isinstance(f, VelocityField) else (f,)
-    with np.errstate(over="ignore"):
-        mass = sum(float((_to_centers(p)[cols, :] ** 2).sum()) for p in parts)
-    if not math.isfinite(mass):
-        raise RuntimeError("window energy sum overflowed")
-    left = math.sqrt(w * mass)
+    left = math.sqrt(sum(float(_squared_norm(_to_centers(p)[cols, :], 0, g.hx, g.hz, True))
+                         for p in parts))
     right = math.sqrt(2.0) * C_CHI * math.sqrt(n) * uloc_norm(f, 0, partition).value
     ratio = left / right if right > 0 else 0.0
     return WindowEnergyReport(n=n, left=left, right=right, ratio=ratio,

@@ -11,7 +11,10 @@ For each it copies ``src/``, ``tests/``, ``perfbench/`` and
 ``pytest -x -q`` in that copy and prints KILLED with the first failing
 test, or SURVIVED.  It exits 1 if a row that is not equivalent survives or
 if a row's old text is not found exactly once.  A row takes 20-40 s on two
-cores, which is why tier-1 does not collect this script.
+cores, which is why tier-1 does not collect this script.  Tier-1's
+``test_mutant_rows.py`` checks only the table: every row's old text occurs
+once and no two rows share a name.  The mutated copies leave that file
+out, since a mutated file no longer holds its row's old text.
 """
 
 from __future__ import annotations
@@ -69,6 +72,25 @@ MUTANTS = (
     Mutant("owned_accepts_inf", _SRC + "domain.py",
            "if not np.all(np.isfinite(out)):", "if np.any(np.isnan(out)):",
            "a container accepts infinite values"),
+    Mutant("window_whole_strip_at_2_periods", _SRC + "norms.py",
+           "periodic = ncols >= g.nx", "periodic = ncols >= 2 * g.nx",
+           "a padded window that covers the period once stays a Dirichlet window"),
+    Mutant("window_energy_verdict_2x", _SRC + "norms.py",
+           "violated=left > right * (1.0 + 1e-12) + 1e-300",
+           "violated=left > right * 2.0 + 1e-300",
+           "the window-energy verdict at twice its bound"),
+    Mutant("squared_norm_no_overflow_check", _SRC + "norms.py",
+           "if not np.all(np.isfinite(s)):", "if False:",
+           "every L2, H1 and dual-norm sum returns inf instead of raising"),
+    Mutant("lipschitz_verdict_never", _SRC + "transport.py",
+           "violation=measured > bound * (1.0 + 1e-6)", "violation=False",
+           "a flow map's Lipschitz constant is never reported above its bound"),
+    Mutant("compose_junction_1e-3", _SRC + "transport.py",
+           "abs_tol=1e-12", "abs_tol=1e-3",
+           "maps whose end and start times differ by a thousandth still compose"),
+    Mutant("stability_absolute_switch_1e-6", _SRC + "coupling.py",
+           "gaps[0] <= 1e-14 * scale", "gaps[0] <= 1e-6 * scale",
+           "stability runs report absolute gaps for initial gaps far above rounding"),
     Mutant("step_count_backoff_1e-6", _SRC + "transport.py",
            "math.ceil(steps - 1e-12)", "math.ceil(steps - 1e-6)",
            "the step count forgives a millionth of a step, not only rounding"),
@@ -106,6 +128,11 @@ MUTANTS = (
 )
 
 
+def occurrences(mutant: Mutant) -> int:
+    """How many times the row's old text occurs in its file."""
+    return (ROOT / mutant.path).read_text().count(mutant.old)
+
+
 def _first_failure(output: str) -> str:
     """The first FAILED or ERROR line of a pytest summary, or the last line."""
     found = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.MULTILINE)
@@ -131,7 +158,8 @@ def run(mutant: Mutant) -> tuple[bool, str]:
         env = dict(os.environ, PYTHONPATH=str(work / "src"))
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--ignore", str(work / "tests" / "test_mutant_rows.py")],
                 cwd=work, env=env, capture_output=True, text=True, timeout=1800)
         except subprocess.TimeoutExpired:
             return True, "tier-1 timed out"
@@ -147,7 +175,7 @@ def main(argv: list[str]) -> int:
         return 2
     bad = 0
     for m in (m for m in MUTANTS if not argv or m.name in argv):
-        count = (ROOT / m.path).read_text().count(m.old)
+        count = occurrences(m)
         if count != 1:
             print(f"{m.name}: STALE, old text found {count} times in {m.path}")
             bad += 1

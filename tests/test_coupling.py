@@ -18,7 +18,7 @@ from stokestransport.coupling import (
     time_march,
 )
 from stokestransport.domain import DomainKind, DomainSpec, make_grid
-from stokestransport.norms import smoothstep
+from stokestransport.norms import lq_norm, smoothstep
 from stokestransport.scenarios import make_density
 from stokestransport.stokes import flux_profile, solve_buoyancy
 
@@ -497,6 +497,20 @@ class TestStabilityExperiment:
         gf = np.array(rep_f.values)
         gh = np.array(rep_h.values)
         assert np.max(np.abs(gf - gh) / gf) <= 0.05
+
+    @pytest.mark.parametrize("factor, absolute", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)])
+    def test_absolute_branch_switches_at_its_edge(self, strip, monkeypatch, factor, absolute):
+        # an initial gap of 1e-14 times the larger L2 norm is rounding: at or
+        # below it the report keeps absolute gaps, above it G = gap / gap(0)
+        dom, grid = strip
+        r1 = make_density("stratified", grid, dom)
+        r2 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        gap = factor * 1e-14 * max(lq_norm(r1, 2), lq_norm(r2, 2))
+        monkeypatch.setattr(coupling, "_diff_norm", lambda *args, **kwargs: gap)
+        rep = stability_experiment(r1, r2, T=0.25, dt=0.125)
+        assert rep.absolute == absolute
+        assert rep.initial_diff == gap
+        assert rep.values.tolist() == ([gap] * 3 if absolute else [1.0] * 3)
 
     def test_rect_mode_label(self, rect):
         dom, grid = rect

@@ -338,6 +338,23 @@ class TestUloc:
         # wider support means a less constrained dual problem
         assert wide >= base * (1 - 1e-12)
 
+    @pytest.mark.parametrize("margin, whole", [(2.5, True), (2.375, False)])
+    def test_a_padded_window_that_covers_the_period_is_the_whole_strip(
+            self, strip, margin, whole):
+        # 8 cells per unit: margin 2.5 pads 20 columns at each end, so the
+        # window's 24 + 40 columns are the period and the sum is the whole
+        # strip's; margin 2.375 pads 19 and leaves a Dirichlet window, whose
+        # truncation (about 3e-10 here) is far above rounding
+        dom, grid = strip
+        part = Partition(grid, dom)
+        f = random_center_field(grid, dom, np.random.default_rng(50))
+        per = uloc_norm(f, -1, part, margin=margin).per_window
+        full = uloc_norm(f, -1, part, margin=math.inf).per_window
+        if whole:
+            assert np.array_equal(per, full)
+        else:
+            assert np.abs(per / full - 1.0).max() > 1e-12
+
 
 def _lap1d(n: int, h: float, periodic: bool) -> scipy.sparse.spmatrix:
     """1D -d2/dx2 on cell centers; Dirichlet walls via linear ghosts."""
@@ -600,6 +617,20 @@ class TestWindowEnergy:
                      for c in (u.u1, u.u2)]
             assert rep.left ** 2 == pytest.approx(sum(parts), rel=1e-14)
             assert not rep.violated
+
+    @pytest.mark.parametrize("side, violated", [(-1.0, True), (1.0, False)])
+    def test_verdict_at_its_edge(self, strip, monkeypatch, side, violated):
+        # the chi plateaus keep left / right <= 1 / C_CHI, so only a smaller
+        # constant reaches the verdict: one that puts right 1e-9 either side
+        # of left
+        dom, grid = strip
+        part = Partition(grid, dom)
+        f = random_center_field(grid, dom, np.random.default_rng(51))
+        ratio = window_energy_bound(f, 2, part).ratio
+        monkeypatch.setattr(norms, "C_CHI", C_CHI * ratio * (1.0 + side * 1e-9))
+        rep = window_energy_bound(f, 2, part)
+        assert rep.ratio == pytest.approx(1.0 - side * 1e-9, rel=0.0, abs=1e-13)
+        assert rep.violated == violated
 
     def test_no_violations_on_random_fields(self, strip):
         dom, grid = strip

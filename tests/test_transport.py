@@ -250,6 +250,20 @@ class TestComposition:
         with pytest.raises(ValueError):
             compose_maps(b, a)
 
+    @pytest.mark.parametrize("gap, joins", [(0.5e-12, True), (2e-12, False)])
+    def test_junction_tolerance_at_its_edge(self, strip, gap, joins):
+        # the inner map's end and the outer map's start may differ by 1e-12
+        dom, grid = strip
+        zero = np.zeros((2, grid.nx, grid.nz))
+        inner = FlowMap(0.0, 1.0, grid, dom, zero)
+        outer = FlowMap(1.0 + gap, 2.0, grid, dom, zero)
+        if joins:
+            both = compose_maps(outer, inner)
+            assert (both.t0, both.t1) == (0.0, 2.0)
+        else:
+            with pytest.raises(ValueError, match="cannot compose"):
+                compose_maps(outer, inner)
+
     def test_composed_matches_direct_for_steady_uniform(self, strip):
         # a z-independent steady drift composes exactly: displacements add
         dom, grid = strip
@@ -367,6 +381,18 @@ class TestLipschitz:
         assert not rep.violation
         assert rep.measured_lip <= rep.bound * (1 + 1e-6)
         assert rep.elapsed == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("stretch, violation", [(0.5e-6, False), (2e-6, True)])
+    def test_verdict_at_its_edge(self, strip, stretch, violation):
+        # x -> (1 + stretch) x in a zero velocity: the bound is exactly 1, the
+        # measured constant 1 + stretch, and the verdict's slack is 1e-6
+        dom, grid = strip
+        xs = np.broadcast_to(x_centers(grid)[:, None], (grid.nx, grid.nz))
+        disp = np.stack((stretch * xs, np.zeros((grid.nx, grid.nz))))
+        rep = lipschitz_growth(FlowMap(0.0, 1.0, grid, dom, disp), VelocityField.zero(grid, dom))
+        assert rep.bound == 1.0
+        assert rep.measured_lip == pytest.approx(1.0 + stretch, rel=1e-12)
+        assert rep.violation == violation
 
     def test_bound_past_the_float_range_is_inf(self, strip):
         # t |grad u|_inf = 10 * 3298: exp overflows, and the bound is just large
