@@ -2,19 +2,21 @@
 
 Subcommands: stokes, transport, simulate, picard, stability, norms,
 ledger.  Each reads one section of an INI-style config (section name =
-subcommand name), applies defaults for anything unset, and lets the
-flag --out, and --seed where the section has a seed key (norms, ledger),
+subcommand name), applies defaults for anything unset, and lets the flag
+--out, and --seed where the section has a seed key (norms, ledger),
 override their config keys.  Every key has one parser in ``_TYPES``; the
-whole section is converted and range-checked there before any command
-runs.  Past dt <= t_final and the key set, the rules that join keys are
-the library's own: any value it rejects with a ValueError (nx not a
-multiple of the strip period for picard, stability and norms; uloc,
-sweep_fields or the channel profile on the rectangle; a nonzero flux in
-a closed box) is a configuration error.  A run writes the resolved key
-set, as text, to resolved.ini beside the outputs and prints a short
-summary block.  Every CSV and key=value file goes through one cell
-formatter, ``_fmt``: a number to 17 significant digits, so that it reads
-back as the same double, a string as it is, None as an empty cell.
+whole section is converted and range-checked there.  Before the output
+directory exists, ``main`` checks the key set and dt <= t_final and
+builds the domain, grid and scenario densities that the command takes.
+The rules that need the run are the library's own and raise inside the
+command: any value it rejects with a ValueError (nx not a multiple of
+the strip period for picard, stability and norms; uloc, sweep_fields or
+the channel profile on the rectangle; a nonzero flux in a closed box) is
+a configuration error.  A run writes the resolved key set, as text, to
+resolved.ini beside the outputs and prints a short summary block.  Every
+CSV and key=value file goes through one cell formatter, ``_fmt``: a
+number to 17 significant digits, so that it reads back as the same
+double, a string as it is, None as an empty cell.
 
 Exit codes: 0 success, 1 solver failure (a failed solve gate, a Picard
 divergence, a singular factor, a failed ledger family), 2 configuration
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import (
+    _advance,
     energy_ledger_check,
     picard_solve,
     random_ledger,
@@ -54,7 +57,7 @@ from .norms import (
 from .scenarios import SCENARIOS, make_density
 from .snapshots import write_field
 from .stokes import StokesConfig, flux_profile, poiseuille, solve_buoyancy
-from .transport import TransportConfig, _pull_back, integrate_flow, write_flowmap
+from .transport import TransportConfig, write_flowmap
 
 __all__ = ["main", "ConfigError"]
 
@@ -278,7 +281,6 @@ _TYPES = {
 def _load_section(cmd: str, config_path: str | None):
     """Raw key texts over the defaults, and the set of keys the file set."""
     merged = dict(_DEFAULTS[cmd])
-    scen_keys: dict[str, str] = {}
     given: set[str] = set()
     if config_path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -300,9 +302,8 @@ def _load_section(cmd: str, config_path: str | None):
                     raise ConfigError(
                         f"unknown key {key!r} in section [{cmd}] of "
                         f"{config_path}")
-                (scen_keys if dot else merged)[key] = value
+                merged[key] = value
                 given.add(key)
-    merged.update(scen_keys)
     return merged, given
 
 
@@ -330,17 +331,11 @@ def _build_density(cfg: dict, grid, dom, key: str = "scenario") -> ScalarField:
     return make_density(cfg[key], grid, dom, **params)
 
 
-def _stokes_solution(cfg: dict, grid, dom):
+def _stokes_solution(cfg: dict, grid, dom, rho):
     """The Stokes solution named by the problem, phi and flux keys."""
     if cfg["problem"] == "poiseuille":
         return poiseuille(cfg["phi"], grid, dom)
-    rho = _build_density(cfg, grid, dom)
     return solve_buoyancy(rho, StokesConfig(flux_target=cfg["flux"]))
-
-
-def _check_dt(cfg: dict) -> None:
-    if cfg["dt"] > cfg["t_final"]:
-        raise ConfigError(f"need dt <= t_final, got dt = {cfg['dt']}")
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +343,8 @@ def _check_dt(cfg: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_stokes(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    sol = _stokes_solution(cfg, grid, dom)
-
+def _cmd_stokes(cfg: dict, out: _Output, dom, grid, rho=None) -> list[str]:
+    sol = _stokes_solution(cfg, grid, dom, rho)
     write_field(out.file("u1.stf"), sol.u.u1)
     write_field(out.file("u2.stf"), sol.u.u2)
     write_field(out.file("p.stf"), sol.p)
@@ -365,15 +358,10 @@ def _cmd_stokes(cfg: dict, out: _Output) -> list[str]:
             f"pressure_slope = {_fmt(sol.pressure_slope)}"]
 
 
-def _cmd_transport(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    _check_dt(cfg)
+def _cmd_transport(cfg: dict, out: _Output, dom, grid, rho0) -> list[str]:
     T = cfg["t_final"]
-    rho0 = _build_density(cfg, grid, dom)
-    u = _stokes_solution(cfg, grid, dom).u
-    fm = integrate_flow(u, T, 0.0, TransportConfig(dt=cfg["dt"]))
-    rho_T = _pull_back(rho0, fm)
-
+    u = _stokes_solution(cfg, grid, dom, rho0).u
+    fm, rho_T = _advance(rho0, None, [u], 0.0, T, TransportConfig(dt=cfg["dt"]))
     write_field(out.file("rho0.stf"), rho0)
     write_field(out.file("rho_final.stf"), rho_T)
     write_flowmap(out.file("flowmap.stf"), fm)
@@ -382,11 +370,7 @@ def _cmd_transport(cfg: dict, out: _Output) -> list[str]:
     return [f"rho_linf(0) = {_fmt(rows[0][2])}", f"rho_linf(T) = {_fmt(rows[1][2])}"]
 
 
-def _cmd_simulate(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    _check_dt(cfg)
-    rho0 = _build_density(cfg, grid, dom)
-
+def _cmd_simulate(cfg: dict, out: _Output, dom, grid, rho0) -> list[str]:
     sink = _MarchWriter(out, cfg["snapshot_every"])
     try:
         time_march(rho0, cfg["t_final"], cfg["dt"], sink)
@@ -397,9 +381,7 @@ def _cmd_simulate(cfg: dict, out: _Output) -> list[str]:
             f"u_linf = {_fmt(sink.norms['u_linf'])}"]
 
 
-def _cmd_picard(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    rho0 = _build_density(cfg, grid, dom)
+def _cmd_picard(cfg: dict, out: _Output, dom, grid, rho0) -> list[str]:
     states, trace = picard_solve(rho0, T=cfg["t_final"],
                                  n_time_nodes=cfg["n_time_nodes"],
                                  tol=cfg["tol"], max_picard=cfg["max_picard"])
@@ -413,11 +395,7 @@ def _cmd_picard(cfg: dict, out: _Output) -> list[str]:
             f"contraction_estimate = {_fmt(trace.contraction_estimate)}"]
 
 
-def _cmd_stability(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    _check_dt(cfg)
-    rho1 = _build_density(cfg, grid, dom, key="scenario")
-    rho2 = _build_density(cfg, grid, dom, key="scenario2")
+def _cmd_stability(cfg: dict, out: _Output, dom, grid, rho1, rho2) -> list[str]:
     rep = stability_experiment(rho1, rho2, T=cfg["t_final"], dt=cfg["dt"])
     col = "abs_diff" if rep.absolute else "G"
     out.table("stability.csv", ("t", col), zip(rep.times, rep.values))
@@ -426,9 +404,7 @@ def _cmd_stability(cfg: dict, out: _Output) -> list[str]:
             f"initial_diff = {_fmt(rep.initial_diff)}"]
 
 
-def _cmd_norms(cfg: dict, out: _Output) -> list[str]:
-    dom, grid = _build_domain(cfg)
-    field = _build_density(cfg, grid, dom)
+def _cmd_norms(cfg: dict, out: _Output, dom, grid, field) -> list[str]:
     want_uloc = cfg["uloc"]
     sweep_n = cfg["sweep_fields"]
     part = Partition(grid, dom) if want_uloc or sweep_n else None
@@ -555,9 +531,18 @@ def main(argv=None) -> int:
         for key in sorted(given):
             if key.partition(".")[0] in unread:
                 raise ConfigError(f"{key} is not read by problem = {problem}")
+        # settled before any output exists, and handed to the command
+        settled = []
+        if "domain" in cfg:
+            dom, grid = _build_domain(cfg)
+            settled = [dom, grid]
+        if "dt" in cfg and cfg["dt"] > cfg["t_final"]:
+            raise ConfigError(f"need dt <= t_final, got dt = {cfg['dt']}")
+        settled += [_build_density(cfg, grid, dom, key) for key in ("scenario", "scenario2")
+                    if key in cfg and key not in unread]
         out = _Output(args.out or cfg["out"])
         try:
-            summary = _COMMANDS[cmd](cfg, out)
+            summary = _COMMANDS[cmd](cfg, out, *settled)
             resolved = configparser.ConfigParser(interpolation=None)
             resolved[cmd] = {k: str(v) for k, v in sorted(raw.items())}
             with open(out.file("resolved.ini"), "w") as fh:

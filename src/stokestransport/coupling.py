@@ -323,18 +323,14 @@ def stability_experiment(rho0_1: ScalarField, rho0_2: ScalarField, T: float,
         for a, b in zip(s1, s2)
     ])
     scale = max(lq_norm(rho0_1, 2), lq_norm(rho0_2, 2), 1e-30)
-    if gaps[0] <= 1e-14 * scale:
-        return StabilityExperimentReport(
-            mode="strip" if dom.periodic else "bounded",
-            times=times, values=gaps, absolute=True, slope=0.0,
-            initial_diff=float(gaps[0]))
-    G = gaps / gaps[0]
-    logs = np.log(np.maximum(G, 1e-300))
-    slope = float(np.polyfit(times, logs, 1)[0])
+    absolute = bool(gaps[0] <= 1e-14 * scale)
+    values, slope = gaps, 0.0
+    if not absolute:
+        values = gaps / gaps[0]
+        slope = float(np.polyfit(times, np.log(np.maximum(values, 1e-300)), 1)[0])
     return StabilityExperimentReport(
-        mode="strip" if dom.periodic else "bounded",
-        times=times, values=G, absolute=False, slope=slope,
-        initial_diff=float(gaps[0]))
+        mode="strip" if dom.periodic else "bounded", times=times, values=values,
+        absolute=absolute, slope=slope, initial_diff=float(gaps[0]))
 
 
 def contraction_window(B: float, target: float = 0.4, cap: float = 1.0) -> float:

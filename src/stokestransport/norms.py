@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,20 +94,20 @@ def _squared_norm(b: np.ndarray, m: int, hx: float, hz: float, periodic: bool) -
     operator's eigenbasis, where the eigenvalues of -d2 are
     (2 sin(pi k / 2n) / h)^2, k = 1..n, on a walled axis and
     (2 sin(pi k / n) / h)^2, k = 0..n-1, on the period.
-    Raises RuntimeError when the sum overflows.
+    Raises RuntimeError when the sum, or a transform or difference on the
+    way to it, overflows.
     """
-    if m == -1:
-        nx, nz = b.shape[-2:]
-        b = dst2(b, axis=-1)
-        if periodic:
-            b = np.fft.fft(b, axis=-2, norm="ortho")
-            lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
-        else:
-            b = dst2(b, axis=-2)
-            lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
-        lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if m == -1:
+            nx, nz = b.shape[-2:]
+            b = dst2(b, axis=-1)
+            if periodic:
+                b = np.fft.fft(b, axis=-2, norm="ortho")
+                lx = (2.0 * np.sin(np.pi * np.arange(nx) / nx) / hx) ** 2
+            else:
+                b = dst2(b, axis=-2)
+                lx = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nx + 1) / nx) / hx) ** 2
+            lz = (2.0 * np.sin(0.5 * np.pi * np.arange(1, nz + 1) / nz) / hz) ** 2
             mag = b.real ** 2 + b.imag ** 2 if periodic else b * b
             s = (mag / (1.0 + lx[:, None] + lz)).sum(axis=(-2, -1))
         else:
@@ -373,6 +374,8 @@ def window_energy_bound(f, n: int, partition: Partition) -> WindowEnergyReport:
     the inequality hold with constant sqrt(2) already, so C_CHI is pure
     headroom and the flag should never fire.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     L = partition.period

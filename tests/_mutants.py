@@ -91,6 +91,12 @@ MUTANTS = (
     Mutant("stability_absolute_switch_1e-6", _SRC + "coupling.py",
            "gaps[0] <= 1e-14 * scale", "gaps[0] <= 1e-6 * scale",
            "stability runs report absolute gaps for initial gaps far above rounding"),
+    Mutant("dt_rule_1.5x", _SRC + "cli.py",
+           'cfg["dt"] > cfg["t_final"]', 'cfg["dt"] > 1.5 * cfg["t_final"]',
+           "the CLI runs a step up to half again longer than t_final"),
+    Mutant("dt_rule_rejects_t_final", _SRC + "cli.py",
+           'cfg["dt"] > cfg["t_final"]', 'cfg["dt"] >= cfg["t_final"]',
+           "the CLI rejects dt = t_final, a run of one step"),
     Mutant("step_count_backoff_1e-6", _SRC + "transport.py",
            "math.ceil(steps - 1e-12)", "math.ceil(steps - 1e-6)",
            "the step count forgives a millionth of a step, not only rounding"),

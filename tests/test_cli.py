@@ -225,7 +225,7 @@ class TestConfigErrors:
         def no_flow(*args, **kwargs):
             raise AssertionError("integrate_flow reached with a bad config")
 
-        monkeypatch.setattr(cli, "integrate_flow", no_flow)
+        monkeypatch.setattr(coupling, "integrate_flow", no_flow)
         out = tmp_path / "o"
         cfg = write_cfg(tmp_path, "[transport]\nnx = 64\nnz = 32\n"
                                   "t_final = 0.5\ndt = 2.0\n")
@@ -233,6 +233,36 @@ class TestConfigErrors:
         assert rc == 2
         assert not out.exists()
         assert "need dt <= t_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["transport", "simulate", "stability"])
+    def test_dt_at_and_just_above_t_final(self, tmp_path, capsys, cmd):
+        # dt = t_final is one step; dt a billionth above it is a config error
+        body = f"[{cmd}]\nnx = 32\nnz = 16\nt_final = 0.25\n"
+        cfg = write_cfg(tmp_path, body + "dt = 0.25\n", name="edge.ini")
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "edge")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path, body + "dt = 0.25000000025\n", name="above.ini")
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "need dt <= t_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, body, message", [
+        ("stokes", "x_extent = 8.5\n" + _SMALL, "strip period must be an integer >= 8"),
+        ("transport", _SMALL + "t_final = 0.5\ndt = 2.0\n", "need dt <= t_final"),
+        ("transport", "nx = 16\nnz = 8\nscenario = patch\nscenario.delta = 3\n",
+         "the grid does not resolve the patch"),
+    ], ids=["strip_x_extent_not_whole", "transport_dt_above_t_final",
+            "transport_unresolved_patch"])
+    def test_config_is_settled_before_the_output_directory(
+            self, tmp_path, capsys, monkeypatch, cmd, body, message):
+        def no_output(*args, **kwargs):
+            raise AssertionError("output directory reached with a bad config")
+
+        monkeypatch.setattr(cli, "_Output", no_output)
+        cfg = write_cfg(tmp_path, f"[{cmd}]\n" + body)
+        assert cli.main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("cmd, body, flags", [
@@ -606,6 +636,20 @@ class TestOtherCommands:
         for name in ("rho0.stf", "rho_final.stf", "flowmap.stf",
                      "transport.csv"):
             assert (out / name).exists()
+
+    def test_transport_builds_a_buoyancy_density_once(self, tmp_path, monkeypatch):
+        # the initial density is also the buoyancy solve's density
+        built = []
+
+        def counted(name, *args, **kwargs):
+            built.append(name)
+            return make_density(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_density", counted)
+        cfg = write_cfg(tmp_path, "[transport]\nproblem = buoyancy\nnx = 32\nnz = 16\n"
+                                  "t_final = 0.25\ndt = 0.125\n")
+        assert cli.main(["transport", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert built == ["patch"]
 
     def test_picard(self, tmp_path):
         out = tmp_path / "pi"

@@ -518,6 +518,7 @@ def test_margin_must_be_a_non_negative_number(strip):
     ("dual window norm", lambda f, u, r, part: uloc_norm(u, -1, part)),
     ("defined on the strip", lambda f, u, r, part: uloc_norm(r, 0, part)),
     ("n must be >= 1", lambda f, u, r, part: window_energy_bound(f, 0, part)),
+    ("n must be an integer", lambda f, u, r, part: window_energy_bound(f, 1.5, part)),
     ("exceeds the period", lambda f, u, r, part: window_energy_bound(f, 5, part)),
     ("different grid", lambda f, u, r, part: uloc_norm(
         f, 0, Partition(make_grid(f.domain, 32, 16), f.domain))),
@@ -527,8 +528,9 @@ def test_margin_must_be_a_non_negative_number(strip):
     ("window indices", lambda f, u, r, part: EnergyLedger(
         E={0: [], 1: [0.5]}, C=1.0, F=1.0)),
 ], ids=["hneg1_face_field", "uloc_dual_velocity", "uloc_rectangle",
-        "window_n_zero", "window_wider_than_period", "uloc_other_grid",
-        "window_target_one", "ledger_window_zero", "built_ledger_window_zero"])
+        "window_n_zero", "window_n_not_an_integer", "window_wider_than_period",
+        "uloc_other_grid", "window_target_one", "ledger_window_zero",
+        "built_ledger_window_zero"])
 def test_bad_norm_arguments_are_rejected(strip, rect, match, call):
     dom, grid = strip
     f = random_center_field(grid, dom, np.random.default_rng(48))
@@ -540,44 +542,49 @@ def test_bad_norm_arguments_are_rejected(strip, rect, match, call):
 
 def test_dual_norms_raise_when_the_sum_overflows(strip, rect):
     # 1e200 is a valid sample, but its squared transform coefficients are not
-    # representable; the norm must fail loudly instead of returning inf
-    for dom, grid in (strip, rect):
-        big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
-        with pytest.raises(RuntimeError, match="overflow"):
-            hneg1_norm(big)
-    dom, grid = strip
-    part = Partition(grid, dom)
-    big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
+    # representable; at 1.7e308 the transform itself overflows.  The norm
+    # must fail loudly instead of warning or returning inf
+    for value in (1e200, 1.7e308):
+        for dom, grid in (strip, rect):
+            big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), value))
             with pytest.raises(RuntimeError, match="overflow"):
-                uloc_norm(big, -1, part, margin=margin)
-        for m in (0, 1):
-            with pytest.raises(RuntimeError, match="overflow"):
-                uloc_norm(big, m, part)
+                hneg1_norm(big)
+        dom, grid = strip
+        part = Partition(grid, dom)
+        big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for margin in (0.0, dom.x_extent):  # windowed and whole-strip sums
+                with pytest.raises(RuntimeError, match="overflow"):
+                    uloc_norm(big, -1, part, margin=margin)
+            for m in (0, 1):
+                with pytest.raises(RuntimeError, match="overflow"):
+                    uloc_norm(big, m, part)
 
 
 def test_l1_l2_and_h1_norms_raise_when_the_sum_overflows(strip, rect):
     # the samples are valid, but their sum or the sum of their squares is
-    # not representable; the norm must fail instead of warning and
-    # returning inf
+    # not representable (at 1.7e308 the one-sided wall differences are not
+    # either); the norm must fail instead of warning and returning inf
     for dom, grid in (strip, rect):
         big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
         huge = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e307))
+        top = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1.7e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for norm, f in ((lambda f: lq_norm(f, 2), big), (h1_norm, big),
-                            (lambda f: lq_norm(f, 1), huge)):
+                            (lambda f: lq_norm(f, 1), huge),
+                            (lambda f: lq_norm(f, 2), top), (h1_norm, top)):
                 with pytest.raises(RuntimeError, match="overflow"):
                     norm(f)
             assert lq_norm(big, 1) == pytest.approx(1e200 * dom.x_extent)
     dom, grid = strip
-    big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), 1e200))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match="overflow"):
-            window_energy_bound(big, 1, Partition(grid, dom))
+    for value in (1e200, 1.7e308):
+        big = ScalarField(grid, dom, np.full((grid.nx, grid.nz), value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflow"):
+                window_energy_bound(big, 1, Partition(grid, dom))
 
 
 class TestNormReport:
