@@ -45,7 +45,9 @@ k0 <= floor(C_alpha / (1 - C_alpha)) + 1; the + 1 converts the
 "no violation at or above the threshold" statement into a bound on the
 first all-clear index.  At alpha = C the constant C_alpha equals 1 and
 the bound is infinite, so the checker's scan starts at alpha = 1.5 C, and
-a candidate with C_alpha >= 1 is never accepted.
+a candidate with C_alpha >= 1, which is alpha <= C, is never accepted.  The
+checker computes the bound in its closed form C (alpha + 1) / (alpha - C),
+which does not cancel as C_alpha nears 1.
 """
 
 from __future__ import annotations
@@ -427,9 +429,10 @@ def energy_ledger_check(ledger: EnergyLedger) -> LedgerCheckResult:
     """Validate the ledger hypotheses, then hunt for (C0, k0).
 
     The candidate grid for C0 is C times _ALPHA_MULTIPLIERS, all above 1
-    (at C0 = C, C_alpha is 1 up to rounding), scanned in ascending order; a
-    row is ok when C_alpha < 1 and its measured first all-clear index
-    satisfies the propagation bound floor(C_alpha / (1 - C_alpha)) + 1.
+    (at C0 = C, C_alpha is 1), scanned in ascending order; a row is ok when
+    alpha > C, which is C_alpha < 1, and its measured first all-clear index
+    satisfies the propagation bound floor(C_alpha / (1 - C_alpha)) + 1, with
+    C_alpha / (1 - C_alpha) = C (alpha + 1) / (alpha - C).
     The verdict is "pass" at the first ok row, and "fail" when no
     contracting candidate's bound holds.
     """
@@ -472,8 +475,11 @@ def energy_ledger_check(ledger: EnergyLedger) -> LedgerCheckResult:
                     break
             k0 = max(k0, kn)
         c_alpha = (C / (C + 1.0)) * (1.0 + 1.0 / alpha)
-        bound = math.inf if c_alpha >= 1.0 else c_alpha / (1.0 - c_alpha)
-        ok = c_alpha < 1.0 and k0 <= math.floor(bound) + 1
+        # C_alpha / (1 - C_alpha) in closed form: 1 - C_alpha cancels as
+        # C_alpha nears 1, and rounds to 0 from C = 1e16 on.  For an integer
+        # k0 the test below is k0 <= floor(bound) + 1, and it holds at inf
+        bound = C * ((alpha + 1.0) / (alpha - C))
+        ok = alpha > C and k0 - 1 <= bound
         scan.append(LedgerScanRow(alpha=alpha, k0=k0, c_alpha=c_alpha,
                                   bound=bound, ok=ok))
         if ok and chosen is None:

@@ -6,7 +6,8 @@ and the tests pin the transform symbols and wall rows below to them.
 Every transform is a numpy FFT; the sine and cosine transforms come from
 ``_transforms``.  Both solvers end in one finisher, ``_finish``, which
 pads the wall rows, centres the pressure, rejects non-finite output,
-applies the residual and divergence gate and builds the ``StokesSolution``.
+applies the residual and divergence gate and builds the ``StokesSolution``;
+a solver hands it its raw arrays, which go once the containers hold copies.
 
 Both domains are solved by fast diagonalization (Lynch, Rice & Thomas
 1964) with a capacitance correction (Buzbee, Golub & Nielson 1970).  With
@@ -142,6 +143,7 @@ def momentum_residual(u: VelocityField, p: ScalarField, f: Forcing | None = None
     if f is not None:
         r -= f.f1[inner]
     res = max(r.max(), -r.min())
+    del r, t
     r, t = np.empty(a2.shape), np.empty(a2.shape)
     _mac.second_difference(a2, g.hx, "periodic" if periodic else "centers", 0, r)
     r += _mac.second_difference(a2, g.hz, "faces", 1, t)
@@ -294,6 +296,7 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     f1[1:] -= d[0] @ fac.qz
     f2[:, 1:] -= fac.qx.T @ d[1].T
     u1, u2, p = _free_slip(fac, f1, f2, modes)
+    del f1, f2
     # the inverses run in place, u1 and p sharing the z inverse and u2 and p
     # the x inverse; row 0 of u1 and column 0 of u2 are padding and stay 0
     idct(modes[0::2], axis=-1, out=modes[0::2])
@@ -301,21 +304,31 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     idct(modes[1:], axis=1, out=modes[1:])
     a1 = np.zeros((nx + 1, nz))
     dst1(u1[1:], axis=0, out=a1[1:-1])
-    return _finish(f, config, a1, u2[:, 1:], p, 0.0,
+    raw = [a1, u2[:, 1:], p]
+    del modes, u1, u2, p, a1
+    return _finish(f, config, raw, 0.0,
                    {"solver": "transform-capacitance", "capacitance": 2 * (nx + nz - 2),
                     "unknowns": (nx - 1) * nz + nx * (nz - 1) + nx * nz})
 
 
-def _finish(f, config, a1, a2_inner, pv, slope, stats) -> StokesSolution:
-    """Pad the u2 wall rows, centre ``pv`` in place, gate and wrap a raw solve."""
+def _finish(f, config, raw, slope, stats) -> StokesSolution:
+    """Gate and wrap a raw solve.
+
+    ``raw`` is the list [a1, a2_inner, pv] of the solver's arrays: u1, u2
+    without its wall rows and the pressure, which is centred in place.  The
+    solver hands them over and keeps no other reference, and ``_finish``
+    empties the list as the containers copy them, so the raw arrays are gone
+    before the residual gate runs.
+    """
     grid, dom = f.grid, f.domain
-    a2 = np.zeros((grid.nx, grid.nz + 1))
-    a2[:, 1:-1] = a2_inner
-    pv -= pv.mean()
-    if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2)) and np.all(np.isfinite(pv))):
+    raw[2] -= raw[2].mean()
+    if not all(np.all(np.isfinite(a)) for a in raw):
         raise StokesSolveError(f"{stats['solver']} solve produced non-finite values")
-    u = VelocityField.from_arrays(grid, dom, a1, a2, enforce_walls=False)
-    p = ScalarField(grid, dom, pv, CENTER)
+    p = ScalarField(grid, dom, raw.pop(), CENTER)
+    a2 = np.zeros((grid.nx, grid.nz + 1))
+    a2[:, 1:-1] = raw.pop()
+    u = VelocityField.from_arrays(grid, dom, raw.pop(), a2, enforce_walls=False)
+    del a2
     res = momentum_residual(u, p, f, pressure_slope=slope)
     _check_solution(res, u, f, config)
     flux = float(flux_profile(u)[0]) if dom.periodic else None
@@ -413,12 +426,16 @@ def solve_stokes_strip(f: Forcing, config: StokesConfig | None = None) -> Stokes
     modes[0, 0, 0], modes[1, 0] = flux_mode, 0.0
     # the constant part of the corrected f1 is balanced by the pressure slope
     slope = float(f1[0, 0].real) / (np.sqrt(nz) * nx)
+    # f1 and f2 go before the x inverse and modes before the z inverses, so
+    # that each can reuse their memory
+    del f1, f2
     fields = irfft(modes, n=nx, axis=1)
-    del modes, f1, f2  # the z inverses below then reuse their memory
-    u1, u2, p = fields
+    del modes
     idct(fields[0::2], axis=-1, out=fields[0::2])
-    dst1(u2[:, 1:], axis=1, out=u2[:, 1:])
-    return _finish(f, config, u1, u2[:, 1:], p, slope,
+    dst1(fields[1, :, 1:], axis=1, out=fields[1, :, 1:])
+    raw = [fields[0], fields[1, :, 1:], fields[2]]
+    del fields
+    return _finish(f, config, raw, slope,
                    {"solver": "fft-transform-capacitance", "modes": nx // 2 + 1})
 
 

@@ -118,6 +118,15 @@ MUTANTS = (
     Mutant("lambert_w_two_steps", _SRC + "coupling.py",
            "for _ in range(8):", "for _ in range(2):",
            "the contraction window's Lambert W stops after two Halley steps"),
+    Mutant("patch_bottom_wall_strict", _SRC + "scenarios.py",
+           "cz - r_outer < 0.0", "cz - r_outer <= 0.0",
+           "a patch whose disk touches the bottom wall is rejected"),
+    Mutant("patch_top_wall_strict", _SRC + "scenarios.py",
+           "cz + r_outer > 1.0", "cz + r_outer >= 1.0",
+           "a patch whose disk touches the top wall is rejected"),
+    Mutant("stability_default_dt_24", _SRC + "coupling.py",
+           "dt = T / 16.0", "dt = T / 24.0",
+           "stability_experiment's default step a 24th of T instead of a 16th"),
     Mutant("ledger_slack_1e-3", _SRC + "coupling.py",
            "_REL_SLACK = 1e-12", "_REL_SLACK = 1e-3",
            "the ledger accepts families that break the recursion by 0.1 %"),
@@ -125,10 +134,10 @@ MUTANTS = (
            "(1.0 + 1.0 / alpha)", "(1.0 + 0.5 / alpha)",
            "the ledger's contraction factor C_alpha too small"),
     Mutant("ledger_bound_plus_0", _SRC + "coupling.py",
-           "k0 <= math.floor(bound) + 1", "k0 <= math.floor(bound)",
+           "k0 - 1 <= bound", "k0 <= bound",
            "the ledger bound without the + 1 that turns a count into an index"),
     Mutant("ledger_bound_plus_2", _SRC + "coupling.py",
-           "k0 <= math.floor(bound) + 1", "k0 <= math.floor(bound) + 2",
+           "k0 - 1 <= bound", "k0 - 2 <= bound",
            "loosens only the verdict, and by the theorem no family that meets "
            "the hypotheses has k0 above floor(bound) + 1", equivalent=True),
 )

@@ -7,9 +7,16 @@ reproduce every bit of them outside the wall half-cells.  Inside one, where
 these samplers scale the row next to a no-slip wall by its distance to the
 wall and the production kernels blend it with a negated ghost row, the two
 differ by the rounding of the cell-unit coordinate only.
+
+``sample_velocity`` is not reference arithmetic: it samples both velocity
+components through the production RK4 stage (``_kernels._stage``,
+``_velocity`` and ``velocity_tables``), so tests can hold the stage's
+sampling against these samplers and probe it at chosen points.
 """
 
 import numpy as np
+
+from stokestransport import _kernels
 
 
 def _np_clip01(a):
@@ -131,3 +138,16 @@ def _np_rk4_step(px, pz, h, u1a, u2a, u1b, u2b, u1c, u2c, hx, hz, periodic, Lx):
         qx = np.minimum(np.maximum(qx, 0.0), Lx)
     px[:] = qx
     pz[:] = qz
+
+
+def sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx):
+    """Both MAC velocity components at points, each of shape px.shape, as
+    one production RK4 stage samples them."""
+    px, pz = _kernels._as_points(px, pz)
+    nz = u1.shape[1]
+    stage = _kernels._stage(nz, px.ravel(),
+                            _kernels._clamp(pz.ravel(), 0.0, 1.0),
+                            hx, hz, periodic, Lx)
+    v1, v2 = _kernels._velocity(_kernels.velocity_tables(u1, u2, periodic),
+                                nz, stage)
+    return v1.reshape(px.shape), v2.reshape(px.shape)

@@ -222,8 +222,9 @@ def solve_stokes_bounded(f: Forcing, config: StokesConfig | None = None) -> Stok
     sol += lu.solve(rhs - A @ sol)
     a1 = np.zeros((nx + 1, nz))
     a1[1:-1, :] = sol[:nu1].reshape(nx - 1, nz)
-    return _finish(f, config, a1, sol[nu1:nu1 + nu2].reshape(nx, nz - 1),
-                   sol[nu1 + nu2:].reshape(nx, nz), 0.0, {"solver": "sparse-lu"})
+    return _finish(f, config, [a1, sol[nu1:nu1 + nu2].reshape(nx, nz - 1),
+                               sol[nu1 + nu2:].reshape(nx, nz)],
+                   0.0, {"solver": "sparse-lu"})
 
 
 # ---------------------------------------------------------------------------

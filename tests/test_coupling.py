@@ -498,6 +498,15 @@ class TestStabilityExperiment:
         gh = np.array(rep_h.values)
         assert np.max(np.abs(gf - gh) / gf) <= 0.05
 
+    def test_default_step_is_a_sixteenth_of_T(self, rect):
+        # T = 1 without dt: 16 steps, so 17 states, t = 0 included
+        dom, grid = rect
+        r1 = make_density("stratified", grid, dom)
+        r2 = make_density("stratified_perturbed", grid, dom, eps=0.02)
+        rep = stability_experiment(r1, r2, T=1.0)
+        assert len(rep.times) == len(rep.values) == 17
+        assert rep.times[1] == 1.0 / 16.0
+
     @pytest.mark.parametrize("factor, absolute", [(1.0 - 1e-9, True), (1.0 + 1e-9, False)])
     def test_absolute_branch_switches_at_its_edge(self, strip, monkeypatch, factor, absolute):
         # an initial gap of 1e-14 times the larger L2 norm is rounding: at or
@@ -656,6 +665,40 @@ class TestLedger:
             for row in res.scan:
                 if math.isfinite(row.bound) and row.c_alpha < 1.0:
                     assert row.ok
+
+    def test_default_recursion_c_reads_exact_bounds(self):
+        # at C = 2, the CLI default, the 1.5C and 2C rows' bounds are 8 and
+        # 5; computed as C_alpha / (1 - C_alpha) they read an ulp below,
+        # which floor(bound) + 1 turns into an index one too small
+        res = energy_ledger_check(
+            random_ledger(2.0, 1.0, (8, 16, 32), np.random.default_rng(1)))
+        assert res.verdict == "pass"
+        assert res.bound == 8.0
+        assert [row.bound for row in res.scan[:2]] == [8.0, 5.0]
+        for row in res.scan:
+            assert row.c_alpha / (1.0 - row.c_alpha) == pytest.approx(
+                row.bound, rel=1e-12)
+
+    @pytest.mark.parametrize("C", [1e15, 1e16, 1e100])
+    def test_large_recursion_c_passes_with_exact_bounds(self, C):
+        # 1 - C_alpha rounds to 0 from C = 1e16 on, and is 20 % off at 1e15;
+        # the closed form C (alpha + 1) / (alpha - C) is not
+        res = energy_ledger_check(
+            random_ledger(C, 1.0, (8, 16, 32), np.random.default_rng(1)))
+        assert res.verdict == "pass"
+        for row in res.scan:
+            mult = row.alpha / C
+            assert row.ok
+            assert row.bound == pytest.approx(C * mult / (mult - 1.0),
+                                              rel=1e-12)
+
+    def test_recursion_c_near_the_float_max_does_not_raise(self):
+        # the 1.5C row's bound overflows to inf, where floor(bound) would
+        # raise, and alpha itself overflows from 2C on
+        res = energy_ledger_check(
+            random_ledger(1e308, 1e-310, (1,), np.random.default_rng(1)))
+        assert res.verdict == "pass"
+        assert res.C0 == 1.5e308 and res.bound == math.inf
 
     def test_ledger_owns_its_energies(self):
         led = _LinearLedger.build()

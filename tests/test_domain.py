@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokestransport import _kernels
+import _reference_kernels as ref
 from stokestransport.domain import (
     CENTER,
     XFACE,
@@ -242,9 +242,9 @@ def test_bad_fields_are_rejected(rect, exc, match, call):
 def interpolate_velocity(u, point):
     """Both velocity components at one point, through the MAC sampler."""
     g, dom = u.grid, u.domain
-    v1, v2 = _kernels.sample_velocity(u.u1.values, u.u2.values, [point[0]],
-                                      [point[1]], g.hx, g.hz, dom.periodic,
-                                      dom.x_extent)
+    v1, v2 = ref.sample_velocity(u.u1.values, u.u2.values, [point[0]],
+                                 [point[1]], g.hx, g.hz, dom.periodic,
+                                 dom.x_extent)
     return float(v1[0]), float(v2[0])
 
 

@@ -114,7 +114,7 @@ class TestReferenceParity:
         c = rng.choice([0.1, 0.7, 1.3], size=(nx, nz))
         args = (px, pz, grid.hx, grid.hz, dom.periodic, L)
         xband, zband = _bands(grid, dom.periodic, L, px, pz)
-        v1, v2 = _kernels.sample_velocity(u1, u2, *args)
+        v1, v2 = ref.sample_velocity(u1, u2, *args)
         _assert_parity(v1, ref._np_sample_u1(u1, *args), u1, zband)
         _assert_parity(v2, ref._np_sample_u2(u2, *args), u2, xband)
         _assert_parity(_kernels.sample_center(c, *args),
@@ -181,16 +181,40 @@ def _production_samplers(monkeypatch, nx):
     bit; the other component's field is zero."""
     def u1_only(u1, px, pz, hx, hz, periodic, Lx):
         u2 = np.zeros((nx, u1.shape[1] + 1))
-        return _kernels.sample_velocity(u1, u2, px, pz, hx, hz, periodic,
-                                        Lx)[0]
+        return ref.sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx)[0]
 
     def u2_only(u2, px, pz, hx, hz, periodic, Lx):
         u1 = np.zeros((nx if periodic else nx + 1, u2.shape[1] - 1))
-        return _kernels.sample_velocity(u1, u2, px, pz, hx, hz, periodic,
-                                        Lx)[1]
+        return ref.sample_velocity(u1, u2, px, pz, hx, hz, periodic, Lx)[1]
 
     monkeypatch.setattr(ref, "_np_sample_u1", u1_only)
     monkeypatch.setattr(ref, "_np_sample_u2", u2_only)
+
+
+@pytest.mark.parametrize("kind, L", [(DomainKind.STRIP, 8.0),
+                                     (DomainKind.RECTANGLE, 1.5)],
+                         ids=["strip", "rectangle"])
+def test_results_do_not_depend_on_the_block_size(kind, L, monkeypatch):
+    # 64 x 48 cell centres are one block of the default size and 31 blocks
+    # of 100 points, the last one ragged
+    dom, grid, rng, u1, u2, _, _ = _case(kind, L, 64, 48)
+    args = (grid.hx, grid.hz, dom.periodic, L)
+    tables = _tables((u1, u2, 0.8 * u1, 1.1 * u2, -0.5 * u1, 0.7 * u2),
+                     dom.periodic)
+    c = rng.standard_normal((2, 64, 48))
+    seeds = _kernels.center_points(64, 48, grid.hx, grid.hz)
+    assert 100 < seeds.shape[1] <= _kernels._BLOCK and seeds.shape[1] % 100
+
+    def run():
+        px, pz = (s.copy() for s in seeds)
+        _kernels.rk4_step(px, pz, 0.05, *tables, 48, *args)
+        return px, pz, _kernels.sample_center(c, px, pz, *args)
+
+    want = run()
+    monkeypatch.setattr(_kernels, "_BLOCK", 100)
+    got = run()
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestCenterCache:
@@ -244,11 +268,11 @@ def test_tangential_velocity_vanishes_on_walls(kind, L, nx, nz, exact):
     zs = np.concatenate([rng.uniform(0.0, 1.0, 200), np.arange(nz) * grid.hz,
                          (np.arange(nz) + 0.5) * grid.hz])
     eps = np.finfo(float).eps
-    walls = [(_kernels.sample_velocity(u1, u2, xs, np.full_like(xs, z),
-                                       *args)[0], nz, u1) for z in (0.0, 1.0)]
+    walls = [(ref.sample_velocity(u1, u2, xs, np.full_like(xs, z),
+                                  *args)[0], nz, u1) for z in (0.0, 1.0)]
     if not dom.periodic:
-        walls += [(_kernels.sample_velocity(u1, u2, np.full_like(zs, x), zs,
-                                            *args)[1], nx, u2)
+        walls += [(ref.sample_velocity(u1, u2, np.full_like(zs, x), zs,
+                                       *args)[1], nx, u2)
                   for x in (0.0, L)]
     for got, n, u in walls:
         tol = 0.0 if exact else 4 * n * eps * np.abs(u).max()
@@ -261,25 +285,25 @@ class TestSamplingSemantics:
         grid, dom, u1, u2, px, pz = _sample_args(strip)
         pz = np.clip(pz, 0.0, 1.0)
         args = (grid.hx, grid.hz, True, dom.x_extent)
-        base = _kernels.sample_velocity(u1, u2, px, pz, *args)
-        moved = _kernels.sample_velocity(u1, u2, px + dom.x_extent, pz, *args)
+        base = ref.sample_velocity(u1, u2, px, pz, *args)
+        moved = ref.sample_velocity(u1, u2, px + dom.x_extent, pz, *args)
         assert np.array_equal(base[0], moved[0])
         assert np.array_equal(base[1], moved[1])
 
     def test_z_clamped_to_walls(self, strip):
         grid, dom, u1, u2, px, pz = _sample_args(strip)
-        _, below = _kernels.sample_velocity(u1, u2, px, np.full_like(px, -3.0),
-                                            grid.hx, grid.hz, True, dom.x_extent)
-        _, at = _kernels.sample_velocity(u1, u2, px, np.zeros_like(px),
-                                         grid.hx, grid.hz, True, dom.x_extent)
+        _, below = ref.sample_velocity(u1, u2, px, np.full_like(px, -3.0),
+                                       grid.hx, grid.hz, True, dom.x_extent)
+        _, at = ref.sample_velocity(u1, u2, px, np.zeros_like(px),
+                                    grid.hx, grid.hz, True, dom.x_extent)
         assert np.array_equal(below, at)
         assert np.all(at == 0.0)  # no-slip row
 
     def test_u1_vanishes_on_walls(self, strip):
         # tangential velocity blends linearly to zero inside the wall half-cell
         grid, dom, u1, u2, px, pz = _sample_args(strip)
-        top, _ = _kernels.sample_velocity(u1, u2, px, np.ones_like(px),
-                                          grid.hx, grid.hz, True, dom.x_extent)
+        top, _ = ref.sample_velocity(u1, u2, px, np.ones_like(px),
+                                     grid.hx, grid.hz, True, dom.x_extent)
         assert np.all(top == 0.0)
 
     def test_center_extension_is_constant_beyond_walls(self, strip):
@@ -321,7 +345,7 @@ class TestNonFinitePoints:
         args = (np.asarray(px, dtype=float), np.asarray(pz, dtype=float),
                 grid.hx, grid.hz, dom.periodic, L)
         with np.errstate(invalid="ignore"):
-            return (*_kernels.sample_velocity(u1, u2, *args),
+            return (*ref.sample_velocity(u1, u2, *args),
                     _kernels.sample_center(c, *args))
 
     def test_nan_x_gives_nan(self, kind, L):

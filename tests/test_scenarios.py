@@ -93,6 +93,23 @@ class TestPatch:
         with pytest.raises(ValueError):
             make_density("patch", grid, dom, r_inner=0.3, r_outer=0.25)
 
+    @pytest.mark.parametrize("top", [False, True], ids=["bottom", "top"])
+    def test_patch_may_touch_a_wall(self, strip, top):
+        # a disk of radius r_outer whose edge lies on a wall clears it; the
+        # nearest centre from which it crosses the wall does not (at the top
+        # an ulp of cz rounds away in cz + r_outer, so that is two ulps)
+        dom, grid = strip
+        r = 0.25
+        if top:
+            at, inside = 0.75, np.nextafter(1.0, 2.0) - r
+            assert at + r == 1.0 and inside + r > 1.0
+        else:
+            at, inside = r, np.nextafter(r, 0.0)
+            assert at - r == 0.0 and inside - r < 0.0
+        make_density("patch", grid, dom, cz=at, r_outer=r)
+        with pytest.raises(ValueError, match="clear both walls"):
+            make_density("patch", grid, dom, cz=inside, r_outer=r)
+
     def test_unresolved_patch_raises(self):
         # on the 8-period strip at nx = 16 the centres nearest (4, 0.7) lie
         # exactly r_outer = 0.25 away, so the patch would be all background

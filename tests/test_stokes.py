@@ -740,6 +740,27 @@ class TestFinisher:
         with pytest.raises(StokesSolveError, match="non-finite"):
             solve_stokes_strip(f)
 
+    @pytest.mark.parametrize("kind, L, arrays", [(DomainKind.STRIP, 8.0, 12),
+                                                 (DomainKind.RECTANGLE, 1.0, 13)],
+                             ids=["strip", "rectangle"])
+    def test_warm_solve_peak_memory(self, kind, L, arrays):
+        # a warm 128 x 128 solve: the solver hands its raw arrays to _finish,
+        # which lets each go once a container has copied it, and the residual
+        # frees its x rows before the z rows, so the gate runs without them
+        dom = DomainSpec(kind, L)
+        grid = make_grid(dom, 128, 128)
+        rho = make_density("stratified_perturbed", grid, dom, eps=0.05)
+        solve_buoyancy(rho)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_buoyancy(rho)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * rho.values.nbytes
+
     def test_flux_is_reported_on_the_strip_only(self, rect, strip):
         sols = [solve_buoyancy(make_density("stratified_perturbed", grid, dom))
                 for dom, grid in (rect, strip)]
